@@ -19,19 +19,13 @@ import time as _time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .composition import CompositionGraph, contract, depot_moves_from_tags
-from .errors import CutViolated, IllegalFlow, LimitExceeded, MissingPathBackref
+from .composition import CompositionGraph, contract
+from .errors import CutViolated, LimitExceeded, MissingPathBackref
 from .formulation import ModelOptions, assemble
-from .hypergraph import (
-    DepotNode,
-    Hypergraph,
-    build,
-    enumerate_changes,
-    variant_parts,
-)
-from .instance import Instance, closure_arcs
-from .solver import IpSolution, LpSolution, enumerate_oracle, solve_ip, solve_lp
-from .solver.oracle import _match_units
+from .hypergraph import DepotNode, Hypergraph, build, change_index, variant_parts
+from .instance import Instance
+from .ledger import Ledger, arc_pulls, levels, through_depot
+from .solver import solve_ip, solve_lp
 
 INFEASIBLE = float("inf")
 
@@ -55,7 +49,7 @@ class TheoremVerdict:
     rhs_name: str
     lhs: object
     rhs: object
-    verdict: str    # EqualityHolds | InequalityHolds | StrictGap | VIOLATION
+    verdict: str    # EqualityHolds | InequalityHolds | StrictGap | VIOLATION | Undecided
 
 
 @dataclass
@@ -90,15 +84,10 @@ class ComparisonReport:
 
 def _timeline_segments(g_hd: Hypergraph, station: str, unit_type: str):
     """Parking arcs of one depot timeline in time order, with node spans."""
-    segs = []
-    for h in g_hd.hyperarcs:
-        if h.kind == "Parking" and h.tags.get("station") == station and \
-                h.tags.get("unit_type") == unit_type:
-            segs.append(h)
-    def pos(node: DepotNode):
-        order = {"initial": 0, "mid": 1, "terminal": 2}
-        return (order[node.role], node.time)
-    segs.sort(key=lambda h: pos(h.base_arcs[0][0]))
+    segs = [h for h in g_hd.hyperarcs
+            if h.kind == "Parking" and h.tags.get("station") == station
+            and h.tags.get("unit_type") == unit_type]
+    segs.sort(key=lambda h: _node_pos(h.base_arcs[0][0]))
     return segs
 
 
@@ -205,13 +194,12 @@ def extend_C_to_HD(cg: CompositionGraph, values: dict, g_hd: Hypergraph) -> dict
     """Complete a composition-model solution with depot arcs.
 
     The depot completion exists exactly when the cut constraints hold; the
-    per-position pull arcs are forced by the selected changes and the
-    parking flows are the running inventory levels.
+    per-position pull arcs are forced by the selected arcs and the parking
+    flows are the running inventory levels of the depot ledger.
     """
     instance = cg.instance
     x: dict = {}
-    pulls: dict[tuple[str, str], list] = {}
-    conn_of = {c.id: c for c in instance.connections}
+    ledger = Ledger(instance)
     for a in cg.arcs:
         v = values.get(a.id, 0)
         if not v:
@@ -219,48 +207,30 @@ def extend_C_to_HD(cg: CompositionGraph, values: dict, g_hd: Hypergraph) -> dict
         x[a.id] = v
         tags = a.tags
         if a.kind == "TripArc":
-            for (station, r, time, direction, count) in depot_moves_from_tags(tags, instance):
-                comp = tags["comp"]
-                trip = tags["trip"]
-                for n, rr in enumerate(instance.composition_by_id[comp].units, 1):
-                    if rr != r:
-                        continue
-                    arc = (f"pout.{trip}.{comp}.{n}" if direction == "out"
-                           else f"pin.{trip}.{comp}.{n}")
-                    x[arc] = x.get(arc, 0) + v
-                pulls.setdefault((station, r), []).append((time, direction, count * v))
+            comp_of = {tags["trip"]: tags["comp"]}
         else:
-            conn = conn_of[tags["connection"]]
-            pre_of = dict(zip(conn.predecessors, tags["pre"]))
-            post_of = dict(zip(conn.successors, tags["post"]))
-            for (t, n, r) in tags.get("uncoupled", ()):
-                arc = f"pin.{t}.{pre_of[t]}.{n}"
+            conn = instance.connection_by_id[tags["connection"]]
+            comp_of = dict(zip(conn.predecessors + conn.successors,
+                               tags["pre"] + tags["post"]))
+        pulled_in, pulled_out = arc_pulls(instance, tags)
+        ledger.add(pulled_in, pulled_out, count=v)
+        for prefix, positions in (("pin", pulled_in), ("pout", pulled_out)):
+            for (t, n, _r) in positions:
+                arc = f"{prefix}.{t}.{comp_of[t]}.{n}"
                 x[arc] = x.get(arc, 0) + v
-                tr = instance.trip_by_id[t]
-                pulls.setdefault((tr.arr_station, r), []).append(
-                    (tr.arr_time, "in", v))
-            for (t, n, r) in tags.get("coupled", ()):
-                arc = f"pout.{t}.{post_of[t]}.{n}"
-                x[arc] = x.get(arc, 0) + v
-                tr = instance.trip_by_id[t]
-                pulls.setdefault((tr.dep_station, r), []).append(
-                    (tr.dep_time, "out", v))
     for vid, v in values.items():
         if vid.startswith("dev.") and v:
             x[vid] = v
 
     for depot in instance.all_depots():
         key = (depot.station, depot.unit_type)
-        events = sorted(pulls.get(key, []), key=lambda e: (e[0], e[1] == "out"))
-        segments = _timeline_segments(g_hd, depot.station, depot.unit_type)
+        steps = list(levels(depot.start_inventory, ledger.events.get(key, [])))
         level = depot.start_inventory
         idx = 0
-        for seg in segments:
-            tail = seg.base_arcs[0][0]
-            t_tail = _node_pos(tail)
-            while idx < len(events) and events[idx][0] <= t_tail:
-                _, direction, v = events[idx]
-                level = level + v if direction == "in" else level - v
+        for seg in _timeline_segments(g_hd, depot.station, depot.unit_type):
+            t_tail = _node_pos(seg.base_arcs[0][0])
+            while idx < len(steps) and steps[idx][0] <= t_tail:
+                level = steps[idx][1]
                 idx += 1
             if level < -1e-9:
                 raise CutViolated(f"depot {key} inventory drops to {level}")
@@ -300,6 +270,7 @@ def replay_in_full(instance: Instance, g_small: Hypergraph, values: dict,
     candidates = {t: sorted(p for p in instance.trip_by_id[t].allowed_compositions
                             if comps[p].units == seq_choice[t])
                   for t in seq_choice}
+    changes = change_index(instance)
     trip_ids = sorted(candidates)
     for combo in itertools.product(*(candidates[t] for t in trip_ids)):
         assign = dict(zip(trip_ids, combo))
@@ -311,18 +282,10 @@ def replay_in_full(instance: Instance, g_small: Hypergraph, values: dict,
             want = frozenset(((a.trip, a.position, a.unit_type),
                               (b.trip, b.position, b.unit_type))
                              for a, b in arc.base_arcs)
-            found = False
-            for ch in enumerate_changes(instance, conn):
-                if tuple(assign[t] for t in conn.predecessors) != ch.pre:
-                    continue
-                if tuple(assign[t] for t in conn.successors) != ch.post:
-                    continue
-                have = frozenset(((tp, a, r), (ts, b, r))
-                                 for (tp, a, ts, b, r) in ch.continuing)
-                if have == want:
-                    found = True
-                    break
-            if not found:
+            ch = changes[conn.id].get((tuple(assign[t] for t in conn.predecessors),
+                                       tuple(assign[t] for t in conn.successors)))
+            if ch is None or want != frozenset(((tp, a, r), (ts, b, r))
+                                               for (tp, a, ts, b, r) in ch.continuing):
                 ok = False
                 break
         if ok:
@@ -381,8 +344,7 @@ def cost_breakdown(instance: Instance, graph, values: dict,
             if "actions" in tags:
                 coup_cost += v * tags["actions"] * rate
             else:
-                conn = next(c for c in instance.connections
-                            if c.id == tags["connection"])
+                conn = instance.connection_by_id[tags["connection"]]
                 coup_cost += v * (zero if conn.kind == "OneToOne" else rate)
         elif kind in ("PullIn", "PullOut", "DirectConnection"):
             if small:
@@ -427,7 +389,14 @@ def solve_variant(instance: Instance, variant: str, mp: str,
     return value, sol, model, graph
 
 
+def _proven(value, sol):
+    """``value`` if the solve proved it, None for a node-limit incumbent."""
+    return None if sol.status == "NodeLimit" else value
+
+
 def _verdict(relation: str, expect: str, lhs, rhs, tol) -> str:
+    if lhs is None or rhs is None:
+        return "Undecided"  # never judge a relation on an unproven value
     if lhs == INFEASIBLE and rhs == INFEASIBLE:
         return "EqualityHolds"
     if lhs == INFEASIBLE:
@@ -458,13 +427,15 @@ def verify_theorem1(instance: Instance, mp: str = "IP", closure: bool = True,
     """Check the five value relations between the models on actual solves.
 
     Relations: a) HA >= HD, b) hA >= hD (both with equality under the
-    closure), c) hA <= HA, d) hD <= HD, e) HD = C.
+    closure), c) hA <= HA, d) hD <= HD, e) HD = C. A relation with a side
+    that no solve proved (``None`` in ``values``) is ``Undecided``.
     """
     if values is None:
         values = {}
         for variant in ("hA", "HA", "hD", "HD", "C"):
-            values[variant], _, _, _ = solve_variant(
+            value, sol, _, _ = solve_variant(
                 instance, variant, mp, closure=closure, exact=exact)
+            values[variant] = _proven(value, sol)
     v = values
     cmp_tol = 0 if exact else tol
     spec = [
@@ -489,115 +460,47 @@ def verify_theorem1(instance: Instance, mp: str = "IP", closure: bool = True,
 def _integer_solution_sets(instance: Instance, trip_limit: int = 8,
                            connection_constraints: bool = True):
     """All integer solutions of HAbar / HD / C projected onto the shared
-    trip and change coordinates, as three sets of frozensets of arc ids."""
+    trip and change coordinates, as three sets of frozensets of arc ids.
+
+    Every selection is enumerated; HD and HAbar judge it with the depot
+    ledger, C with the cut rows of its assembled model."""
     if len(instance.trips) > trip_limit:
         raise LimitExceeded(f"{len(instance.trips)} trips exceeds projection limit")
     comps = instance.composition_by_id
-    trips = list(instance.trips)
-    conn_changes = {c.id: enumerate_changes(instance, c)
-                    for c in instance.connections}
+    changes = change_index(instance)
     depots = {(d.station, d.unit_type): d for d in instance.all_depots()}
-
-    cg = contract(build(instance, "HD"))
-    cut_rows = cg.cuts
+    cut_rows = contract(build(instance, "HD")).cuts
 
     sets = {"HAbar": set(), "HD": set(), "C": set()}
-    trip_ids = [t.id for t in trips]
-    options = [sorted(t.allowed_compositions) for t in trips]
+    trip_ids = [t.id for t in instance.trips]
+    options = [sorted(t.allowed_compositions) for t in instance.trips]
     for combo in itertools.product(*options):
         chosen = dict(zip(trip_ids, combo))
+        units_of = {t: comps[p].units for t, p in chosen.items()}
         pick_lists = []
-        feasible = True
         for conn in instance.connections:
-            opts = [ch for ch in conn_changes[conn.id]
-                    if tuple(chosen[t] for t in conn.predecessors) == ch.pre
-                    and tuple(chosen[t] for t in conn.successors) == ch.post]
+            ch = changes[conn.id].get((tuple(chosen[t] for t in conn.predecessors),
+                                       tuple(chosen[t] for t in conn.successors)))
+            opts = [] if ch is None else [(ch.key, ch.uncoupled, ch.coupled)]
             if not connection_constraints:
-                opts = opts + [None]
+                opts.append((None, *through_depot(conn, units_of)))
             if not opts:
-                feasible = False
                 break
             pick_lists.append(opts)
-        if not feasible:
-            continue
-        for pick in itertools.product(*pick_lists):
-            ids = [f"trip.{t}.{chosen[t]}" for t in trip_ids]
-            moves: dict[tuple[str, str], list] = {}
-            for conn, ch in zip(instance.connections, pick):
-                if ch is None:
-                    for t in conn.predecessors:
-                        tr = instance.trip_by_id[t]
-                        for r in comps[chosen[t]].units:
-                            moves.setdefault((tr.arr_station, r), []).append(
-                                (tr.arr_time, "in", t))
-                    for t in conn.successors:
-                        tr = instance.trip_by_id[t]
-                        for r in comps[chosen[t]].units:
-                            moves.setdefault((tr.dep_station, r), []).append(
-                                (tr.dep_time, "out", t))
-                    continue
-                ids.append(ch.key)
-                for (t, _n, r) in ch.uncoupled:
-                    tr = instance.trip_by_id[t]
-                    moves.setdefault((tr.arr_station, r), []).append(
-                        (tr.arr_time, "in", t))
-                for (t, _n, r) in ch.coupled:
-                    tr = instance.trip_by_id[t]
-                    moves.setdefault((tr.dep_station, r), []).append(
-                        (tr.dep_time, "out", t))
-            for t in trips:
-                if instance.predecessor_connection(t.id) is None:
-                    for r in comps[chosen[t.id]].units:
-                        moves.setdefault((t.dep_station, r), []).append(
-                            (t.dep_time, "out", t.id))
-                if instance.successor_connection(t.id) is None:
-                    for r in comps[chosen[t.id]].units:
-                        moves.setdefault((t.arr_station, r), []).append(
-                            (t.arr_time, "in", t.id))
-            key = frozenset(ids)
-
-            # HD: running inventory must stay nonnegative
-            hd_ok = True
-            for (station, r), evs in moves.items():
-                depot = depots.get((station, r))
-                level = depot.start_inventory if depot else 0
-                for (tau, direction, _t) in sorted(
-                        evs, key=lambda e: (e[0], e[1] == "out")):
-                    level += 1 if direction == "in" else -1
-                    if level < 0:
-                        hd_ok = False
-                        break
-                if not hd_ok:
-                    break
-            if hd_ok:
-                sets["HD"].add(key)
-
-            # HAbar: explicit unit matching over the closure
-            ha_ok = True
-            for (station, r), evs in moves.items():
-                depot = depots.get((station, r))
-                start = depot.start_inventory if depot else 0
-                supply = [(tau, tau) for (tau, d, _t) in evs if d == "in"]
-                demand = [(tau, tau) for (tau, d, _t) in evs if d == "out"]
-                if not _match_units(supply, demand, start,
-                                    lambda s, d: s <= d):
-                    ha_ok = False
-                    break
-            if ha_ok:
-                sets["HAbar"].add(key)
-
-            # C: evaluate the cut rows of the assembled composition model
-            if connection_constraints:
-                selected = set(ids)
-                c_ok = True
-                for cut in cut_rows:
-                    level = cut.start
-                    level -= sum(n for aid, n in cut.outs if aid in selected)
-                    level += sum(n for aid, n in cut.ins if aid in selected)
-                    if level < 0:
-                        c_ok = False
-                        break
-                if c_ok:
+        else:
+            trip_arcs = [f"trip.{t}.{chosen[t]}" for t in trip_ids]
+            for pick in itertools.product(*pick_lists):
+                key = frozenset(trip_arcs + [aid for (aid, _, _) in pick if aid])
+                ledger = Ledger.of_selection(instance, units_of,
+                                             [(pi, po) for (_, pi, po) in pick])
+                if ledger.prefix_ok(depots):
+                    sets["HD"].add(key)
+                if ledger.matching_ok(depots):
+                    sets["HAbar"].add(key)
+                if connection_constraints and all(
+                        cut.start - sum(n for aid, n in cut.outs if aid in key)
+                        + sum(n for aid, n in cut.ins if aid in key) >= 0
+                        for cut in cut_rows):
                     sets["C"].add(key)
     return sets
 
@@ -654,7 +557,8 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
             row.n_vars, row.n_rows = model.stats()
             row.lp_value, row.ip_value = lp_val, ip_val
             row.lp_status, row.ip_status = lp_sol.status, ip_sol.status
-            values_lp[variant], values_ip[variant] = lp_val, ip_val
+            values_lp[variant] = _proven(lp_val, lp_sol)
+            values_ip[variant] = _proven(ip_val, ip_sol)
             if ip_sol.status == "Optimal":
                 row.breakdown = cost_breakdown(instance, graph, ip_sol.values,
                                                exact=exact)

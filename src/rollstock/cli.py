@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: validate, build, solve, compare, project, reduce-3sat,
-verify-reduction, gen, export-lp. Exit codes: 0 success, 1 infeasible or
-violations found, 2 usage errors. Human-readable output on stdout, JSON
+verify-reduction, gen, export-lp. Exit codes: 0 success, 1 infeasible,
+violations found or a malformed instance, 2 usage errors; an Undecided
+theorem relation does not fail. Human-readable output on stdout, JSON
 with --json; --deterministic suppresses timing fields.
 """
 
@@ -13,10 +14,9 @@ import json
 import sys
 
 from . import analysis, genbench, instance as inst_mod, reduction
-from .composition import contract
 from .errors import RollstockError
 from .formulation import ModelOptions, assemble, export_lp_file
-from .hypergraph import VARIANTS, build
+from .hypergraph import VARIANTS
 from .solver import solve_ip, solve_lp
 
 ALL = ("hD", "hA", "HD", "HA", "C")
@@ -28,12 +28,6 @@ def _load_instance(args) -> inst_mod.Instance:
     if not args.instance:
         raise SystemExit("either --instance FILE or --canonical NAME is required")
     return inst_mod.load(args.instance)
-
-
-def _graph(instance, variant, closure):
-    if variant == "C":
-        return contract(build(instance, "HD"))
-    return analysis.build_variant(instance, variant, closure)
 
 
 def cmd_validate(args) -> int:
@@ -54,14 +48,14 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     instance = _load_instance(args)
-    graph = _graph(instance, args.variant, args.closure)
+    graph = analysis.build_variant(instance, args.variant, args.closure)
     sys.stdout.write(graph.dump())
     return 0
 
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args)
-    graph = _graph(instance, args.variant, args.closure)
+    graph = analysis.build_variant(instance, args.variant, args.closure)
     opts = ModelOptions(connection_constraints=not args.no_connection_constraints)
     model = assemble(graph, opts)
     if args.export_lp:
@@ -174,7 +168,7 @@ def cmd_gen(args) -> int:
 
 def cmd_export_lp(args) -> int:
     instance = _load_instance(args)
-    graph = _graph(instance, args.variant, args.closure)
+    graph = analysis.build_variant(instance, args.variant, args.closure)
     opts = ModelOptions(relax=args.lp,
                         connection_constraints=not args.no_connection_constraints)
     model = assemble(graph, opts)

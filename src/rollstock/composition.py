@@ -6,17 +6,21 @@ hyperarcs and 1-to-1 changes become single arcs, split/join changes become
 two-arc hyperarcs meeting in a common node, and all depot arcs are dropped.
 What remains of the depots is cut data: per depot node, which surviving
 arcs pull how many units out of or into the inventory up to that point in
-time. The surviving arcs keep the ids of the hyperarcs they came from, so
-solutions transfer between the two models by name.
+time, read off the depot ledger (:mod:`rollstock.ledger`) in one sweep
+over its time-sorted events. The surviving arcs keep the ids of the
+hyperarcs they came from, so solutions transfer between the two models by
+name.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import VariantMismatch
-from .hypergraph import Hyperarc, Hypergraph
+from .hypergraph import Hypergraph
 from .instance import Instance
+from .ledger import IN, OUT, Ledger, arc_pulls
 
 
 @dataclass(frozen=True, order=True)
@@ -108,36 +112,6 @@ class CompositionGraph:
         return "\n".join(lines) + "\n"
 
 
-def depot_moves_from_tags(tags: dict, instance: Instance) -> list[tuple[str, str, int, str, int]]:
-    """Depot moves implied by selecting a trip or change (hyper)arc.
-
-    Returns (station, unit_type, time, direction, count) tuples, where
-    direction 'in' adds units to the depot and 'out' removes them. Change
-    hyperarcs move their uncoupled/coupled units; trip hyperarcs of first
-    and last trips stage their whole composition out of / into the depot.
-    """
-    trips = instance.trip_by_id
-    moves: dict[tuple[str, str, int, str], int] = {}
-
-    def bump(station: str, r: str, time: int, direction: str, n: int = 1):
-        key = (station, r, time, direction)
-        moves[key] = moves.get(key, 0) + n
-
-    for (t, _pos, r) in tags.get("uncoupled", ()):
-        bump(trips[t].arr_station, r, trips[t].arr_time, "in")
-    for (t, _pos, r) in tags.get("coupled", ()):
-        bump(trips[t].dep_station, r, trips[t].dep_time, "out")
-    for (station, r, time) in tags.get("stage_out", ()):
-        bump(station, r, time, "out")
-    for (station, r, time) in tags.get("stage_in", ()):
-        bump(station, r, time, "in")
-    return [(s, r, tau, d, n) for (s, r, tau, d), n in sorted(moves.items())]
-
-
-def hyperarc_depot_moves(h: Hyperarc, instance: Instance):
-    return depot_moves_from_tags(h.tags, instance)
-
-
 def contract(g_hd: Hypergraph) -> CompositionGraph:
     """Contract the full depot hypergraph into the composition model graph."""
     if g_hd.variant != "HD":
@@ -155,7 +129,7 @@ def contract(g_hd: Hypergraph) -> CompositionGraph:
                                 h.cost, dict(h.tags)))
             trip_index[t].append(h.id)
         elif h.kind == "ConnectionChange":
-            conn = next(c for c in instance.connections if c.id == h.tags["connection"])
+            conn = instance.connection_by_id[h.tags["connection"]]
             pre_of = dict(zip(conn.predecessors, h.tags["pre"]))
             post_of = dict(zip(conn.successors, h.tags["post"]))
             pairs: dict[tuple[CompNode, CompNode], None] = {}
@@ -199,44 +173,28 @@ def contract(g_hd: Hypergraph) -> CompositionGraph:
 
 def _build_cut_data(instance: Instance,
                     arcs: list[CompArc]) -> tuple[list[DepotCut], list[EndInventory]]:
-    moves_by_depot: dict[tuple[str, str], list[tuple[int, str, str, int]]] = {}
+    ledger = Ledger(instance)
     for a in arcs:
-        for (station, r, time, direction, n) in depot_moves_from_tags(a.tags, instance):
-            moves_by_depot.setdefault((station, r), []).append((time, direction, a.id, n))
+        ledger.add(*arc_pulls(instance, a.tags), key=a.id)
 
     cuts: list[DepotCut] = []
     ends: list[EndInventory] = []
     for depot in instance.all_depots():
-        key = (depot.station, depot.unit_type)
-        events = sorted(moves_by_depot.get(key, []))
-        times = sorted({tau for (tau, _, _, _) in events})
-        outs_all: dict[str, int] = {}
-        ins_all: dict[str, int] = {}
-        for (tau, direction, arc_id, n) in events:
-            target = outs_all if direction == "out" else ins_all
-            target[arc_id] = target.get(arc_id, 0) + n
-        for tau in times:
-            outs: dict[str, int] = {}
-            ins: dict[str, int] = {}
-            for (t2, direction, arc_id, n) in events:
-                if t2 <= tau:
-                    target = outs if direction == "out" else ins
-                    target[arc_id] = target.get(arc_id, 0) + n
+        events = sorted(ledger.events.get((depot.station, depot.unit_type), []))
+        totals: dict[str, dict[str, int]] = {OUT: {}, IN: {}}
+        for tau, group in itertools.groupby(events, key=lambda e: e[0]):
+            for (_, direction, arc_id, n) in group:
+                totals[direction][arc_id] = totals[direction].get(arc_id, 0) + n
             cuts.append(DepotCut(depot.station, depot.unit_type, tau,
                                  depot.start_inventory,
-                                 tuple(sorted(outs.items())),
-                                 tuple(sorted(ins.items()))))
-        if not times:
+                                 tuple(sorted(totals[OUT].items())),
+                                 tuple(sorted(totals[IN].items()))))
+        if not events:
             # untouched depot still contributes its vacuous availability cut
             cuts.append(DepotCut(depot.station, depot.unit_type, 0,
                                  depot.start_inventory, (), ()))
         ends.append(EndInventory(depot.station, depot.unit_type,
                                  depot.start_inventory, depot.target_end_inventory,
-                                 tuple(sorted(outs_all.items())),
-                                 tuple(sorted(ins_all.items()))))
+                                 tuple(sorted(totals[OUT].items())),
+                                 tuple(sorted(totals[IN].items()))))
     return cuts, ends
-
-
-def cut_data(cg: CompositionGraph) -> list[DepotCut]:
-    """Depot cut rows of the composition model (already built at contract)."""
-    return list(cg.cuts)

@@ -7,6 +7,10 @@ class RollstockError(Exception):
     """Base class for all package errors."""
 
 
+class MalformedInstance(RollstockError):
+    """Instance text that is not JSON or does not have the instance shape."""
+
+
 class NotFound(RollstockError):
     """A named entity (instance, catalog entry) does not exist."""
 
@@ -31,25 +35,12 @@ class VariantMismatch(RollstockError):
     """An operation received a hypergraph of the wrong variant."""
 
 
-class MissingCutData(RollstockError):
-    """Composition-model assembly requires depot cut data that was not built."""
-
-
 class InvalidOptions(RollstockError):
     """Incompatible model options (e.g. composition model without connection constraints)."""
 
 
 class NumericalFailure(RollstockError):
     """The LP solver could not reach a reliable conclusion."""
-
-
-class NodeLimitReached(RollstockError):
-    """Branch and bound hit its node limit; carries incumbent and bound."""
-
-    def __init__(self, message: str, incumbent=None, bound=None):
-        super().__init__(message)
-        self.incumbent = incumbent
-        self.bound = bound
 
 
 class LimitExceeded(RollstockError):
@@ -62,14 +53,6 @@ class CutViolated(RollstockError):
 
 class MissingPathBackref(RollstockError):
     """A direct arc lacks the depot-path record needed to re-route it."""
-
-
-class InfeasibleSolution(RollstockError):
-    """A solution fails replay against the model constraints."""
-
-
-class IllegalFlow(RollstockError):
-    """A small-variant solution cannot be lifted to composition-labeled form."""
 
 
 class ConfigError(RollstockError):

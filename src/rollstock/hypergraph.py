@@ -25,6 +25,7 @@ they are the documented over-relaxation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import DecompositionFailure, InfeasibleInstance, NonConservingInput
@@ -37,6 +38,7 @@ from .instance import (
     Instance,
     closure_arcs,
 )
+from .ledger import IN, OUT, place, staging
 
 VARIANTS = ("hD", "hA", "HD", "HA", "hAbar", "HAbar")
 
@@ -212,19 +214,19 @@ def enumerate_changes(instance: Instance, conn: Connection) -> list[Change]:
     return out
 
 
-def uncouple_block_head(change: Change, shunt_side: str) -> int | None:
-    """Position that carries the uncouple action of a change, if any."""
-    if not change.uncoupled:
-        return None
-    positions = [n for (_, n, _) in change.uncoupled]
-    return min(positions) if shunt_side == "rear" else max(positions)
+def change_index(instance: Instance) -> dict[str, dict[tuple, Change]]:
+    """Changes of every connection keyed by their (pre, post) compositions."""
+    return {c.id: {(ch.pre, ch.post): ch for ch in enumerate_changes(instance, c)}
+            for c in instance.connections}
 
 
-def couple_block_head(change: Change, shunt_side: str) -> int | None:
-    if not change.coupled:
+def block_head(positions, shunt_side: str) -> int | None:
+    """Position that carries the shunt action of an uncoupled or coupled
+    block ``(trip, position, unit_type)``, if the block is not empty."""
+    if not positions:
         return None
-    positions = [n for (_, n, _) in change.coupled]
-    return min(positions) if shunt_side == "rear" else max(positions)
+    ns = [n for (_, n, _) in positions]
+    return min(ns) if shunt_side == "rear" else max(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +336,12 @@ def _small_pull_costs(instance: Instance) -> tuple[dict, dict]:
     pout: dict[tuple[str, int, str], float] = {}
     for conn in instance.connections:
         for change in enumerate_changes(instance, conn):
-            head_in = uncouple_block_head(change, instance.shunt.uncouple_side)
+            head_in = block_head(change.uncoupled, instance.shunt.uncouple_side)
             for (t, n, r) in change.uncoupled:
                 cost = rate if n == head_in else 0.0
                 key = (t, n, r)
                 pin[key] = min(pin.get(key, cost), cost)
-            head_out = couple_block_head(change, instance.shunt.couple_side)
+            head_out = block_head(change.coupled, instance.shunt.couple_side)
             for (t, n, r) in change.coupled:
                 cost = rate if n == head_out else 0.0
                 key = (t, n, r)
@@ -350,13 +352,13 @@ def _small_pull_costs(instance: Instance) -> tuple[dict, dict]:
 def _staging_tags(instance: Instance, trip_id: str, comp: Composition) -> dict:
     """Depot moves implied by running a trip with no predecessor/successor."""
     trip = instance.trip_by_id[trip_id]
+    pulled_in, pulled_out = staging(instance, trip_id, comp.units)
     tags: dict = {}
-    if instance.predecessor_connection(trip_id) is None:
-        tags["stage_out"] = tuple(sorted(
-            (trip.dep_station, r, trip.dep_time) for r in comp.units))
-    if instance.successor_connection(trip_id) is None:
-        tags["stage_in"] = tuple(sorted(
-            (trip.arr_station, r, trip.arr_time) for r in comp.units))
+    for name, direction, positions in (("stage_out", OUT, pulled_out),
+                                       ("stage_in", IN, pulled_in)):
+        if positions:
+            station, time = place(trip, direction)
+            tags[name] = tuple(sorted((station, r, time) for (_, _, r) in positions))
     return tags
 
 
@@ -448,40 +450,23 @@ def build(instance: Instance, variant: str) -> Hypergraph:
     # depot access ------------------------------------------------------------
     pin_cost, pout_cost = ({}, {}) if full else _small_pull_costs(instance)
 
-    def pull_in_nodes(t: str) -> list[tuple[EventNode, str]]:
-        """Arrival nodes that may pull in, with arc ids."""
-        out = []
+    @functools.cache
+    def pull_nodes(t: str, direction: str) -> list[tuple[EventNode, str]]:
+        """Nodes of a trip that may pull in (arrival) or out (departure), with arc ids."""
+        side, prefix = ("arr", "pin") if direction == IN else ("dep", "pout")
         if full:
-            for pid in trips[t].allowed_compositions:
-                p = comps[pid]
-                for n, r in enumerate(p.units, start=1):
-                    out.append((ev(t, "arr", n, r, pid), f"pin.{t}.{pid}.{n}"))
-        else:
-            for (n, r) in _trip_type_slots(instance, t):
-                out.append((ev(t, "arr", n, r, ""), f"pin.{t}.{n}.{r}"))
-        return out
+            return [(ev(t, side, n, r, pid), f"{prefix}.{t}.{pid}.{n}")
+                    for pid in trips[t].allowed_compositions
+                    for n, r in enumerate(comps[pid].units, start=1)]
+        return [(ev(t, side, n, r, ""), f"{prefix}.{t}.{n}.{r}")
+                for (n, r) in _trip_type_slots(instance, t)]
 
-    def pull_out_nodes(t: str) -> list[tuple[EventNode, str]]:
-        out = []
-        if full:
-            for pid in trips[t].allowed_compositions:
-                p = comps[pid]
-                for n, r in enumerate(p.units, start=1):
-                    out.append((ev(t, "dep", n, r, pid), f"pout.{t}.{pid}.{n}"))
-        else:
-            for (n, r) in _trip_type_slots(instance, t):
-                out.append((ev(t, "dep", n, r, ""), f"pout.{t}.{n}.{r}"))
-        return out
-
-    def arc_pin_cost(node: EventNode) -> float:
-        if full or instance.successor_connection(node.trip) is None:
+    def pull_cost(node: EventNode, direction: str) -> float:
+        costs, connection = ((pin_cost, instance.successor_connection) if direction == IN
+                             else (pout_cost, instance.predecessor_connection))
+        if full or connection(node.trip) is None:
             return 0.0
-        return pin_cost.get((node.trip, node.position, node.unit_type), 0.0)
-
-    def arc_pout_cost(node: EventNode) -> float:
-        if full or instance.predecessor_connection(node.trip) is None:
-            return 0.0
-        return pout_cost.get((node.trip, node.position, node.unit_type), 0.0)
+        return costs.get((node.trip, node.position, node.unit_type), 0.0)
 
     balances: dict[Node, int] = {}
     depots = instance.all_depots()
@@ -502,18 +487,16 @@ def build(instance: Instance, variant: str) -> Hypergraph:
             balances[initial] = d.start_inventory
             balances[terminal] = -d.target_end_inventory
             times: set[int] = set()
-            ins_here, outs_here = [], []
+            pulls: dict[str, list] = {IN: [], OUT: []}
             for t in instance.trips:
-                if t.arr_station == d.station:
-                    for node, hid in pull_in_nodes(t.id):
+                for direction in (IN, OUT):
+                    station, tau = place(t, direction)
+                    if station != d.station:
+                        continue
+                    for node, hid in pull_nodes(t.id, direction):
                         if node.unit_type == d.unit_type:
-                            ins_here.append((node, hid, t.arr_time))
-                            times.add(t.arr_time)
-                if t.dep_station == d.station:
-                    for node, hid in pull_out_nodes(t.id):
-                        if node.unit_type == d.unit_type:
-                            outs_here.append((node, hid, t.dep_time))
-                            times.add(t.dep_time)
+                            pulls[direction].append((node, hid, tau))
+                            times.add(tau)
             timeline = [initial] + [DepotNode(d.station, d.unit_type, "mid", tau)
                                     for tau in sorted(times)] + [terminal]
             for i in range(len(timeline) - 1):
@@ -523,14 +506,11 @@ def build(instance: Instance, variant: str) -> Hypergraph:
                                           {"station": d.station, "unit_type": d.unit_type}))
                 parking.append(hid)
             at_time = {n.time: n for n in timeline[1:-1]}
-            for node, hid, tau in sorted(ins_here, key=lambda x: x[1]):
-                hyperarcs.append(Hyperarc(hid, "PullIn", ((node, at_time[tau]),),
-                                          arc_pin_cost(node), 1,
-                                          {"station": d.station, "time": tau}))
-            for node, hid, tau in sorted(outs_here, key=lambda x: x[1]):
-                hyperarcs.append(Hyperarc(hid, "PullOut", ((at_time[tau], node),),
-                                          arc_pout_cost(node), 1,
-                                          {"station": d.station, "time": tau}))
+            for direction, kind in ((IN, "PullIn"), (OUT, "PullOut")):
+                for node, hid, tau in sorted(pulls[direction], key=lambda x: x[1]):
+                    arc = (node, at_time[tau]) if direction == IN else (at_time[tau], node)
+                    hyperarcs.append(Hyperarc(hid, kind, (arc,), pull_cost(node, direction),
+                                              1, {"station": d.station, "time": tau}))
             _deviation_arcs(hyperarcs, d, terminal, hubs[d.unit_type], instance)
     else:
         specs = closure_arcs(instance, "closure" if closure else "declared")
@@ -554,12 +534,12 @@ def build(instance: Instance, variant: str) -> Hypergraph:
             if spec.source == INITIAL:
                 src = [(initial_of[(spec.station, spec.unit_type)], None)]
             else:
-                src = [(node, hid) for node, hid in pull_in_nodes(spec.source)
+                src = [(node, hid) for node, hid in pull_nodes(spec.source, IN)
                        if node.unit_type == spec.unit_type]
             if spec.target == TERMINAL:
                 dst = [(terminal_of[(spec.station, spec.unit_type)], None)]
             else:
-                dst = [(node, hid) for node, hid in pull_out_nodes(spec.target)
+                dst = [(node, hid) for node, hid in pull_nodes(spec.target, OUT)
                        if node.unit_type == spec.unit_type]
             for s_node, s_hid in src:
                 for d_node, d_hid in dst:
@@ -570,7 +550,7 @@ def build(instance: Instance, variant: str) -> Hypergraph:
                             continue
                         seen_pull.add(d_hid)
                         hyperarcs.append(Hyperarc(d_hid, "PullOut", ((s_node, d_node),),
-                                                  arc_pout_cost(d_node), 1,
+                                                  pull_cost(d_node, OUT), 1,
                                                   {"station": spec.station,
                                                    "time": spec.pull_out_time}))
                     elif spec.target == TERMINAL:
@@ -578,7 +558,7 @@ def build(instance: Instance, variant: str) -> Hypergraph:
                             continue
                         seen_pull.add(s_hid)
                         hyperarcs.append(Hyperarc(s_hid, "PullIn", ((s_node, d_node),),
-                                                  arc_pin_cost(s_node), 1,
+                                                  pull_cost(s_node, IN), 1,
                                                   {"station": spec.station,
                                                    "time": spec.pull_in_time}))
                     else:
@@ -586,7 +566,7 @@ def build(instance: Instance, variant: str) -> Hypergraph:
                                f"{(s_node.comp + '.') if s_node.comp else ''}{s_node.position}"
                                f".{d_node.trip}."
                                f"{(d_node.comp + '.') if d_node.comp else ''}{d_node.position}")
-                        cost = arc_pin_cost(s_node) + arc_pout_cost(d_node)
+                        cost = pull_cost(s_node, IN) + pull_cost(d_node, OUT)
                         hyperarcs.append(Hyperarc(hid, "DirectConnection",
                                                   ((s_node, d_node),), cost, 1,
                                                   {"station": spec.station,

@@ -15,8 +15,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .errors import NotFound, UnknownDepot
+from .errors import MalformedInstance, NotFound, UnknownDepot
+from .ledger import IN, OUT, place
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -189,27 +191,43 @@ class Instance:
         if self.direct_arcs is not None:
             object.__setattr__(self, "direct_arcs", tuple(tuple(a) for a in self.direct_arcs))
 
-    @property
+    @cached_property
     def unit_type_by_id(self) -> dict[str, UnitType]:
         return {u.id: u for u in self.unit_types}
 
-    @property
+    @cached_property
     def composition_by_id(self) -> dict[str, Composition]:
         return {p.id: p for p in self.compositions}
 
-    @property
+    @cached_property
     def trip_by_id(self) -> dict[str, Trip]:
         return {t.id: t for t in self.trips}
 
-    @property
-    def stations(self) -> list[str]:
+    @cached_property
+    def connection_by_id(self) -> dict[str, Connection]:
+        return {c.id: c for c in self.connections}
+
+    @cached_property
+    def stations(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
         for t in self.trips:
             seen.setdefault(t.dep_station)
             seen.setdefault(t.arr_station)
         for d in self.depots:
             seen.setdefault(d.station)
-        return list(seen)
+        return tuple(seen)
+
+    @cached_property
+    def _connections_of(self) -> tuple[dict[str, Connection], dict[str, Connection]]:
+        """(connection entered by each trip, connection left by each trip)."""
+        entered: dict[str, Connection] = {}
+        left: dict[str, Connection] = {}
+        for c in self.connections:
+            for t in c.successors:
+                entered.setdefault(t, c)
+            for t in c.predecessors:
+                left.setdefault(t, c)
+        return entered, left
 
     def depot(self, station: str, unit_type: str) -> Depot:
         """Declared depot, or an implicit empty one at a known station."""
@@ -230,16 +248,10 @@ class Instance:
         return out
 
     def predecessor_connection(self, trip_id: str) -> Connection | None:
-        for c in self.connections:
-            if trip_id in c.successors:
-                return c
-        return None
+        return self._connections_of[0].get(trip_id)
 
     def successor_connection(self, trip_id: str) -> Connection | None:
-        for c in self.connections:
-            if trip_id in c.predecessors:
-                return c
-        return None
+        return self._connections_of[1].get(trip_id)
 
     def seats(self, comp: Composition) -> int:
         types = self.unit_type_by_id
@@ -390,28 +402,17 @@ def validate(instance: Instance) -> list[Violation]:
 # direct-arc closure
 # ---------------------------------------------------------------------------
 
-def _pull_in_events(instance: Instance) -> list[tuple[str, str, str, int]]:
-    """(station, unit_type, source_trip, time) of every possible pull-in:
-    any unit of an arriving trip may be uncoupled into the local depot."""
+def _pull_events(instance: Instance, direction: str) -> list[tuple[str, str, str, int]]:
+    """(station, unit_type, trip, time) of every possible depot move in one
+    direction: any unit of an arriving trip may be uncoupled into the local
+    depot (``IN``), any departing position may be fed from it (``OUT``)."""
+    comps = instance.composition_by_id
     out = []
     for t in instance.trips:
-        types = {instance.composition_by_id[p].units for p in t.allowed_compositions
-                 if p in instance.composition_by_id}
-        units = sorted({u for seq in types for u in seq})
-        for u in units:
-            out.append((t.arr_station, u, t.id, t.arr_time))
-    return out
-
-
-def _pull_out_events(instance: Instance) -> list[tuple[str, str, str, int]]:
-    """(station, unit_type, target_trip, time) of every possible pull-out."""
-    out = []
-    for t in instance.trips:
-        types = {instance.composition_by_id[p].units for p in t.allowed_compositions
-                 if p in instance.composition_by_id}
-        units = sorted({u for seq in types for u in seq})
-        for u in units:
-            out.append((t.dep_station, u, t.id, t.dep_time))
+        units = sorted({u for p in t.allowed_compositions if p in comps
+                        for u in comps[p].units})
+        station, time = place(t, direction)
+        out.extend((station, u, t.id, time) for u in units)
     return out
 
 
@@ -426,8 +427,8 @@ def closure_arcs(instance: Instance, mode: str = "closure") -> list[DirectArcSpe
     if mode not in ("declared", "closure"):
         raise ValueError(f"unknown mode {mode}")
     trips = instance.trip_by_id
-    ins = _pull_in_events(instance)
-    outs = _pull_out_events(instance)
+    ins = _pull_events(instance, IN)
+    outs = _pull_events(instance, OUT)
     arcs: list[DirectArcSpec] = []
 
     horizon_end = max((t.arr_time for t in instance.trips), default=0) + 1
@@ -518,31 +519,38 @@ def to_dict(instance: Instance) -> dict:
 
 
 def from_dict(d: dict) -> Instance:
-    return Instance(
-        name=d.get("name", "unnamed"),
-        unit_types=tuple(UnitType(u["id"], u["length_units"], u["seats"])
-                         for u in d["unit_types"]),
-        compositions=tuple(Composition(p["id"], tuple(p["units"]))
-                           for p in d["compositions"]),
-        trips=tuple(Trip(t["id"], t["dep_station"], t["arr_station"],
-                         t["dep_time"], t["arr_time"], t["distance_km"],
-                         t["demand_seats"], tuple(t["allowed_compositions"]))
-                    for t in d["trips"]),
-        connections=tuple(Connection(
-            c["id"], c["kind"], tuple(c["predecessors"]), tuple(c["successors"]),
-            tuple(tuple(e) for e in c["allowed_changes"])
-            if c.get("allowed_changes") else None)
-            for c in d["connections"]),
-        depots=tuple(Depot(x["station"], x["unit_type"],
-                           x.get("start_inventory", 0),
-                           x.get("target_end_inventory", 0))
-                     for x in d["depots"]),
-        costs=CostParams(**d.get("costs", {})),
-        direct_arcs=tuple(tuple(a) for a in d["direct_arcs"])
-        if d.get("direct_arcs") is not None else None,
-        n_max=d.get("n_max", 5),
-        shunt=ShuntConfig(**d.get("shunting", {})),
-    )
+    """Instance from its JSON form; raises :class:`MalformedInstance` on a
+    missing key or a value of the wrong shape."""
+    try:
+        return Instance(
+            name=d.get("name", "unnamed"),
+            unit_types=tuple(UnitType(u["id"], u["length_units"], u["seats"])
+                             for u in d["unit_types"]),
+            compositions=tuple(Composition(p["id"], tuple(p["units"]))
+                               for p in d["compositions"]),
+            trips=tuple(Trip(t["id"], t["dep_station"], t["arr_station"],
+                             t["dep_time"], t["arr_time"], t["distance_km"],
+                             t["demand_seats"], tuple(t["allowed_compositions"]))
+                        for t in d["trips"]),
+            connections=tuple(Connection(
+                c["id"], c["kind"], tuple(c["predecessors"]), tuple(c["successors"]),
+                tuple(tuple(e) for e in c["allowed_changes"])
+                if c.get("allowed_changes") else None)
+                for c in d["connections"]),
+            depots=tuple(Depot(x["station"], x["unit_type"],
+                               x.get("start_inventory", 0),
+                               x.get("target_end_inventory", 0))
+                         for x in d["depots"]),
+            costs=CostParams(**d.get("costs", {})),
+            direct_arcs=tuple(tuple(a) for a in d["direct_arcs"])
+            if d.get("direct_arcs") is not None else None,
+            n_max=d.get("n_max", 5),
+            shunt=ShuntConfig(**d.get("shunting", {})),
+        )
+    except KeyError as e:
+        raise MalformedInstance(f"instance lacks required key {e.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise MalformedInstance(f"malformed instance: {e}") from None
 
 
 def dumps(instance: Instance) -> str:
@@ -550,7 +558,12 @@ def dumps(instance: Instance) -> str:
 
 
 def loads(text: str) -> Instance:
-    return from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedInstance(f"invalid JSON at line {e.lineno} column {e.colno}: "
+                                f"{e.msg}") from None
+    return from_dict(data)
 
 
 def save(instance: Instance, path) -> None:

@@ -2,9 +2,10 @@
 
 Enumerates every composition choice per trip and every composition change
 per connection (merged arcs for the small variants, the option of using no
-change when the connection constraints are dropped), derives the forced
-depot moves, and checks depot feasibility directly: prefix inventory counts
-for the depot variants, an explicit unit matching for the direct-arc
+change when the connection constraints are dropped) depth first, cutting
+branches whose trip cost already exceeds the incumbent. Each selection is
+judged by the depot ledger (:mod:`rollstock.ledger`): prefix inventory
+counts for the depot variants, an explicit unit matching for the direct-arc
 variants. The cheapest feasible assignment is the integer optimum of the
 corresponding model; branch and bound must reproduce it exactly.
 """
@@ -15,13 +16,9 @@ import itertools
 from dataclasses import dataclass
 
 from ..errors import LimitExceeded
-from ..hypergraph import (
-    Change,
-    _small_pull_costs,
-    enumerate_changes,
-    variant_parts,
-)
-from ..instance import INITIAL, TERMINAL, Instance, closure_arcs
+from ..hypergraph import _small_pull_costs, change_index, enumerate_changes, variant_parts
+from ..instance import Instance, closure_arcs
+from ..ledger import Ledger, through_depot
 
 
 @dataclass
@@ -36,60 +33,23 @@ class OracleResult:
 class _SmallArc:
     """Merged small-variant connection hyperarc."""
 
-    connection: str
-    kind: str
     tails: frozenset  # (trip, pos, type)
     heads: frozenset
     cost: float
-    sources: tuple[Change, ...]
 
 
 def _small_groups(instance: Instance, conn) -> list[_SmallArc]:
-    groups: dict[tuple, list[Change]] = {}
-    for ch in enumerate_changes(instance, conn):
-        pairs = tuple(sorted(((tp, a, r), (ts, b, r))
-                             for (tp, a, ts, b, r) in ch.continuing))
-        groups.setdefault(pairs, []).append(ch)
-    rate = instance.costs.shunting_per_action
-    out = []
-    for pairs in sorted(groups):
-        chs = groups[pairs]
-        out.append(_SmallArc(
-            connection=conn.id, kind=conn.kind,
-            tails=frozenset(t for t, _ in pairs),
-            heads=frozenset(h for _, h in pairs),
-            cost=0.0 if conn.kind == "OneToOne" else rate,
-            sources=tuple(chs)))
-    return out
+    """One merged arc per distinct set of continuing movements."""
+    groups = sorted({tuple(sorted(((tp, a, r), (ts, b, r))
+                                  for (tp, a, ts, b, r) in ch.continuing))
+                     for ch in enumerate_changes(instance, conn)})
+    cost = 0.0 if conn.kind == "OneToOne" else instance.costs.shunting_per_action
+    return [_SmallArc(frozenset(t for t, _ in pairs), frozenset(h for _, h in pairs), cost)
+            for pairs in groups]
 
 
 def _slots(units: tuple[str, ...]) -> frozenset:
     return frozenset((n, r) for n, r in enumerate(units, start=1))
-
-
-def _match_units(supply: list[tuple[int, str]], demand: list[tuple[int, str]],
-                 init: int, allowed) -> bool:
-    """Bipartite check: can every pull-out be served by the start inventory
-    or an allowed earlier pull-in? ``supply``/``demand`` carry opaque keys."""
-    match: dict[int, int] = {}
-
-    def augment(d: int, seen: set[int]) -> bool:
-        for s in range(len(supply)):
-            if s in seen or not allowed(supply[s][1], demand[d][1]):
-                continue
-            seen.add(s)
-            if s not in match or augment(match[s], seen):
-                match[s] = d
-                return True
-        return False
-
-    served_by_init = 0
-    order = sorted(range(len(demand)), key=lambda i: demand[i][0])
-    unmatched = []
-    for d in order:
-        if not augment(d, set()):
-            unmatched.append(d)
-    return len(unmatched) <= init
 
 
 def enumerate_oracle(instance: Instance, variant: str = "HD",
@@ -137,18 +97,13 @@ def enumerate_oracle(instance: Instance, variant: str = "HD",
     for t in trips:
         trip_options[t.id].sort(key=lambda o, _t=t: (option_cost(_t, o), o))
 
-    conn_changes = {c.id: enumerate_changes(instance, c) for c in instance.connections}
+    changes = change_index(instance)
     conn_small = {c.id: _small_groups(instance, c) for c in instance.connections}
     pin_cost, pout_cost = _small_pull_costs(instance)
 
-    if transfer == "A":
-        if closure:
-            pair_ok = None  # any time-feasible pair
-        else:
-            declared = {spec.key for spec in closure_arcs(instance, "declared")}
-            pair_ok = declared
-    else:
-        pair_ok = None
+    pairs = None  # direct arcs of the closure: any time-feasible pair
+    if transfer == "A" and not closure:
+        pairs = {spec.key for spec in closure_arcs(instance, "declared")}
 
     depots = {(d.station, d.unit_type): d for d in instance.all_depots()}
     dev_rate = instance.costs.ending_deviation_per_unit
@@ -169,30 +124,40 @@ def enumerate_oracle(instance: Instance, variant: str = "HD",
 
     chosen: dict[str, object] = {}
     conn_opts: dict[str, list] = {}
+    option_cache: dict[tuple, list] = {}
 
     def units_for(tid: str):
         return chosen[tid] if small else comps[chosen[tid]].units
 
     def conn_options_for(conn) -> list:
+        """(option, pulled_in, pulled_out, cost) of every way to serve conn,
+        computed once per choice of the connection's trip options."""
+        key = (conn.id, *(chosen[t] for t in (*conn.predecessors, *conn.successors)))
+        if key in option_cache:
+            return option_cache[key]
+        units_of = {t: units_for(t) for t in (*conn.predecessors, *conn.successors)}
         opts: list = []
         if small:
-            slot_sets = {t: _slots(units_for(t))
-                         for t in (*conn.predecessors, *conn.successors)}
+            slots = {t: _slots(units) for t, units in units_of.items()}
             for arc in conn_small[conn.id]:
-                if all((pos, r) in slot_sets[t] for (t, pos, r) in arc.tails) and \
-                   all((pos, r) in slot_sets[t] for (t, pos, r) in arc.heads):
-                    opts.append(arc)
+                if all((pos, r) in slots[t] for (t, pos, r) in arc.tails) and \
+                        all((pos, r) in slots[t] for (t, pos, r) in arc.heads):
+                    pulled_in, pulled_out = through_depot(conn, units_of)
+                    opts.append((arc, [p for p in pulled_in if p not in arc.tails],
+                                 [p for p in pulled_out if p not in arc.heads],
+                                 arc.cost))
         else:
-            for ch in conn_changes[conn.id]:
-                if tuple(chosen[t] for t in conn.predecessors) == ch.pre and \
-                        tuple(chosen[t] for t in conn.successors) == ch.post:
-                    opts.append(ch)
+            ch = changes[conn.id].get((tuple(chosen[t] for t in conn.predecessors),
+                                       tuple(chosen[t] for t in conn.successors)))
+            if ch is not None:
+                opts.append((ch, ch.uncoupled, ch.coupled, ch.actions * shunt_rate))
         if not connection_constraints:
-            opts.append(None)
+            # no composition change: everything through the depot
+            opts.append((None, *through_depot(conn, units_of), 0.0))
+        option_cache[key] = opts
         return opts
 
     def descend(idx: int, partial_cost: float):
-        nonlocal best_obj, best_detail
         if best_obj is not None and partial_cost >= best_obj - 1e-12:
             return
         if idx == len(order):
@@ -228,104 +193,27 @@ def enumerate_oracle(instance: Instance, variant: str = "HD",
 
         for pick in itertools.product(*option_lists):
             obj = trip_cost
-            moves: dict[tuple[str, str], list] = {}
-
-            def add_move(station, r, time, direction, trip_key):
-                moves.setdefault((station, r), []).append(
-                    (time, direction, trip_key))
-
-            ok = True
-            for (conn, option) in zip(instance.connections, pick):
-                pred_units = {t: units_of[t] for t in conn.predecessors}
-                succ_units = {t: units_of[t] for t in conn.successors}
-                if option is None:
-                    # no composition change: everything through the depot
-                    for t, units in pred_units.items():
-                        tr = instance.trip_by_id[t]
-                        for n, r in enumerate(units, 1):
-                            add_move(tr.arr_station, r, tr.arr_time, "in", t)
-                            obj += pin_cost.get((t, n, r), 0.0) if small else 0.0
-                    for t, units in succ_units.items():
-                        tr = instance.trip_by_id[t]
-                        for n, r in enumerate(units, 1):
-                            add_move(tr.dep_station, r, tr.dep_time, "out", t)
-                            obj += pout_cost.get((t, n, r), 0.0) if small else 0.0
-                elif isinstance(option, _SmallArc):
-                    obj += option.cost
-                    covered_t = {(t, n, r) for (t, n, r) in option.tails}
-                    covered_h = {(t, n, r) for (t, n, r) in option.heads}
-                    for t, units in pred_units.items():
-                        tr = instance.trip_by_id[t]
-                        for n, r in enumerate(units, 1):
-                            if (t, n, r) not in covered_t:
-                                add_move(tr.arr_station, r, tr.arr_time, "in", t)
-                                obj += pin_cost.get((t, n, r), 0.0)
-                    for t, units in succ_units.items():
-                        tr = instance.trip_by_id[t]
-                        for n, r in enumerate(units, 1):
-                            if (t, n, r) not in covered_h:
-                                add_move(tr.dep_station, r, tr.dep_time, "out", t)
-                                obj += pout_cost.get((t, n, r), 0.0)
-                else:
-                    obj += option.actions * shunt_rate
-                    for (t, n, r) in option.uncoupled:
-                        tr = instance.trip_by_id[t]
-                        add_move(tr.arr_station, r, tr.arr_time, "in", t)
-                    for (t, n, r) in option.coupled:
-                        tr = instance.trip_by_id[t]
-                        add_move(tr.dep_station, r, tr.dep_time, "out", t)
-
-            # staging of first and last trips
-            for t in trips:
-                units = units_of[t.id]
-                if instance.predecessor_connection(t.id) is None:
-                    for r in units:
-                        add_move(t.dep_station, r, t.dep_time, "out", t.id)
-                if instance.successor_connection(t.id) is None:
-                    for r in units:
-                        add_move(t.arr_station, r, t.arr_time, "in", t.id)
-
-            # depot feasibility and ending deviations
+            for (_, pulled_in, pulled_out, cost) in pick:
+                obj += cost
+                if small:
+                    for p in pulled_in:
+                        obj += pin_cost.get(p, 0.0)
+                    for p in pulled_out:
+                        obj += pout_cost.get(p, 0.0)
             if best_obj is not None and obj >= best_obj:
                 continue
-            for (station, r), evs in moves.items():
-                depot = depots.get((station, r))
-                start = depot.start_inventory if depot else 0
-                if transfer == "D":
-                    level_now = start
-                    for (time, direction, _t) in sorted(
-                            evs, key=lambda e: (e[0], e[1] == "out")):
-                        level_now += 1 if direction == "in" else -1
-                        if level_now < 0:
-                            ok = False
-                            break
-                else:
-                    supply = [(time, (t, time)) for (time, d, t) in evs if d == "in"]
-                    demand = [(time, (t, time)) for (time, d, t) in evs if d == "out"]
 
-                    def allowed(s_key, d_key, _r=r):
-                        (s_trip, s_time) = s_key
-                        (d_trip, d_time) = d_key
-                        if s_time > d_time:
-                            return False
-                        if pair_ok is None:
-                            return True
-                        return (_r, s_trip, d_trip) in pair_ok
-                    if not _match_units(supply, demand, start, allowed):
-                        ok = False
-                if not ok:
-                    break
-            if not ok:
+            ledger = Ledger.of_selection(instance, units_of,
+                                         [(pi, po) for (_, pi, po, _) in pick])
+            if not (ledger.prefix_ok(depots) if transfer == "D"
+                    else ledger.matching_ok(depots, pairs)):
                 continue
-
-            for (station, r), d in depots.items():
-                evs = moves.get((station, r), [])
-                end = d.start_inventory + sum(1 if e[1] == "in" else -1 for e in evs)
-                obj += abs(end - d.target_end_inventory) * dev_rate
+            for d in depots.values():
+                obj += abs(ledger.end_level(d) - d.target_end_inventory) * dev_rate
 
             if best_obj is None or obj < best_obj - 1e-12:
                 best_obj = obj
-                best_detail = (dict(chosen), {c.id: p for c, p in
+                best_detail = (dict(chosen), {c.id: option for c, (option, *_) in
                                               zip(instance.connections, pick)})
 
     descend(0, 0.0)

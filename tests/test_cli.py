@@ -106,3 +106,25 @@ class TestCommands:
     def test_usage_error_exit_two(self, capsys):
         assert run(["solve", "--variant", "bogus"]) == 2
         assert run(["definitely-not-a-command"]) == 2
+
+    def test_compare_node_limit_zero_is_undecided(self, capsys):
+        code, out, _ = _capture(capsys, ["compare", "--canonical", "Situation2",
+                                         "--node-limit", "0", "--deterministic",
+                                         "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert {r["ip_status"] for r in payload["rows"]} == {"NodeLimit"}
+        by_mp = {}
+        for v in payload["verdicts"]:
+            by_mp.setdefault(v["mp"], set()).add(v["verdict"])
+        assert by_mp["IP"] == {"Undecided"}
+        assert "Undecided" not in by_mp["LP"]
+
+    @pytest.mark.parametrize("text,needle", [('{"unit_types": []}', "'compositions'"),
+                                             ("{oops", "line 1 column 2")])
+    def test_malformed_instance_exits_one(self, capsys, tmp_path, text, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = _capture(capsys, ["validate", "--instance", str(path)])
+        assert code == 1
+        assert err.startswith("error: ") and needle in err

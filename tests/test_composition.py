@@ -4,10 +4,19 @@ import dataclasses
 
 import pytest
 
-from rollstock.composition import contract, cut_data
+from rollstock.composition import DepotCut, EndInventory, contract
 from rollstock.errors import VariantMismatch
+from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import build
-from rollstock.instance import Composition, Connection, Depot, Instance, Trip, UnitType
+from rollstock.instance import (
+    Composition,
+    Connection,
+    Depot,
+    Instance,
+    Trip,
+    UnitType,
+    canonical_instances,
+)
 
 
 class TestContract:
@@ -69,7 +78,7 @@ class TestContract:
 class TestCutData:
     def test_two_trip_red_cut_at_departure(self, two_trip):
         cg = contract(build(two_trip, "HD"))
-        cut = next(c for c in cut_data(cg)
+        cut = next(c for c in cg.cuts
                    if c.station == "B" and c.unit_type == "r" and c.time == 600)
         assert dict(cut.outs) == {"chg.c1.r1.rr": 1}
         assert dict(cut.ins) == {"chg.c1.rr.r1": 1}
@@ -101,3 +110,78 @@ class TestCutData:
         outs = dict(end.outs)
         assert outs["trip.t1.rr"] == 2  # both reds staged out for the double
         assert outs["trip.t1.r1"] == 1
+
+
+def _rescan_cut_data(instance, arcs):
+    """Reference cut builder: per depot, rescan every event for each cut time,
+    with the depot moves read straight off the arc tags."""
+    trips = instance.trip_by_id
+    moves_by_depot = {}
+    for a in arcs:
+        moves = {}
+        located = [(trips[t].arr_station, r, trips[t].arr_time, "in")
+                   for (t, _, r) in a.tags.get("uncoupled", ())]
+        located += [(trips[t].dep_station, r, trips[t].dep_time, "out")
+                    for (t, _, r) in a.tags.get("coupled", ())]
+        located += [(s, r, tau, "out") for (s, r, tau) in a.tags.get("stage_out", ())]
+        located += [(s, r, tau, "in") for (s, r, tau) in a.tags.get("stage_in", ())]
+        for key in located:
+            moves[key] = moves.get(key, 0) + 1
+        for (station, r, tau, direction), n in sorted(moves.items()):
+            moves_by_depot.setdefault((station, r), []).append((tau, direction, a.id, n))
+
+    cuts, ends = [], []
+    for depot in instance.all_depots():
+        events = sorted(moves_by_depot.get((depot.station, depot.unit_type), []))
+        times = sorted({tau for (tau, _, _, _) in events})
+        totals = {"out": {}, "in": {}}
+        for (_, direction, arc_id, n) in events:
+            totals[direction][arc_id] = totals[direction].get(arc_id, 0) + n
+        for tau in times:
+            upto = {"out": {}, "in": {}}
+            for (t2, direction, arc_id, n) in events:
+                if t2 <= tau:
+                    upto[direction][arc_id] = upto[direction].get(arc_id, 0) + n
+            cuts.append(DepotCut(depot.station, depot.unit_type, tau,
+                                 depot.start_inventory,
+                                 tuple(sorted(upto["out"].items())),
+                                 tuple(sorted(upto["in"].items()))))
+        if not times:
+            cuts.append(DepotCut(depot.station, depot.unit_type, 0,
+                                 depot.start_inventory, (), ()))
+        ends.append(EndInventory(depot.station, depot.unit_type,
+                                 depot.start_inventory, depot.target_end_inventory,
+                                 tuple(sorted(totals["out"].items())),
+                                 tuple(sorted(totals["in"].items()))))
+    return cuts, ends, moves_by_depot
+
+
+# several ins and outs at one depot and time, and depots with no events
+_SWEEP_CUT_CONFIGS = [GenConfig(seed=2, lines=5, trips_per_line=3, stations=4,
+                                split_join_fraction=0.3),
+                      GenConfig(seed=3, lines=5, trips_per_line=3, stations=4),
+                      GenConfig(seed=5, lines=5, trips_per_line=3, stations=6,
+                                split_join_fraction=0.3)]
+
+
+class TestCutSweep:
+    @pytest.mark.parametrize("name", sorted(canonical_instances()))
+    def test_canonical_cuts_match_rescan(self, name):
+        inst = canonical_instances()[name]
+        cg = contract(build(inst, "HD"))
+        cuts, ends, _ = _rescan_cut_data(inst, cg.arcs)
+        assert cg.cuts == cuts
+        assert cg.end_inventories == ends
+
+    @pytest.mark.parametrize("cfg", _SWEEP_CUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_generated_cuts_match_rescan(self, cfg):
+        inst = generate(cfg)
+        cg = contract(build(inst, "HD"))
+        cuts, ends, moves = _rescan_cut_data(inst, cg.arcs)
+        both_ways = [evs for evs in moves.values()
+                     if {tau for tau, d, _, _ in evs if d == "in"}
+                     & {tau for tau, d, _, _ in evs if d == "out"}]
+        assert both_ways, "no depot moves units in and out at one time"
+        assert any((d.station, d.unit_type) not in moves for d in inst.all_depots())
+        assert cg.cuts == cuts
+        assert cg.end_inventories == ends

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rollstock.errors import NotFound
+from rollstock.errors import MalformedInstance, NotFound
 from rollstock.instance import (
     INITIAL,
     TERMINAL,
@@ -140,3 +140,24 @@ class TestJson:
         schema = json.loads(schema_path.read_text())
         for inst in canonical_instances().values():
             jsonschema.validate(json.loads(dumps(inst)), schema)
+
+    def test_missing_key_is_typed(self):
+        with pytest.raises(MalformedInstance, match="'compositions'"):
+            loads('{"unit_types": []}')
+
+    def test_invalid_json_is_typed(self):
+        with pytest.raises(MalformedInstance, match="line 1 column 1"):
+            loads("not json")
+
+
+class TestIndexes:
+    def test_indexes_are_built_once(self, two_trip):
+        assert two_trip.trip_by_id is two_trip.trip_by_id
+        assert two_trip.composition_by_id is two_trip.composition_by_id
+        assert two_trip.stations == ("A", "B")
+
+    def test_connection_lookup(self, two_trip):
+        assert two_trip.successor_connection("t1").id == "c1"
+        assert two_trip.predecessor_connection("t2").id == "c1"
+        assert two_trip.predecessor_connection("t1") is None
+        assert two_trip.successor_connection("t2") is None
