@@ -229,15 +229,6 @@ class Instance:
                 left.setdefault(t, c)
         return entered, left
 
-    def depot(self, station: str, unit_type: str) -> Depot:
-        """Declared depot, or an implicit empty one at a known station."""
-        for d in self.depots:
-            if d.station == station and d.unit_type == unit_type:
-                return d
-        if station not in self.stations or unit_type not in self.unit_type_by_id:
-            raise UnknownDepot(f"no depot possible at ({station}, {unit_type})")
-        return Depot(station=station, unit_type=unit_type)
-
     def all_depots(self) -> list[Depot]:
         """One depot per (station, unit type), implicit ones included."""
         declared = {(d.station, d.unit_type): d for d in self.depots}

@@ -1,7 +1,8 @@
 """Embedded LP/MILP solving for assembled models.
 
 ``solve_lp`` runs the two-phase bounded simplex (float or exact rational);
-``solve_ip`` wraps it in branch and bound; ``enumerate_oracle`` computes
+``solve_ip`` wraps it in branch and bound and keeps the root node's answer
+as the LP relaxation's; ``enumerate_oracle`` computes
 ground-truth integer optima on tiny instances by exhaustive enumeration.
 """
 
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..errors import NumericalFailure
 from ..formulation import MilpModel
 from .simplex import INF, SimplexResult, solve_arrays
 
@@ -32,11 +34,22 @@ class LpSolution:
 
 @dataclass
 class IpSolution:
+    """Branch-and-bound outcome.
+
+    ``root`` is the LP relaxation's answer at the root node (status,
+    objective, values, duals, iterations), so callers that need both the
+    LP bound and the IP optimum solve once. The root is solved on the bounds
+    that fix-propagation over the equality rows implies, so its objective is
+    the relaxation's value, but ``root.duals`` belong to that presolved root
+    and are no certificate of the original LP.
+    """
+
     status: str                       # Optimal | Infeasible | Unbounded | NodeLimit
     objective: object = None
     values: dict[str, object] = field(default_factory=dict)
     bound: object = None              # best proven lower bound
     nodes: int = 0
+    root: LpSolution | None = None
 
 
 @dataclass
@@ -90,44 +103,43 @@ def model_arrays(model: MilpModel) -> ArrayForm:
     return ArrayForm(c, A, b, lb, ub, integer, var_ids, row_ids)
 
 
-def _lp_from_result(form: ArrayForm, res: SimplexResult, exact: bool) -> LpSolution:
+def _lp_solution(model: MilpModel, form: ArrayForm, res: SimplexResult,
+                 tol: float, exact: bool) -> LpSolution:
+    """The ``LpSolution`` of a simplex result on ``model``'s array form.
+
+    In float mode an optimum must satisfy the model's rows and bounds to
+    ``max(tol, 1e-7)``; otherwise ``NumericalFailure`` names the residual.
+    """
     if res.status != "Optimal":
         return LpSolution(res.status, iterations=res.iterations)
-    n = form.n_structural
     values = {vid: res.x[i] for i, vid in enumerate(form.var_ids)}
     duals = {rid: res.y[i] for i, rid in enumerate(form.row_ids)}
-    if not exact:
-        values = {k: float(v) for k, v in values.items()}
-        duals = {k: float(v) for k, v in duals.items()}
-        return LpSolution("Optimal", float(res.objective), values, duals,
-                          res.iterations)
-    return LpSolution("Optimal", res.objective, values, duals, res.iterations)
+    if exact:
+        return LpSolution("Optimal", res.objective, values, duals, res.iterations)
+    values = {k: float(v) for k, v in values.items()}
+    duals = {k: float(v) for k, v in duals.items()}
+    _check_residual(model, values, tol, "LP")
+    return LpSolution("Optimal", float(res.objective), values, duals,
+                      res.iterations)
 
 
-def solve_lp(model: MilpModel, tol: float = 1e-7, exact: bool = False,
-             bounds_override: tuple | None = None) -> LpSolution:
+def _check_residual(model: MilpModel, values: dict[str, object], tol: float,
+                    what: str) -> None:
+    """Raise ``NumericalFailure`` if ``values`` violate ``model`` by more
+    than ``max(tol, 1e-7)``."""
+    resid = feasibility_residual(model, values)
+    if resid > max(tol, 1e-7):
+        raise NumericalFailure(f"{what} residual {resid} exceeds tolerance")
+
+
+def solve_lp(model: MilpModel, tol: float = 1e-7, exact: bool = False) -> LpSolution:
     """Solve the LP (relaxation) of a model.
 
     In exact mode all data is lifted to rationals and the result is exact.
-    ``bounds_override`` replaces (lb, ub) arrays over structural columns;
-    used by branch and bound.
     """
     form = model_arrays(model)
-    lb, ub = form.lb, form.ub
-    if bounds_override is not None:
-        lb = lb.copy()
-        ub = ub.copy()
-        olb, oub = bounds_override
-        lb[:form.n_structural] = olb
-        ub[:form.n_structural] = oub
-    res = solve_arrays(form.c, form.A, form.b, lb, ub, exact=exact)
-    sol = _lp_from_result(form, res, exact)
-    if sol.status == "Optimal" and not exact:
-        resid = feasibility_residual(model, sol.values)
-        if resid > max(tol, 1e-7):
-            from ..errors import NumericalFailure
-            raise NumericalFailure(f"LP residual {resid} exceeds tolerance")
-    return sol
+    res = solve_arrays(form.c, form.A, form.b, form.lb, form.ub, exact=exact)
+    return _lp_solution(model, form, res, tol, exact)
 
 
 def feasibility_residual(model: MilpModel, values: dict[str, object]) -> float:

@@ -70,30 +70,34 @@ def _propagate_fixings(model: MilpModel, lb: np.ndarray, ub: np.ndarray,
 
 
 def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
-             exact: bool = False, presolve: bool = True):
-    """Branch-and-bound integer optimum of an assembled model."""
-    from . import IpSolution, model_arrays
+             exact: bool = False):
+    """Branch-and-bound integer optimum of an assembled model.
+
+    The result's ``root`` is the root node's LP answer, which is the LP
+    relaxation's value. In float mode every incumbent must satisfy the
+    model to ``max(tol, 1e-7)``, or ``NumericalFailure`` is raised.
+    """
+    from . import IpSolution, _check_residual, _lp_solution, model_arrays
 
     form = model_arrays(model)
     n = form.n_structural
     int_mask = form.integer
     zero = Fraction(0) if exact else 0.0
 
-    lb0 = form.lb.copy()
-    ub0 = form.ub.copy()
-    if presolve:
-        index = {vid: i for i, vid in enumerate(form.var_ids)}
-        ok = _propagate_fixings(model, lb0, ub0, index)
-        for i in range(n):
-            if int_mask[i] and lb0[i] == ub0[i] and \
-                    abs(lb0[i] - round(lb0[i])) > INT_TOL:
-                ok = False
-                break
-        if not ok:
-            return IpSolution("Infeasible", nodes=0)
-
     def run_lp(lb, ub):
         return solve_arrays(form.c, form.A, form.b, lb, ub, exact=exact)
+
+    lb0 = form.lb.copy()
+    ub0 = form.ub.copy()
+    index = {vid: i for i, vid in enumerate(form.var_ids)}
+    ok = _propagate_fixings(model, lb0, ub0, index) and not any(
+        int_mask[i] and lb0[i] == ub0[i] and abs(lb0[i] - round(lb0[i])) > INT_TOL
+        for i in range(n))
+    if not ok:
+        # the relaxation may still be feasible (an integer column forced to
+        # a fractional value), so its answer comes from the original bounds
+        root_lp = _lp_solution(model, form, run_lp(form.lb, form.ub), tol, exact)
+        return IpSolution("Infeasible", nodes=0, root=root_lp)
 
     incumbent = None
     incumbent_obj = None
@@ -101,10 +105,9 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
     serial = 0
 
     root = run_lp(lb0, ub0)
-    if root.status == "Infeasible":
-        return IpSolution("Infeasible", nodes=1)
-    if root.status == "Unbounded":
-        return IpSolution("Unbounded", nodes=1)
+    root_lp = _lp_solution(model, form, root, tol, exact)
+    if root.status != "Optimal":
+        return IpSolution(root.status, nodes=1, root=root_lp)
     stack = [_Node(lb0, ub0, root.objective, serial, root)]
     root_bound = root.objective
 
@@ -125,7 +128,7 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
                         default=incumbent_obj if incumbent_obj is not None
                         else root_bound)
             return IpSolution("NodeLimit", incumbent_obj,
-                              incumbent or {}, bound, nodes)
+                              incumbent or {}, bound, nodes, root_lp)
         if nodes and nodes % 1000 == 0:
             stack.sort(key=lambda nd: (-float(nd.bound), nd.serial))
 
@@ -138,7 +141,7 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
         if res.status == "Infeasible":
             continue
         if res.status == "Unbounded":
-            return IpSolution("Unbounded", nodes=nodes)
+            return IpSolution("Unbounded", nodes=nodes, root=root_lp)
         if incumbent_obj is not None and res.objective >= incumbent_obj - \
                 (zero if exact else 1e-9):
             continue
@@ -157,6 +160,8 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
                 obj = float(sum(form.c[i] * values[vid]
                                 for i, vid in enumerate(form.var_ids)))
             if incumbent_obj is None or obj < incumbent_obj:
+                if not exact:
+                    _check_residual(model, values, tol, "incumbent")
                 incumbent, incumbent_obj = values, obj
             continue
 
@@ -172,7 +177,6 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
         stack.append(_Node(lo_lb, lo_ub, res.objective, serial))
 
     if incumbent is None:
-        return IpSolution("Infeasible", nodes=nodes)
-    bound = incumbent_obj
-    sol = IpSolution("Optimal", incumbent_obj, incumbent, bound, nodes)
-    return sol
+        return IpSolution("Infeasible", nodes=nodes, root=root_lp)
+    return IpSolution("Optimal", incumbent_obj, incumbent, incumbent_obj, nodes,
+                      root_lp)

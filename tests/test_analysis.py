@@ -1,12 +1,16 @@
 """Model maps, theorem verdicts, projections, breakdowns, reports."""
 
+from fractions import Fraction
+
 import pytest
 
 from rollstock import analysis
 from rollstock.composition import contract
 from rollstock.errors import CutViolated
 from rollstock.formulation import ModelOptions, assemble
+from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import assert_conserving, build, flow_cost
+from rollstock.instance import canonical_instances
 from rollstock.solver import solve_ip, solve_lp
 
 
@@ -192,6 +196,47 @@ class TestCompare:
         rep = analysis.compare(situation2, variants=("hD",), node_limit=1)
         row = rep.rows[0]
         assert row.ip_status in ("NodeLimit", "Optimal")
+
+    @pytest.mark.parametrize("name", sorted(canonical_instances()) +
+                             ["gen1", "gen2", "gen3"])
+    def test_lp_column_is_the_relaxation(self, name):
+        if name.startswith("gen"):
+            inst = generate(GenConfig(seed=int(name[3:]), trips_per_line=3))
+        else:
+            inst = canonical_instances()[name]
+        rep = analysis.compare(inst, closure=True)
+        for row in rep.rows:
+            value, sol, _, _ = analysis.solve_variant(inst, row.variant, "LP")
+            assert row.lp_status == sol.status, row.variant
+            assert row.lp_value == pytest.approx(value, rel=1e-9), row.variant
+
+    def test_exact_lp_column_is_the_relaxation(self, two_trip):
+        rep = analysis.compare(two_trip, closure=True, exact=True)
+        for row in rep.rows:
+            value, _, _, _ = analysis.solve_variant(two_trip, row.variant, "LP",
+                                                    exact=True)
+            assert isinstance(row.lp_value, Fraction)
+            assert row.lp_value == value, row.variant
+
+    def test_builds_and_solves_each_variant_once(self, two_trip, monkeypatch):
+        built, lp_calls = [], []
+        real_build, real_solve_lp = analysis.build, analysis.solve_lp
+
+        def counting_build(instance, name):
+            built.append(name)
+            return real_build(instance, name)
+
+        def counting_solve_lp(*args, **kwargs):
+            lp_calls.append(args)
+            return real_solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "build", counting_build)
+        monkeypatch.setattr(analysis, "solve_lp", counting_solve_lp)
+        rep = analysis.compare(two_trip, closure=True)
+        assert not any(r.error for r in rep.rows)
+        # C contracts a build of its own HD graph
+        assert built == ["hD", "hAbar", "HD", "HAbar", "HD"]
+        assert lp_calls == []
 
 
 class TestSvg:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from rollstock.composition import contract
-from rollstock.errors import LimitExceeded
+from rollstock.errors import LimitExceeded, NumericalFailure
 from rollstock.formulation import MilpModel, Row, Variable, assemble
 from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import build
 from rollstock.instance import canonical_instances
+from rollstock.reduction import parse_dimacs, reduce_3sat
 from rollstock.solver import (
+    branch_bound,
     dual_residual,
     enumerate_oracle,
     feasibility_residual,
@@ -19,6 +21,7 @@ from rollstock.solver import (
     solve_ip,
     solve_lp,
 )
+from rollstock.solver.simplex import SimplexResult
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -106,6 +109,8 @@ class TestIp:
                 lp = solve_lp(m.relaxed())
                 ip = solve_ip(m)
                 assert lp.objective <= ip.objective + 1e-7, (name, variant)
+                assert ip.root.status == lp.status
+                assert ip.root.objective == pytest.approx(lp.objective, rel=1e-9)
 
     def test_integral_lp_needs_one_node(self, two_trip):
         m = _model(two_trip, "C")
@@ -119,11 +124,39 @@ class TestIp:
         assert ip.status == "Optimal"
         assert ip.bound == pytest.approx(ip.objective)
 
-    def test_node_limit_reports_bound(self, situation2):
-        ip = solve_ip(_model(situation2, "hD"), node_limit=1, presolve=False)
-        assert ip.status in ("NodeLimit", "Optimal")
-        if ip.status == "NodeLimit":
-            assert ip.bound is not None
+    def test_node_limit_reports_bound(self):
+        # the reduction of an unsatisfiable formula needs more than one node
+        f = parse_dimacs("p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n-1 -2 -2 0\n")
+        inst, _ = reduce_3sat(f)
+        ip = solve_ip(_model(inst, "C"), node_limit=1)
+        assert ip.status == "NodeLimit"
+        assert ip.bound is not None and ip.bound == pytest.approx(0.0)
+        assert ip.objective is None and ip.values == {}
+
+    def test_incumbent_residual_is_certified(self, monkeypatch):
+        m = MilpModel("cert", [Variable("x", 0.0, 10.0, True, 1.0)],
+                      [Row("r", (("x", 2.0),), ">=", 1.0)])
+        real = branch_bound.solve_arrays
+        calls = []
+
+        def integral_but_infeasible(c, A, b, lb, ub, exact=False):
+            calls.append(1)
+            if len(calls) == 1:  # the true root, x = 0.5
+                return real(c, A, b, lb, ub, exact=exact)
+            return SimplexResult("Optimal", 0.0, np.zeros(A.shape[1]),
+                                 np.zeros(A.shape[0]), 1)
+
+        monkeypatch.setattr(branch_bound, "solve_arrays", integral_but_infeasible)
+        with pytest.raises(NumericalFailure, match="incumbent residual 1.0"):
+            solve_ip(m)
+
+    def test_root_answers_when_propagation_proves_ip_infeasible(self):
+        m = MilpModel("half", [Variable("x", 0.0, 10.0, True, 1.0)],
+                      [Row("r", (("x", 2.0),), "=", 1.0)])
+        ip = solve_ip(m)
+        assert ip.status == "Infeasible"
+        assert ip.root.status == "Optimal"
+        assert ip.root.values["x"] == pytest.approx(0.5)
 
     def test_exact_ip(self, situation2):
         ip = solve_ip(_model(situation2, "HD"), exact=True)
@@ -174,5 +207,7 @@ class TestOracle:
                                    allowed_changes=(("rr", "b1"),))
         inst = dataclasses.replace(two_trip, connections=(conn,))
         orc = enumerate_oracle(inst, "HD")
-        ip = solve_ip(_model(inst, "HD"))
+        model = _model(inst, "HD")
+        ip = solve_ip(model)
         assert orc.status == ip.status == "Infeasible"
+        assert ip.root.status == solve_lp(model.relaxed()).status
