@@ -192,7 +192,8 @@ def _add_model_args(p):
     p.add_argument("--no-connection-constraints", action="store_true")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--node-limit", type=int, default=200000)
-    p.add_argument("--exact-rational", action="store_true")
+    p.add_argument("--exact-rational", action="store_true",
+                   help="certify the final basis in exact rational arithmetic")
 
 
 def make_parser() -> argparse.ArgumentParser:

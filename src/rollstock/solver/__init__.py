@@ -1,6 +1,7 @@
 """Embedded LP/MILP solving for assembled models.
 
-``solve_lp`` runs the two-phase bounded simplex (float or exact rational);
+``solve_lp`` runs the two-phase bounded simplex (in floats, or with a
+rational certificate of the final basis in exact mode);
 ``solve_ip`` wraps it in branch and bound and keeps the root node's answer
 as the LP relaxation's; ``enumerate_oracle`` computes
 ground-truth integer optima on tiny instances by exhaustive enumeration.
@@ -135,7 +136,10 @@ def _check_residual(model: MilpModel, values: dict[str, object], tol: float,
 def solve_lp(model: MilpModel, tol: float = 1e-7, exact: bool = False) -> LpSolution:
     """Solve the LP (relaxation) of a model.
 
-    In exact mode all data is lifted to rationals and the result is exact.
+    In exact mode the float simplex's final basis is certified in rational
+    arithmetic, so status, objective, values and duals are exact
+    ``Fraction``s; a basis that fails the certificate raises
+    ``NumericalFailure`` naming the failed check.
     """
     form = model_arrays(model)
     res = solve_arrays(form.c, form.A, form.b, form.lb, form.ub, exact=exact)

@@ -10,8 +10,8 @@ algebra, so LP relaxation values are unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,14 +75,16 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
 
     The result's ``root`` is the root node's LP answer, which is the LP
     relaxation's value. In float mode every incumbent must satisfy the
-    model to ``max(tol, 1e-7)``, or ``NumericalFailure`` is raised.
+    model to ``max(tol, 1e-7)``, or ``NumericalFailure`` is raised. In exact
+    mode an incumbent is a certified LP point whose integer columns all have
+    denominator 1, so it satisfies the model exactly.
     """
     from . import IpSolution, _check_residual, _lp_solution, model_arrays
 
     form = model_arrays(model)
     n = form.n_structural
     int_mask = form.integer
-    zero = Fraction(0) if exact else 0.0
+    prune_tol = 0 if exact else 1e-9
 
     def run_lp(lb, ub):
         return solve_arrays(form.c, form.A, form.b, lb, ub, exact=exact)
@@ -112,13 +114,11 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
     root_bound = root.objective
 
     def fractional(x):
-        worst, pick = INT_TOL, -1
+        """The most fractional integer column, or -1; in exact mode a value
+        is integral only when its denominator is 1."""
+        worst, pick = (0 if exact else INT_TOL), -1
         for i in range(n):
-            if not int_mask[i]:
-                continue
-            v = x[i]
-            f = abs(v - round(v)) if not exact else abs(v - Fraction(round(v)))
-            if f > worst:
+            if int_mask[i] and (f := abs(x[i] - round(x[i]))) > worst:
                 worst, pick = f, i
         return pick
 
@@ -133,8 +133,7 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
             stack.sort(key=lambda nd: (-float(nd.bound), nd.serial))
 
         node = stack.pop()
-        if incumbent_obj is not None and node.bound >= incumbent_obj - \
-                (zero if exact else 1e-9):
+        if incumbent_obj is not None and node.bound >= incumbent_obj - prune_tol:
             continue
         nodes += 1
         res = node.res if node.res is not None else run_lp(node.lb, node.ub)
@@ -142,21 +141,18 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
             continue
         if res.status == "Unbounded":
             return IpSolution("Unbounded", nodes=nodes, root=root_lp)
-        if incumbent_obj is not None and res.objective >= incumbent_obj - \
-                (zero if exact else 1e-9):
+        if incumbent_obj is not None and res.objective >= incumbent_obj - prune_tol:
             continue
 
         j = fractional(res.x)
         if j < 0:
-            values = {}
-            for i, vid in enumerate(form.var_ids):
-                v = res.x[i]
-                if int_mask[i]:
-                    v = Fraction(round(v)) if exact else float(round(v))
-                values[vid] = v if exact else float(v)
-            if exact:
+            if exact:  # integral to the last digit: keep the LP point
+                values = dict(zip(form.var_ids, res.x))
                 obj = res.objective
             else:
+                values = {vid: float(round(res.x[i])) if int_mask[i]
+                          else float(res.x[i])
+                          for i, vid in enumerate(form.var_ids)}
                 obj = float(sum(form.c[i] * values[vid]
                                 for i, vid in enumerate(form.var_ids)))
             if incumbent_obj is None or obj < incumbent_obj:
@@ -166,7 +162,7 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
             continue
 
         v = res.x[j]
-        floor_v = int(v) if exact and isinstance(v, Fraction) else int(np.floor(v + 1e-9))
+        floor_v = math.floor(v) if exact else int(np.floor(v + 1e-9))
         lo_lb, lo_ub = node.lb.copy(), node.ub.copy()
         hi_lb, hi_ub = node.lb.copy(), node.ub.copy()
         lo_ub[j] = min(lo_ub[j], float(floor_v))

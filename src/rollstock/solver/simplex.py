@@ -1,15 +1,25 @@
-"""Bounded-variable revised simplex, in float or exact rational arithmetic.
+"""Bounded-variable revised simplex in floats, with a rational certificate.
 
-Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). The same
-pivoting logic runs on float64 arrays or on object arrays of
-``fractions.Fraction``; the rational mode uses exact zero tests and backs
-the optimal-value *equality* assertions between models.
+Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). Columns fixed
+by equal bounds are substituted out and rows left without a free column are
+dropped before the iterations start; phase 1 starts from one artificial
+column per remaining row.
 
 Pivoting is deterministic: Dantzig pricing with lowest-index tie-breaking,
 falling back to Bland's rule permanently once a run of degenerate pivots
-suggests cycling. The basis inverse is maintained by eta updates and, in
-float mode, refactorized periodically. Columns fixed by equal bounds are
-substituted out before the iterations start.
+suggests cycling. The basis inverse is kept explicitly, updated by a rank-one
+eta step per pivot and refactorized every 256 iterations.
+
+The rational mode backs the optimal-value *equality* assertions between
+models. It does not pivot over ``Fraction``s: it takes the presolve decisions
+in rational arithmetic, runs the float simplex, and then certifies the basis
+that run ends on (the approach of QSopt_ex, Applegate, Cook, Dash and
+Espinoza 2007). One sparse rational elimination solves B x_B = b - N x_N and
+B'y = c_B. An optimum needs its primal bounds and reduced-cost signs; an
+infeasibility needs an optimal phase-1 basis with a positive artificial sum;
+an unboundedness needs a feasible phase-2 basis and an improving column that
+no basic variable blocks. A basis that fails, or a float run that fails,
+raises ``NumericalFailure`` naming the check.
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ AT_LOWER = 0
 AT_UPPER = 1
 BASIC = 2
 
+TOL = 1e-9        # pricing and ratio-test pivots
+TIE = 1e-12       # ratio ties and degenerate steps
+FEAS_TOL = 1e-7   # dead rows and the phase-1 artificial sum
+
 
 @dataclass
 class SimplexResult:
@@ -35,6 +49,22 @@ class SimplexResult:
     x: object = None            # values per column of A
     y: object = None            # duals per row
     iterations: int = 0
+
+
+@dataclass
+class _Basis:
+    """Where the float run stopped, over the reduced columns: the free
+    columns in order, then the artificial column ``sign[i] * e_i`` of each
+    live row. ``state`` is Optimal (phase 2), Infeasible (phase 1) or
+    Unbounded (phase 2, ``entering`` improves without a blocking row)."""
+
+    state: str
+    free_cols: list[int]
+    live_rows: list[int]
+    sign: np.ndarray
+    basis: list[int]
+    status: np.ndarray
+    entering: int = -1
 
 
 def to_fraction(v) -> Fraction:
@@ -52,152 +82,44 @@ def to_fraction(v) -> Fraction:
     return Fraction(v).limit_denominator(10 ** 9)
 
 
-def _exact_vector(values) -> np.ndarray:
-    out = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        out[i] = v if v in (INF, -INF) else to_fraction(v)
-    return out
+def _inverse(A, basis):
+    try:
+        return np.linalg.inv(A[:, basis])
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"singular basis: {e}") from e
 
 
-def _exact_inverse(B: np.ndarray):
-    """Gauss-Jordan inverse over Fractions; None if singular."""
-    m = B.shape[0]
-    inv = np.zeros((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            inv[i, j] = Fraction(int(i == j))
-    work = B.copy()
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if work[r, col] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            work[[col, pivot]] = work[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        f = work[col, col]
-        work[col, :] = work[col, :] / f
-        inv[col, :] = inv[col, :] / f
-        for r in range(m):
-            if r != col and work[r, col] != 0:
-                f = work[r, col]
-                work[r, :] = work[r, :] - f * work[col, :]
-                inv[r, :] = inv[r, :] - f * inv[col, :]
-    return inv
+def _nonbasic_values(lb, ub, status):
+    vals = np.where(status == AT_UPPER, ub, lb)
+    vals[status == BASIC] = 0.0
+    return vals
 
 
-class _Core:
-    """One phase-agnostic simplex problem over typed arrays.
-
-    In exact mode the constraint matrix is additionally kept as sparse
-    columns; the per-iteration products then cost O(nonzeros) in Fraction
-    arithmetic instead of O(m*n).
-    """
-
-    def __init__(self, A, b, lb, ub, exact: bool):
-        self.exact = exact
-        self.A = A
-        self.b = b
-        self.lb = lb
-        self.ub = ub
-        self.m, self.n = A.shape
-        if exact:
-            self.zero = Fraction(0)
-            self.tol = Fraction(0)
-            self.tie = Fraction(0)
-            self.cols = [[(i, A[i, j]) for i in range(self.m) if A[i, j] != 0]
-                         for j in range(self.n)]
-        else:
-            self.zero = 0.0
-            self.tol = 1e-9
-            self.tie = 1e-12
-            self.cols = None
-
-    def inverse(self, basis):
-        if self.exact:
-            inv = _exact_inverse(self.A[:, basis])
-            if inv is None:
-                raise NumericalFailure("singular basis in exact mode")
-            return inv
-        try:
-            return np.linalg.inv(self.A[:, basis])
-        except np.linalg.LinAlgError as e:
-            raise NumericalFailure(f"singular basis: {e}") from e
-
-    def nonbasic_values(self, status):
-        vals = np.where(status == AT_UPPER, self.ub, self.lb)
-        vals[status == BASIC] = self.zero
-        return vals
-
-    def basic_values(self, basis, status, B_inv):
-        vals = self.nonbasic_values(status)
-        if not self.exact:
-            rhs = self.b - self.A @ vals
-            return B_inv @ rhs
-        rhs = self.b.copy()
-        for j in range(self.n):
-            v = vals[j]
-            if v != 0:
-                for (i, a) in self.cols[j]:
-                    rhs[i] = rhs[i] - a * v
-        return B_inv @ rhs
-
-    def reduced_costs(self, costs, y):
-        if not self.exact:
-            return costs - y @ self.A
-        d = costs.copy()
-        for j in range(self.n):
-            acc = self.zero
-            for (i, a) in self.cols[j]:
-                yi = y[i]
-                if yi != 0:
-                    acc += yi * a
-            if acc != 0:
-                d[j] = d[j] - acc
-        return d
-
-    def tableau_column(self, B_inv, j):
-        if not self.exact:
-            return B_inv @ self.A[:, j]
-        col = np.array([self.zero] * self.m, dtype=object)
-        for (i, a) in self.cols[j]:
-            col = col + B_inv[:, i] * a
-        return col
+def _basic_values(A, b, lb, ub, status, B_inv):
+    return B_inv @ (b - A @ _nonbasic_values(lb, ub, status))
 
 
-def _pick_entering(p: _Core, status, d, fixed, bland: bool) -> int:
-    if not p.exact:
-        viol = np.zeros(p.n)
-        low = (status == AT_LOWER) & ~fixed
-        up = (status == AT_UPPER) & ~fixed
-        viol[low] = -d[low]
-        viol[up] = d[up]
-        if bland:
-            ok = viol > p.tol
-            return int(np.argmax(ok)) if ok.any() else -1
-        j = int(np.argmax(viol))
-        return j if viol[j] > p.tol else -1
-    best = p.tol
-    entering = -1
-    for j in range(p.n):
-        if status[j] == BASIC or fixed[j]:
-            continue
-        v = -d[j] if status[j] == AT_LOWER else d[j]
-        if v > best:
-            if bland:
-                return j
-            best = v
-            entering = j
-    return entering
+def _pick_entering(status, d, fixed, bland: bool) -> int:
+    viol = np.zeros(len(d))
+    low = (status == AT_LOWER) & ~fixed
+    up = (status == AT_UPPER) & ~fixed
+    viol[low] = -d[low]
+    viol[up] = d[up]
+    if bland:
+        ok = viol > TOL
+        return int(np.argmax(ok)) if ok.any() else -1
+    j = int(np.argmax(viol))
+    return j if viol[j] > TOL else -1
 
 
-def _ratio_test_float(p: _Core, basis_arr, x_B, col, direction, cap):
+def _ratio_test(lb, ub, basis_arr, x_B, col, direction, cap):
     """(t, leaving_row, leave_to); leaving_row -1 means a bound flip."""
     w = col * direction
-    lb_b = p.lb[basis_arr]
-    ub_b = p.ub[basis_arr]
+    lb_b = lb[basis_arr]
+    ub_b = ub[basis_arr]
 
-    dec = w > p.tol
-    inc = (w < -p.tol) & (ub_b != INF)
+    dec = w > TOL
+    inc = (w < -TOL) & (ub_b != INF)
     rows = np.concatenate([np.flatnonzero(dec), np.flatnonzero(inc)])
     if rows.size == 0:
         return cap, -1, AT_LOWER
@@ -209,48 +131,25 @@ def _ratio_test_float(p: _Core, basis_arr, x_B, col, direction, cap):
     ])
     np.clip(ratios, 0.0, None, out=ratios)
     r_min = float(ratios.min())
-    if r_min >= cap - p.tie:
+    if r_min >= cap - TIE:
         return cap, -1, AT_LOWER  # the entering bound binds first: flip
-    close = ratios <= r_min + p.tie
+    close = ratios <= r_min + TIE
     cand = np.flatnonzero(close)
     pick = cand[int(np.argmin(basis_arr[rows[cand]]))]
     return r_min, int(rows[pick]), (AT_LOWER if bounds[pick] == 0 else AT_UPPER)
 
 
-def _ratio_test_exact(p: _Core, basis, x_B, col, direction, cap):
-    t_best = cap
-    leaving = -1
-    leave_to = AT_LOWER
-    for i in range(p.m):
-        w = col[i] * direction
-        if w > 0:
-            ratio = (x_B[i] - p.lb[basis[i]]) / w
-            bound = AT_LOWER
-        elif w < 0 and p.ub[basis[i]] != INF:
-            ratio = (p.ub[basis[i]] - x_B[i]) / (-w)
-            bound = AT_UPPER
-        else:
-            continue
-        if ratio < 0:
-            ratio = p.zero
-        if ratio < t_best:
-            t_best, leaving, leave_to = ratio, i, bound
-        elif leaving >= 0 and ratio == t_best and basis[i] < basis[leaving]:
-            leaving, leave_to = i, bound
-    return t_best, leaving, leave_to
-
-
-def _simplex(p: _Core, basis: list[int], status: np.ndarray, costs,
-             max_iter: int, B_inv=None):
+def _simplex(A, b, lb, ub, basis: list[int], status: np.ndarray, costs,
+             max_iter: int, B_inv):
     """Primal iterations; mutates basis and status.
 
-    Returns (state, iterations, B_inv, x_B) so phases can share the basis.
+    Returns (state, iterations, B_inv, x_B, entering) so phases can share
+    the basis; ``entering`` is the improving column of an Unbounded state.
     """
-    if B_inv is None:
-        B_inv = p.inverse(basis)
-    x_B = p.basic_values(basis, status, B_inv)
+    m, n = A.shape
+    x_B = _basic_values(A, b, lb, ub, status, B_inv)
     basis_arr = np.array(basis)
-    fixed = p.lb == p.ub
+    fixed = lb == ub
     degenerate_run = 0
     bland = False
     iters = 0
@@ -259,33 +158,28 @@ def _simplex(p: _Core, basis: list[int], status: np.ndarray, costs,
         if iters >= max_iter:
             raise NumericalFailure(f"simplex iteration limit {max_iter} reached")
         iters += 1
-        if not p.exact and iters % 256 == 0:
-            B_inv = p.inverse(basis)
-            x_B = p.basic_values(basis, status, B_inv)
+        if iters % 256 == 0:
+            B_inv = _inverse(A, basis)
+            x_B = _basic_values(A, b, lb, ub, status, B_inv)
             basis_arr = np.array(basis)
 
         y = costs[basis] @ B_inv
-        d = p.reduced_costs(costs, y)
-        entering = _pick_entering(p, status, d, fixed, bland)
+        d = costs - y @ A
+        entering = _pick_entering(status, d, fixed, bland)
         if entering < 0:
-            return "Optimal", iters, B_inv, x_B
+            return "Optimal", iters, B_inv, x_B, -1
 
         direction = 1 if status[entering] == AT_LOWER else -1
-        col = p.tableau_column(B_inv, entering)
-        cap = p.ub[entering] - p.lb[entering] if p.ub[entering] != INF else INF
-
-        if p.exact:
-            t, leaving, leave_to = _ratio_test_exact(p, basis, x_B, col,
-                                                     direction, cap)
-        else:
-            t, leaving, leave_to = _ratio_test_float(p, basis_arr, x_B, col,
-                                                     direction, cap)
+        col = B_inv @ A[:, entering]
+        cap = ub[entering] - lb[entering] if ub[entering] != INF else INF
+        t, leaving, leave_to = _ratio_test(lb, ub, basis_arr, x_B, col,
+                                           direction, cap)
         if t == INF:
-            return "Unbounded", iters, B_inv, x_B
+            return "Unbounded", iters, B_inv, x_B, entering
 
-        if t <= p.tie:
+        if t <= TIE:
             degenerate_run += 1
-            if degenerate_run > 40 + 2 * (p.m + p.n):
+            if degenerate_run > 40 + 2 * (m + n):
                 bland = True
         else:
             degenerate_run = 0
@@ -297,7 +191,7 @@ def _simplex(p: _Core, basis: list[int], status: np.ndarray, costs,
             continue
 
         out = basis[leaving]
-        enter_value = (p.lb[entering] if direction == 1 else p.ub[entering]) \
+        enter_value = (lb[entering] if direction == 1 else ub[entering]) \
             + direction * t
         x_B = x_B - col * (direction * t)
         x_B[leaving] = enter_value
@@ -306,168 +200,251 @@ def _simplex(p: _Core, basis: list[int], status: np.ndarray, costs,
         basis[leaving] = entering
         basis_arr[leaving] = entering
 
-        piv = col[leaving]
-        if p.exact:
-            row = B_inv[leaving, :] / piv
-            B_inv[leaving, :] = row
-            for i in range(p.m):
-                if i != leaving and col[i] != 0:
-                    B_inv[i, :] = B_inv[i, :] - col[i] * row
-        else:
-            B_inv[leaving, :] /= piv
-            factor = col.copy()
-            factor[leaving] = 0.0
-            B_inv -= np.outer(factor, B_inv[leaving, :])
+        B_inv[leaving, :] /= col[leaving]
+        factor = col.copy()
+        factor[leaving] = 0.0
+        B_inv -= np.outer(factor, B_inv[leaving, :])
 
 
-def _solve_typed(c, A, b, lb, ub, exact: bool, max_iter: int | None,
-                 warm: tuple | None = None):
-    """Two-phase run on one arithmetic type.
+def _solve_float(c, A, b, lb, ub, max_iter: int | None):
+    """Two-phase run in floats.
 
-    Returns (SimplexResult, basis, status) where basis/status describe the
-    final point over the reduced column space (or None when unused). With
-    ``warm`` = (basis, status) from a float run on the same reduction,
-    phase 1 is replaced by an exact feasibility check of that basis.
+    Returns (SimplexResult, _Basis); the basis is None when the presolve
+    alone proves infeasibility.
     """
-    if exact:
-        n_all = len(c)
-        m_all = len(b)
-        A_t = np.empty((m_all, n_all), dtype=object)
-        rows = np.asarray(A, dtype=object)
-        for i in range(m_all):
-            A_t[i, :] = _exact_vector(rows[i])
-        b_t = _exact_vector(b)
-        c_t = _exact_vector(c)
-        lb_t = _exact_vector(lb)
-        ub_t = _exact_vector(ub)
-        zero = Fraction(0)
-        feas_tol = Fraction(0)
-    else:
-        A_t = np.asarray(A, dtype=float)
-        b_t = np.asarray(b, dtype=float)
-        c_t = np.asarray(c, dtype=float)
-        lb_t = np.asarray(lb, dtype=float)
-        ub_t = np.asarray(ub, dtype=float)
-        zero = 0.0
-        feas_tol = 1e-7
-    n_all = len(c_t)
-    m_all = len(b_t)
-
+    n_all = len(c)
     for j in range(n_all):
-        if lb_t[j] > ub_t[j]:
-            return SimplexResult("Infeasible"), None, None
-        if lb_t[j] == -INF:
+        if lb[j] > ub[j]:
+            return SimplexResult("Infeasible"), None
+        if lb[j] == -INF:
             raise NumericalFailure("free variables are not supported")
 
     # substitute out fixed columns, drop rows that become empty
-    fixed_mask = np.array([lb_t[j] == ub_t[j] for j in range(n_all)])
+    fixed_mask = lb == ub
     free_cols = [j for j in range(n_all) if not fixed_mask[j]]
-    b_eff = b_t.copy()
+    b_eff = b.copy()
     if fixed_mask.any():
         fx = np.flatnonzero(fixed_mask)
-        b_eff = b_eff - A_t[:, fx] @ lb_t[fx]
-    if free_cols:
-        alive = (A_t[:, free_cols] != 0).any(axis=1)
-    else:
-        alive = np.zeros(m_all, dtype=bool)
-    live_rows = []
-    for i in range(m_all):
-        if alive[i]:
-            live_rows.append(i)
-        elif (abs(b_eff[i]) > feas_tol if not exact else b_eff[i] != 0):
-            return SimplexResult("Infeasible"), None, None
+        b_eff = b_eff - A[:, fx] @ lb[fx]
+    alive = (A[:, free_cols] != 0).any(axis=1)
+    if (~alive & (np.abs(b_eff) > FEAS_TOL)).any():
+        return SimplexResult("Infeasible"), None
+    live_rows = [int(i) for i in np.flatnonzero(alive)]
 
-    A_r = A_t[np.ix_(live_rows, free_cols)] if free_cols else A_t[live_rows][:, :0]
+    A_r = A[np.ix_(live_rows, free_cols)]
     m, n = len(live_rows), len(free_cols)
-    if n == 0:
-        x = lb_t.copy()
-        obj = sum((c_t[j] * x[j] for j in range(n_all)), zero)
-        y_full = np.array([zero] * m_all, dtype=A_t.dtype)
-        return SimplexResult("Optimal", objective=obj, x=x, y=y_full), None, None
-
     if max_iter is None:
         max_iter = 5000 + 60 * (m + n)
-
-    one = Fraction(1) if exact else 1.0
-    lb_r = lb_t[free_cols]
-    ub_r = ub_t[free_cols]
+    lb_r = lb[free_cols]
+    ub_r = ub[free_cols]
     b_r = b_eff[live_rows]
-    resid = b_r - A_r @ lb_r
-    art = np.zeros((m, m), dtype=object if exact else float)
-    for i in range(m):
-        art[i, i] = one if resid[i] >= 0 else -one
+    sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0)
 
-    full_A = np.concatenate([A_r, art], axis=1)
-    full_lb = np.concatenate([lb_r, np.array([zero] * m, dtype=lb_r.dtype)])
-    full_ub = np.concatenate([ub_r, np.array([INF] * m, dtype=ub_r.dtype)])
-    p = _Core(full_A, b_r, full_lb, full_ub, exact)
-    c_r = c_t[free_cols]
-    phase2 = np.concatenate([c_r, np.array([zero] * m, dtype=full_A.dtype)])
+    full_A = np.concatenate([A_r, np.diag(sign)], axis=1)
+    full_lb = np.concatenate([lb_r, np.zeros(m)])
+    full_ub = np.concatenate([ub_r, np.full(m, INF)])
+    phase2 = np.concatenate([c[free_cols], np.zeros(m)])
+    basis = list(range(n, n + m))
+    status = np.full(n + m, AT_LOWER, dtype=int)
+    status[n:] = BASIC
+    run = _Basis("Optimal", free_cols, live_rows, sign, basis, status)
 
-    basis = None
-    B_inv = None
-    it1 = 0
-    if warm is not None:
-        warm_basis, warm_status = warm
-        try:
-            candidate = list(warm_basis)
-            status = warm_status.copy()
-            B_inv = p.inverse(candidate)
-            for j in range(n, n + m):
-                p.ub[j] = zero
-                if status[j] != BASIC:
-                    status[j] = AT_LOWER
-            x_B = p.basic_values(candidate, status, B_inv)
-            feasible = all(p.lb[candidate[i]] <= x_B[i] and
-                           (p.ub[candidate[i]] == INF or
-                            x_B[i] <= p.ub[candidate[i]])
-                           for i in range(m))
-            if feasible:
-                basis = candidate
-            else:
-                p.ub[n:] = INF
-        except NumericalFailure:
-            p.ub[n:] = INF
-
-    if basis is None:
-        basis = list(range(n, n + m))
-        status = np.full(n + m, AT_LOWER, dtype=int)
-        for i in basis:
-            status[i] = BASIC
-        B0 = art.copy()  # the artificial diagonal is its own inverse
-        phase1 = np.concatenate([np.array([zero] * n, dtype=full_A.dtype),
-                                 np.array([one] * m, dtype=full_A.dtype)])
-        state, it1, B_inv, x_B = _simplex(p, basis, status, phase1, max_iter, B0)
+    it1 = it2 = 0
+    if n:
+        phase1 = np.concatenate([np.zeros(n), np.ones(m)])
+        # the artificial diagonal is its own inverse
+        state, it1, B_inv, x_B, _ = _simplex(full_A, b_r, full_lb, full_ub,
+                                             basis, status, phase1, max_iter,
+                                             np.diag(sign))
         if state == "Unbounded":
             raise NumericalFailure("phase 1 unbounded")
-        art_total = sum((x_B[i] for i in range(m) if basis[i] >= n), zero)
-        if art_total > feas_tol:
-            return SimplexResult("Infeasible", iterations=it1), None, None
-        for j in range(n, n + m):
-            p.ub[j] = zero
+        if sum((x_B[i] for i in range(m) if basis[i] >= n), 0.0) > FEAS_TOL:
+            run.state = "Infeasible"
+            return SimplexResult("Infeasible", iterations=it1), run
+        full_ub[n:] = 0.0
+        state, it2, B_inv, x_B, run.entering = _simplex(
+            full_A, b_r, full_lb, full_ub, basis, status, phase2, max_iter,
+            B_inv)
+        if state == "Unbounded":
+            run.state = "Unbounded"
+            return SimplexResult("Unbounded", iterations=it1 + it2), run
+        # wash out eta-update drift before reporting
+        B_inv = _inverse(full_A, basis)
+        x_B = _basic_values(full_A, b_r, full_lb, full_ub, status, B_inv)
+        x_r = _nonbasic_values(full_lb, full_ub, status)
+        x_r[basis] = x_B
+        y_r = phase2[basis] @ B_inv
+    else:
+        x_r = y_r = np.zeros(0)
 
-    state, it2, B_inv, x_B = _simplex(p, basis, status, phase2, max_iter, B_inv)
-    if state == "Unbounded":
-        return SimplexResult("Unbounded", iterations=it1 + it2), None, None
+    x = lb.copy()
+    x[free_cols] = x_r[:n]
+    y = np.zeros(len(b))
+    y[live_rows] = y_r
+    obj = sum((c[j] * x[j] for j in range(n_all)), 0.0)
+    result = SimplexResult("Optimal", objective=obj, x=x, y=y,
+                           iterations=it1 + it2)
+    return result, run
 
-    if not exact:  # wash out eta-update drift before reporting
-        B_inv = p.inverse(basis)
-        x_B = p.basic_values(basis, status, B_inv)
-    x_r = p.nonbasic_values(status)
-    for i, bi in enumerate(basis):
-        x_r[bi] = x_B[i]
-    y_r = phase2[basis] @ B_inv
 
-    x = lb_t.copy()
+def _rational_solve(rows: list[dict], rhs: list[list]):
+    """Solve M z = r exactly for each r in ``rhs``.
+
+    M is square and given as sparse rows ``{column: Fraction}``. Gaussian
+    elimination pivots on the sparsest remaining row and, within it, on the
+    column held by the fewest remaining rows; back substitution follows.
+    Returns one solution per right-hand side, or None if M is singular.
+    """
+    m = len(rows)
+    rows = [dict(r) for r in rows]
+    vals = [[r[i] for r in rhs] for i in range(m)]
+    holders: dict[int, set] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    remaining = set(range(m))
+    order = []
+    while remaining:
+        p = min(remaining, key=lambda i: (len(rows[i]), i))
+        if not rows[p]:
+            return None
+        q = min(rows[p], key=lambda j: (len(holders[j]), j))
+        remaining.discard(p)
+        for j in rows[p]:
+            holders[j].discard(p)
+        pivot_row, pivot = rows[p], rows[p][q]
+        for i in sorted(holders[q]):
+            row, f = rows[i], rows[i][q] / pivot
+            for j, a in pivot_row.items():
+                v = row.get(j, 0) - f * a
+                if v:
+                    row[j] = v
+                    holders[j].add(i)
+                else:
+                    row.pop(j, None)
+                    holders[j].discard(i)
+            vals[i] = [u - f * w for u, w in zip(vals[i], vals[p])]
+        order.append((p, q))
+    z = [[Fraction(0)] * m for _ in rhs]
+    for p, q in reversed(order):
+        row = rows[p]
+        for k, zk in enumerate(z):
+            acc = vals[p][k] - sum(a * zk[j] for j, a in row.items() if j != q)
+            zk[q] = acc / row[q]
+    return z
+
+
+def _certify(c, A, b, lb, ub, max_iter: int | None) -> SimplexResult:
+    """The exact answer: rational presolve, the float run, then a rational
+    certificate of the basis that run ends on."""
+    # presolve on the lifted nonzeros; its infeasibility verdicts are proofs
+    if (lb == -INF).any():
+        raise NumericalFailure("free variables are not supported")
+    n_all, m_all = len(c), len(b)
+    lo_all = [to_fraction(v) for v in lb.tolist()]
+    up_all = [INF if v == INF else to_fraction(v) for v in ub.tolist()]
+    if any(lo > up for lo, up in zip(lo_all, up_all)):
+        return SimplexResult("Infeasible")
+    cols = [[] for _ in range(n_all)]
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(A))):
+        a = to_fraction(A[i, j])
+        if a:
+            cols[j].append((i, a))
+    cost = {j: to_fraction(v) for j, v in enumerate(c.tolist()) if v}
+    rhs = [to_fraction(v) for v in b.tolist()]
+    free_cols = [j for j in range(n_all) if lo_all[j] != up_all[j]]
+    for j in range(n_all):
+        if lo_all[j] == up_all[j]:
+            for i, a in cols[j]:
+                rhs[i] -= a * lo_all[j]
+    live_rows = sorted({i for j in free_cols for i, _ in cols[j]})
+    if any(rhs[i] for i in set(range(m_all)).difference(live_rows)):
+        return SimplexResult("Infeasible")
+
+    try:
+        approx, run = _solve_float(c, A, b, lb, ub, max_iter)
+    except NumericalFailure as e:
+        raise NumericalFailure(f"certificate: float run failed: {e}") from e
+    if run is None or run.free_cols != free_cols or run.live_rows != live_rows:
+        raise NumericalFailure("certificate: float presolve differs from "
+                               "the rational presolve")
+
+    # the reduced problem: free columns, then one artificial per live row
+    m, n = len(live_rows), len(free_cols)
+    at = {i: k for k, i in enumerate(live_rows)}
+    column = [[(at[i], a) for i, a in cols[j]] for j in free_cols] + \
+        [[(k, Fraction(int(s)))] for k, s in enumerate(run.sign)]
+    phase1 = run.state == "Infeasible"
+    lo = [lo_all[j] for j in free_cols] + [Fraction(0)] * m
+    up = [up_all[j] for j in free_cols] + [INF if phase1 else Fraction(0)] * m
+    costs = [Fraction(0)] * n + [Fraction(1)] * m if phase1 else \
+        [cost.get(j, Fraction(0)) for j in free_cols] + [Fraction(0)] * m
+    basis, status = run.basis, run.status
+
+    # x_B from B x_B = b - N x_N, within its bounds
+    b_r = [rhs[i] for i in live_rows]
+    x_r = [Fraction(0)] * (n + m)
+    for j in range(n + m):
+        if status[j] != BASIC:
+            x_r[j] = lo[j] if status[j] == AT_LOWER else up[j]
+            if x_r[j] == INF:
+                raise NumericalFailure(f"certificate: column {j} rests at "
+                                       "an infinite bound")
+            for k, a in column[j]:
+                b_r[k] -= a * x_r[j]
+    B_rows = [{} for _ in range(m)]
+    for pos, j in enumerate(basis):
+        for k, a in column[j]:
+            B_rows[k][pos] = a
+    wanted = [b_r]
+    if run.state == "Unbounded":  # and the entering column's tableau column
+        entering = dict(column[run.entering])
+        wanted.append([entering.get(k, 0) for k in range(m)])
+    solved = _rational_solve(B_rows, wanted)
+    if solved is None:
+        raise NumericalFailure("certificate: singular basis")
+    for pos, j in enumerate(basis):
+        x_r[j] = solved[0][pos]
+        if x_r[j] < lo[j] or x_r[j] > up[j]:
+            raise NumericalFailure(f"certificate: basic column {j} = "
+                                   f"{x_r[j]} is outside its bounds")
+
+    if run.state == "Unbounded":
+        e, w = run.entering, solved[1]
+        direction = 1 if status[e] == AT_LOWER else -1
+        gain = costs[e] - sum(costs[j] * w[pos] for pos, j in enumerate(basis))
+        blocked = up[e] != INF or any(
+            w[pos] * direction > 0 or (w[pos] * direction < 0 and up[j] != INF)
+            for pos, j in enumerate(basis))
+        if gain * direction >= 0 or blocked:
+            raise NumericalFailure(f"certificate: column {e} is no unbounded "
+                                   "ray")
+        return SimplexResult("Unbounded", iterations=approx.iterations)
+
+    # y from B'y = c_B, and reduced costs of the right sign
+    y_r = _rational_solve([dict(column[j]) for j in basis],
+                          [[costs[j] for j in basis]])[0]
+    for j in range(n + m):
+        if status[j] == BASIC or lo[j] == up[j]:
+            continue
+        d = costs[j] - sum(y_r[k] * a for k, a in column[j])
+        if (d < 0) if status[j] == AT_LOWER else (d > 0):
+            raise NumericalFailure(f"certificate: reduced cost {d} of column "
+                                   f"{j} has the wrong sign")
+    if phase1:
+        if not sum(x_r[n:]) > 0:
+            raise NumericalFailure("certificate: the phase-1 optimum is zero")
+        return SimplexResult("Infeasible", iterations=approx.iterations)
+
+    x = np.array(lo_all, dtype=object)
     for k, j in enumerate(free_cols):
         x[j] = x_r[k]
-    y_full = np.array([zero] * m_all, dtype=A_t.dtype)
+    y = np.array([Fraction(0)] * m_all, dtype=object)
     for k, i in enumerate(live_rows):
-        y_full[i] = y_r[k]
-    obj = sum((c_t[j] * x[j] for j in range(n_all)), zero)
-    result = SimplexResult("Optimal", objective=obj, x=x, y=y_full,
-                           iterations=it1 + it2)
-    return result, basis, status
+        y[i] = y_r[k]
+    obj = sum((q * x[j] for j, q in cost.items()), Fraction(0))
+    return SimplexResult("Optimal", objective=obj, x=x, y=y,
+                         iterations=approx.iterations)
 
 
 def solve_arrays(c, A, b, lb, ub, exact: bool = False,
@@ -475,20 +452,13 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     """Two-phase bounded simplex on dense data.
 
     ``A`` is (m x n); bounds may use ``float('inf')`` for no upper bound.
-    Fixed columns (equal bounds) are substituted out up front. Exact mode
-    first solves in floats and then certifies (or repairs) the final basis
-    in rational arithmetic, so its answers are exact regardless of how the
-    float run behaved.
+    Fixed columns (equal bounds) are substituted out up front. With
+    ``exact`` the float run's basis is certified in rational arithmetic and
+    the answer (status, objective, x, y) is exact; ``iterations`` counts the
+    float run's pricing passes either way. A basis that fails its
+    certificate raises ``NumericalFailure``; there is no rational pivoting.
     """
-    if not exact:
-        result, _, _ = _solve_typed(c, A, b, lb, ub, False, max_iter)
-        return result
-    warm = None
-    try:
-        approx, basis, status = _solve_typed(c, A, b, lb, ub, False, max_iter)
-        if approx.status == "Optimal" and basis is not None:
-            warm = (basis, status)
-    except NumericalFailure:
-        pass
-    result, _, _ = _solve_typed(c, A, b, lb, ub, True, max_iter, warm=warm)
-    return result
+    c, A, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, A, b, lb, ub))
+    if exact:
+        return _certify(c, A, b, lb, ub, max_iter)
+    return _solve_float(c, A, b, lb, ub, max_iter)[0]

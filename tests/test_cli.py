@@ -1,10 +1,14 @@
 """Command-line interface behavior and reproducibility."""
 
 import json
+import pathlib
 
 import pytest
 
 from rollstock.cli import run
+from rollstock.instance import canonical_instances
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _capture(capsys, argv):
@@ -128,3 +132,33 @@ class TestCommands:
         code, _, err = _capture(capsys, ["validate", "--instance", str(path)])
         assert code == 1
         assert err.startswith("error: ") and needle in err
+
+
+class TestExactRational:
+    @pytest.mark.parametrize("name", sorted(canonical_instances()))
+    def test_compare_matches_golden(self, capsys, name):
+        code, out, _ = _capture(capsys, [
+            "compare", "--canonical", name, "--closure", "--all",
+            "--exact-rational", "--deterministic", "--json"])
+        assert code == 0
+        assert out == (GOLDEN / f"compare_exact_{name}.json").read_text()
+
+    def test_failed_certificate_exits_one(self, capsys, monkeypatch):
+        from rollstock.solver import simplex
+        real = simplex._solve_float
+
+        def repeat_column(*args):
+            res, run = real(*args)
+            run.basis[1] = run.basis[0]
+            return res, run
+
+        monkeypatch.setattr(simplex, "_solve_float", repeat_column)
+        code, out, err = _capture(capsys, ["solve", "--canonical", "TwoTrip",
+                                           "--lp", "--exact-rational"])
+        assert code == 1 and out == ""
+        assert err == "error: certificate: singular basis\n"
+        code, out, _ = _capture(capsys, ["compare", "--canonical", "TwoTrip",
+                                         "--exact-rational", "--json"])
+        assert code == 1
+        assert {r["error"] for r in json.loads(out)["rows"]} == {
+            "NumericalFailure: certificate: singular basis"}

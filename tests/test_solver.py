@@ -21,7 +21,8 @@ from rollstock.solver import (
     solve_ip,
     solve_lp,
 )
-from rollstock.solver.simplex import SimplexResult
+from rollstock.solver import simplex
+from rollstock.solver.simplex import AT_LOWER, AT_UPPER, BASIC, SimplexResult
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -32,6 +33,12 @@ def _model(inst, variant):
     if variant == "C":
         return assemble(contract(build(inst, "HD")))
     return assemble(build(inst, variant))
+
+
+def _unsat_c_model():
+    f = parse_dimacs("p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n-1 -2 -2 0\n")
+    inst, _ = reduce_3sat(f)
+    return _model(inst, "C")
 
 
 def _scipy_lp_value(model):
@@ -70,21 +77,40 @@ class TestLp:
         assert feasibility_residual(m, sol.values) <= 1e-7
         assert dual_residual(m, sol) <= 1e-6
 
-    def test_infeasible_partition(self):
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_infeasible_partition(self, exact):
         m = MilpModel("bad", [Variable("x", 0.0, 0.0, False, 1.0)],
                       [Row("r", (("x", 1.0),), "=", 1.0)])
-        assert solve_lp(m).status == "Infeasible"
+        assert solve_lp(m, exact=exact).status == "Infeasible"
 
-    def test_unbounded_negative_cost_parking(self):
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_infeasible_after_phase_one(self, exact):
+        m = MilpModel("over", [Variable("x", 0.0, 1.0, False, 1.0),
+                               Variable("y", 0.0, 1.0, False, 1.0)],
+                      [Row("r", (("x", 1.0), ("y", 1.0)), "=", 3.0)])
+        sol = solve_lp(m, exact=exact)
+        assert sol.status == "Infeasible" and sol.iterations > 0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_unbounded_negative_cost_parking(self, exact):
         m = MilpModel("ray", [Variable("p", 0.0, None, False, -1.0)],
                       [Row("r", (("p", 1.0),), ">=", 0.0)])
-        assert solve_lp(m).status == "Unbounded"
+        assert solve_lp(m, exact=exact).status == "Unbounded"
+
+    def test_dead_row_below_float_tolerance(self):
+        # x is fixed, so the row is dead; its right-hand side is within the
+        # float presolve's 1e-7 but not zero
+        m = MilpModel("dead", [Variable("x", 0.0, 0.0, False, 1.0)],
+                      [Row("r", (("x", 1.0),), "=", 1e-8)])
+        assert solve_lp(m).status == "Optimal"
+        assert solve_lp(m, exact=True).status == "Infeasible"
 
     def test_exact_mode_returns_fractions(self, situation2):
         m = _model(situation2, "hD").relaxed()
         sol = solve_lp(m, exact=True)
         assert isinstance(sol.objective, Fraction)
         assert float(sol.objective) == pytest.approx(12.0)
+        assert sol.iterations == solve_lp(m).iterations > 1
 
     def test_determinism(self, situation2):
         m = _model(situation2, "HD").relaxed()
@@ -126,12 +152,29 @@ class TestIp:
 
     def test_node_limit_reports_bound(self):
         # the reduction of an unsatisfiable formula needs more than one node
-        f = parse_dimacs("p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n-1 -2 -2 0\n")
-        inst, _ = reduce_3sat(f)
-        ip = solve_ip(_model(inst, "C"), node_limit=1)
+        ip = solve_ip(_unsat_c_model(), node_limit=1)
         assert ip.status == "NodeLimit"
         assert ip.bound is not None and ip.bound == pytest.approx(0.0)
         assert ip.objective is None and ip.values == {}
+
+    def test_exact_ip_proves_unsatisfiable_reduction_infeasible(self):
+        # the children are infeasible LPs, proven by phase-1 certificates
+        ip = solve_ip(_unsat_c_model(), exact=True)
+        assert ip.status == "Infeasible" and ip.nodes > 1
+        assert ip.root.status == "Optimal" and ip.root.objective == Fraction(0)
+
+    def test_exact_integrality_has_no_tolerance(self):
+        # x = 10000001/10000000 is within 1e-6 of 1, but x = 1 leaves the
+        # row short by 1 and x = 2 overshoots it: there is no integer point
+        m = MilpModel("near", [Variable("x", 0.0, 5.0, True, 1.0),
+                               Variable("s", 0.0, 5.0, False, 0.0)],
+                      [Row("r", (("x", 10000000.0), ("s", 1.0)), "=", 10000001.0),
+                       Row("cap", (("s", 1.0),), "<=", 0.0)])
+        ip = solve_ip(m, exact=True)
+        assert ip.status == "Infeasible"
+        assert ip.root.objective == Fraction(10000001, 10000000)
+        with pytest.raises(NumericalFailure, match="incumbent residual"):
+            solve_ip(m)  # float mode rounds, and the residual check refuses
 
     def test_incumbent_residual_is_certified(self, monkeypatch):
         m = MilpModel("cert", [Variable("x", 0.0, 10.0, True, 1.0)],
@@ -211,3 +254,76 @@ class TestOracle:
         ip = solve_ip(model)
         assert orc.status == ip.status == "Infeasible"
         assert ip.root.status == solve_lp(model.relaxed()).status
+
+
+def _hand_basis(monkeypatch, edit):
+    """Let the certificate see the float run's basis after ``edit(run)``."""
+    real = simplex._solve_float
+
+    def edited(*args):
+        res, run = real(*args)
+        edit(run)
+        return res, run
+
+    monkeypatch.setattr(simplex, "_solve_float", edited)
+
+
+_X_LE_1 = ([Variable("x", 0.0, None, False, -1.0)],
+           [Row("r", (("x", 1.0),), "<=", 1.0)])       # optimum -1 at x = 1
+_X_GE_3 = ([Variable("x", 0.0, 5.0, False, 1.0)],
+           [Row("r", (("x", 1.0),), ">=", 3.0)])       # optimum 3 at x = 3
+_P_GE_0 = ([Variable("p", 0.0, None, False, 1.0)],
+           [Row("r", (("p", 1.0),), ">=", 0.0)])       # optimum 0 at p = 0
+_TWIN_ROWS = ([Variable("x", 0.0, 5.0, False, 1.0),
+               Variable("y", 0.0, 5.0, False, 1.0)],
+              [Row("r1", (("x", 1.0), ("y", 1.0)), "=", 2.0),
+               Row("r2", (("x", 1.0), ("y", 1.0)), "=", 2.0)])  # optimum 2
+
+
+class TestCertificate:
+    # Reduced columns are the structural columns, the slacks, then one
+    # artificial per row; each case hands the certificate a wrong basis.
+    @pytest.mark.parametrize("model,state,basis,status,failure", [
+        (_X_LE_1, "Optimal", [1], [AT_LOWER, BASIC, AT_LOWER],
+         "reduced cost -1 of column 0 has the wrong sign"),
+        (_X_GE_3, "Optimal", [1], [AT_LOWER, BASIC, AT_LOWER],
+         "basic column 1 = -3 is outside its bounds"),
+        (_X_LE_1, "Optimal", [1], [AT_UPPER, BASIC, AT_LOWER],
+         "column 0 rests at an infinite bound"),
+        (_TWIN_ROWS, "Optimal", [0, 1], [BASIC, BASIC, AT_LOWER, AT_LOWER],
+         "singular basis"),
+        (_X_LE_1, "Unbounded", [1], [AT_LOWER, BASIC, AT_LOWER],
+         "column 0 is no unbounded ray"),
+        (_P_GE_0, "Unbounded", [1], [AT_LOWER, BASIC, AT_LOWER],
+         "column 0 is no unbounded ray"),
+        (_X_LE_1, "Infeasible", [1], [AT_LOWER, BASIC, AT_LOWER],
+         "the phase-1 optimum is zero"),
+    ], ids=["non-optimal", "infeasible", "at-infinity", "singular",
+            "blocked-ray", "ascending-ray", "feasible-phase-1"])
+    def test_wrong_basis_names_the_failed_check(self, monkeypatch, model,
+                                                state, basis, status, failure):
+        m = MilpModel("handed", *model)
+        assert solve_lp(m, exact=True).status == "Optimal"
+
+        def hand(run):
+            run.state, run.entering = state, 0
+            run.basis[:] = basis
+            run.status[:] = status
+
+        _hand_basis(monkeypatch, hand)
+        with pytest.raises(NumericalFailure, match=f"certificate: {failure}"):
+            solve_lp(m, exact=True)
+
+    def test_compare_reports_a_failed_certificate_per_row(self, two_trip,
+                                                           monkeypatch):
+        from rollstock import analysis
+
+        def repeat_column(run):
+            run.basis[1] = run.basis[0]
+
+        _hand_basis(monkeypatch, repeat_column)
+        rep = analysis.compare(two_trip, exact=True)
+        assert rep.rows and all(
+            r.error == "NumericalFailure: certificate: singular basis"
+            for r in rep.rows)
+        assert rep.verdicts == []
