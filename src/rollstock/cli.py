@@ -67,6 +67,8 @@ def cmd_solve(args) -> int:
                        exact=args.exact_rational)
     out = {"instance": instance.name, "variant": args.variant,
            "mode": "LP" if args.lp else "IP", "status": sol.status}
+    if not args.lp:  # search counts, which repeat exactly from run to run
+        out["nodes"], out["iterations"] = sol.nodes, sol.iterations
     if sol.status == "Optimal":
         out["objective"] = float(sol.objective)
         bd = analysis.cost_breakdown(instance, graph, sol.values)

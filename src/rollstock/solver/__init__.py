@@ -2,9 +2,10 @@
 
 ``solve_lp`` runs the two-phase bounded simplex (in floats, or with a
 rational certificate of the final basis in exact mode);
-``solve_ip`` wraps it in branch and bound and keeps the root node's answer
-as the LP relaxation's; ``enumerate_oracle`` computes
-ground-truth integer optima on tiny instances by exhaustive enumeration.
+``solve_ip`` wraps it in branch and bound, whose children start from their
+parent's basis by dual simplex, and keeps the root node's answer as the LP
+relaxation's; ``enumerate_oracle`` computes ground-truth integer optima on
+tiny instances by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class IpSolution:
     LP bound and the IP optimum solve once. The root is solved on the bounds
     that fix-propagation over the equality rows implies, so its objective is
     the relaxation's value, but ``root.duals`` belong to that presolved root
-    and are no certificate of the original LP.
+    and are no certificate of the original LP. ``iterations`` is the total
+    of simplex passes over every node LP, the root's included.
     """
 
     status: str                       # Optimal | Infeasible | Unbounded | NodeLimit
@@ -51,6 +53,7 @@ class IpSolution:
     bound: object = None              # best proven lower bound
     nodes: int = 0
     root: LpSolution | None = None
+    iterations: int = 0
 
 
 @dataclass
@@ -119,18 +122,11 @@ def _lp_solution(model: MilpModel, form: ArrayForm, res: SimplexResult,
         return LpSolution("Optimal", res.objective, values, duals, res.iterations)
     values = {k: float(v) for k, v in values.items()}
     duals = {k: float(v) for k, v in duals.items()}
-    _check_residual(model, values, tol, "LP")
-    return LpSolution("Optimal", float(res.objective), values, duals,
-                      res.iterations)
-
-
-def _check_residual(model: MilpModel, values: dict[str, object], tol: float,
-                    what: str) -> None:
-    """Raise ``NumericalFailure`` if ``values`` violate ``model`` by more
-    than ``max(tol, 1e-7)``."""
     resid = feasibility_residual(model, values)
     if resid > max(tol, 1e-7):
-        raise NumericalFailure(f"{what} residual {resid} exceeds tolerance")
+        raise NumericalFailure(f"LP residual {resid} exceeds tolerance")
+    return LpSolution("Optimal", float(res.objective), values, duals,
+                      res.iterations)
 
 
 def solve_lp(model: MilpModel, tol: float = 1e-7, exact: bool = False) -> LpSolution:

@@ -2,24 +2,35 @@
 
 Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). Columns fixed
 by equal bounds are substituted out and rows left without a free column are
-dropped before the iterations start; phase 1 starts from one artificial
-column per remaining row.
+dropped before the iterations start (the run's *layout*); phase 1 starts
+from one artificial column per remaining row.
+
+A warm start reuses an earlier run's layout and final basis under bounds
+that only tighten, as in a branch-and-bound child: the artificial columns
+are held at zero, a column the new bounds fix stays in the layout and never
+enters, and dual pivots (largest bound violation leaves, smallest ratio
+|d_j / alpha_rj| enters) restore primal feasibility from the dual-feasible
+start. A row that no column can repair proves infeasibility; otherwise one
+primal phase-2 pass confirms optimality.
 
 Pivoting is deterministic: Dantzig pricing with lowest-index tie-breaking,
 falling back to Bland's rule permanently once a run of degenerate pivots
 suggests cycling. The basis inverse is kept explicitly, updated by a rank-one
-eta step per pivot and refactorized every 256 iterations.
+eta step per pivot (one routine for the primal and the dual loop) and
+refactorized every 256 iterations.
 
 The rational mode backs the optimal-value *equality* assertions between
 models. It does not pivot over ``Fraction``s: it takes the presolve decisions
 in rational arithmetic, runs the float simplex, and then certifies the basis
 that run ends on (the approach of QSopt_ex, Applegate, Cook, Dash and
-Espinoza 2007). One sparse rational elimination solves B x_B = b - N x_N and
-B'y = c_B. An optimum needs its primal bounds and reduced-cost signs; an
-infeasibility needs an optimal phase-1 basis with a positive artificial sum;
-an unboundedness needs a feasible phase-2 basis and an improving column that
-no basic variable blocks. A basis that fails, or a float run that fails,
-raises ``NumericalFailure`` naming the check.
+Espinoza 2007), over that run's layout. One sparse rational elimination
+solves B x_B = b - N x_N and B'y = c_B. An optimum needs its primal bounds
+and reduced-cost signs; an infeasibility needs an optimal phase-1 basis with
+a positive artificial sum, or, from the dual loop, a row r with B'u = e_r
+whose basic value u.b - sum_j (u.A_j) x_j cannot reach its bounds for any
+nonbasic x_j within theirs; an unboundedness needs a feasible phase-2 basis
+and an improving column that no basic variable blocks. A basis that fails,
+or a float run that fails, raises ``NumericalFailure`` naming the check.
 """
 
 from __future__ import annotations
@@ -49,14 +60,17 @@ class SimplexResult:
     x: object = None            # values per column of A
     y: object = None            # duals per row
     iterations: int = 0
+    basis: _Basis | None = None  # where the float run stopped
 
 
 @dataclass
 class _Basis:
-    """Where the float run stopped, over the reduced columns: the free
-    columns in order, then the artificial column ``sign[i] * e_i`` of each
-    live row. ``state`` is Optimal (phase 2), Infeasible (phase 1) or
-    Unbounded (phase 2, ``entering`` improves without a blocking row)."""
+    """Where the float run stopped, over its layout: the reduced columns
+    are the free columns in order, then the artificial column
+    ``sign[i] * e_i`` of each live row. ``state`` is Optimal (phase 2),
+    Infeasible (phase 1, or with ``row`` set the dual loop's basis position
+    that no column can repair) or Unbounded (phase 2, ``entering`` improves
+    without a blocking row)."""
 
     state: str
     free_cols: list[int]
@@ -65,6 +79,7 @@ class _Basis:
     basis: list[int]
     status: np.ndarray
     entering: int = -1
+    row: int = -1
 
 
 def to_fraction(v) -> Fraction:
@@ -139,97 +154,178 @@ def _ratio_test(lb, ub, basis_arr, x_B, col, direction, cap):
     return r_min, int(rows[pick]), (AT_LOWER if bounds[pick] == 0 else AT_UPPER)
 
 
-def _simplex(A, b, lb, ub, basis: list[int], status: np.ndarray, costs,
-             max_iter: int, B_inv):
-    """Primal iterations; mutates basis and status.
+class _Pivots:
+    """A basis of the reduced problem as the pivot loops move it: B^-1, the
+    basic values ``x_B`` and the column statuses. ``basis`` and ``status``
+    are the caller's and are updated in place."""
 
-    Returns (state, iterations, B_inv, x_B, entering) so phases can share
-    the basis; ``entering`` is the improving column of an Unbounded state.
+    def __init__(self, A, b, lb, ub, basis: list[int], status: np.ndarray,
+                 B_inv, max_iter: int):
+        self.A, self.b, self.lb, self.ub = A, b, lb, ub
+        self.basis, self.status, self.B_inv = basis, status, B_inv
+        self.max_iter = max_iter
+
+    def start(self):
+        """Begin a loop: basic values from B^-1 and the current bounds."""
+        self.x_B = _basic_values(self.A, self.b, self.lb, self.ub, self.status,
+                                 self.B_inv)
+        self.basis_arr = np.array(self.basis)
+        self.fixed = self.lb == self.ub
+        self.iters = 0
+
+    def count(self):
+        """One more pass of the loop."""
+        if self.iters >= self.max_iter:
+            raise NumericalFailure(
+                f"simplex iteration limit {self.max_iter} reached")
+        self.iters += 1
+
+    def refactor(self):
+        self.B_inv = _inverse(self.A, self.basis)
+        self.x_B = _basic_values(self.A, self.b, self.lb, self.ub, self.status,
+                                 self.B_inv)
+        self.basis_arr = np.array(self.basis)
+
+    def pivot(self, entering: int, col, delta, leaving: int, leave_to: int):
+        """Move the nonbasic column ``entering`` by ``delta``; ``col`` is
+        B^-1 A_entering. With ``leaving`` -1 the column flips to its other
+        bound; otherwise it takes the basis position ``leaving``, whose
+        column goes to ``leave_to``. Refactorizes before every 256th pass."""
+        status = self.status
+        x_B = self.x_B - col * delta
+        if leaving < 0:
+            status[entering] = AT_LOWER if status[entering] == AT_UPPER \
+                else AT_UPPER
+        else:
+            x_B[leaving] = (self.lb[entering] if status[entering] == AT_LOWER
+                            else self.ub[entering]) + delta
+            status[self.basis[leaving]] = leave_to
+            status[entering] = BASIC
+            self.basis[leaving] = entering
+            self.basis_arr[leaving] = entering
+            B_inv = self.B_inv
+            B_inv[leaving, :] /= col[leaving]
+            factor = col.copy()
+            factor[leaving] = 0.0
+            B_inv -= np.outer(factor, B_inv[leaving, :])
+        self.x_B = x_B
+        if (self.iters + 1) % 256 == 0:
+            self.refactor()
+
+
+def _cycling(degenerate_run: int, p: _Pivots) -> bool:
+    return degenerate_run > 40 + 2 * sum(p.A.shape)
+
+
+def _simplex(p: _Pivots, costs):
+    """Primal iterations from a primal-feasible basis.
+
+    Returns (state, entering); ``entering`` is the improving column of an
+    Unbounded state.
     """
-    m, n = A.shape
-    x_B = _basic_values(A, b, lb, ub, status, B_inv)
-    basis_arr = np.array(basis)
-    fixed = lb == ub
+    p.start()
     degenerate_run = 0
     bland = False
-    iters = 0
-
     while True:
-        if iters >= max_iter:
-            raise NumericalFailure(f"simplex iteration limit {max_iter} reached")
-        iters += 1
-        if iters % 256 == 0:
-            B_inv = _inverse(A, basis)
-            x_B = _basic_values(A, b, lb, ub, status, B_inv)
-            basis_arr = np.array(basis)
-
-        y = costs[basis] @ B_inv
-        d = costs - y @ A
-        entering = _pick_entering(status, d, fixed, bland)
+        p.count()
+        y = costs[p.basis] @ p.B_inv
+        d = costs - y @ p.A
+        entering = _pick_entering(p.status, d, p.fixed, bland)
         if entering < 0:
-            return "Optimal", iters, B_inv, x_B, -1
+            return "Optimal", -1
 
-        direction = 1 if status[entering] == AT_LOWER else -1
-        col = B_inv @ A[:, entering]
-        cap = ub[entering] - lb[entering] if ub[entering] != INF else INF
-        t, leaving, leave_to = _ratio_test(lb, ub, basis_arr, x_B, col,
+        direction = 1 if p.status[entering] == AT_LOWER else -1
+        col = p.B_inv @ p.A[:, entering]
+        lo, up = p.lb[entering], p.ub[entering]
+        cap = up - lo if up != INF else INF
+        t, leaving, leave_to = _ratio_test(p.lb, p.ub, p.basis_arr, p.x_B, col,
                                            direction, cap)
         if t == INF:
-            return "Unbounded", iters, B_inv, x_B, entering
+            return "Unbounded", entering
 
-        if t <= TIE:
-            degenerate_run += 1
-            if degenerate_run > 40 + 2 * (m + n):
-                bland = True
-        else:
-            degenerate_run = 0
-
-        if leaving < 0:
-            # entering variable flips to its other bound
-            x_B = x_B - col * (direction * t)
-            status[entering] = AT_UPPER if direction == 1 else AT_LOWER
-            continue
-
-        out = basis[leaving]
-        enter_value = (lb[entering] if direction == 1 else ub[entering]) \
-            + direction * t
-        x_B = x_B - col * (direction * t)
-        x_B[leaving] = enter_value
-        status[out] = leave_to
-        status[entering] = BASIC
-        basis[leaving] = entering
-        basis_arr[leaving] = entering
-
-        B_inv[leaving, :] /= col[leaving]
-        factor = col.copy()
-        factor[leaving] = 0.0
-        B_inv -= np.outer(factor, B_inv[leaving, :])
+        degenerate_run = degenerate_run + 1 if t <= TIE else 0
+        bland = bland or _cycling(degenerate_run, p)
+        p.pivot(entering, col, direction * t, leaving, leave_to)
 
 
-def _solve_float(c, A, b, lb, ub, max_iter: int | None):
-    """Two-phase run in floats.
+def _dual(p: _Pivots, costs) -> int:
+    """Dual iterations from a dual-feasible basis until every basic value
+    is within its bounds. Returns -1 then, or the basis position whose
+    basic column no eligible column can move toward its violated bound
+    (the reduced problem is infeasible).
 
-    Returns (SimplexResult, _Basis); the basis is None when the presolve
-    alone proves infeasibility.
+    The leaving position has the largest bound violation, the lowest on
+    ties (once a run of degenerate pivots suggests cycling: the violated
+    position with the lowest basic column, as Bland's rule). The entering
+    column has the smallest |d_j / alpha_rj| among nonbasic columns that
+    are not fixed and push the leaving value toward its bound, the lowest
+    index on ties.
+    """
+    p.start()
+    degenerate_run = 0
+    bland = False
+    while True:
+        p.count()
+        lb_B, ub_B = p.lb[p.basis_arr], p.ub[p.basis_arr]
+        below = lb_B - p.x_B
+        viol = np.maximum(below, p.x_B - ub_B)
+        bad = viol > TOL
+        if not bad.any():
+            return -1
+        r = int(np.flatnonzero(bad)[np.argmin(p.basis_arr[bad])]) if bland \
+            else int(np.argmax(viol))
+        to_lower = below[r] > 0
+
+        direction = np.where(p.status == AT_LOWER, 1.0, -1.0)
+        # a unit step of nonbasic column j moves x_B[r] by -alpha_rj
+        # * direction_j; ``push`` is that move toward the violated bound
+        push = (p.B_inv[r] @ p.A) * direction * (-1.0 if to_lower else 1.0)
+        eligible = np.flatnonzero((push > TOL) & (p.status != BASIC) & ~p.fixed)
+        if eligible.size == 0:
+            return r
+        y = costs[p.basis] @ p.B_inv
+        d = costs[eligible] - y @ p.A[:, eligible]
+        ratios = np.maximum(d * direction[eligible], 0.0) / push[eligible]
+        r_min = float(ratios.min())
+        entering = int(eligible[np.argmax(ratios <= r_min + TIE)])
+
+        degenerate_run = degenerate_run + 1 if r_min <= TIE else 0
+        bland = bland or _cycling(degenerate_run, p)
+        col = p.B_inv @ p.A[:, entering]
+        bound = lb_B[r] if to_lower else ub_B[r]
+        p.pivot(entering, col, (p.x_B[r] - bound) / col[r], r,
+                AT_LOWER if to_lower else AT_UPPER)
+
+
+def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
+    """The float run: two phases from an all-artificial basis, or with
+    ``start`` a dual run from that basis on its layout. The result's
+    ``basis`` is None when the presolve alone proves infeasibility.
     """
     n_all = len(c)
     for j in range(n_all):
         if lb[j] > ub[j]:
-            return SimplexResult("Infeasible"), None
+            return SimplexResult("Infeasible")
         if lb[j] == -INF:
             raise NumericalFailure("free variables are not supported")
 
-    # substitute out fixed columns, drop rows that become empty
-    fixed_mask = lb == ub
-    free_cols = [j for j in range(n_all) if not fixed_mask[j]]
+    # substitute out fixed columns, drop rows that become empty; a warm
+    # start keeps its layout, and the columns that layout left out stay
+    # fixed under bounds that only tighten
+    if start is None:
+        free_cols = [j for j in range(n_all) if lb[j] != ub[j]]
+        live_rows = [int(i) for i in
+                     np.flatnonzero((A[:, free_cols] != 0).any(axis=1))]
+    else:
+        free_cols, live_rows = start.free_cols, start.live_rows
     b_eff = b.copy()
-    if fixed_mask.any():
-        fx = np.flatnonzero(fixed_mask)
+    fx = np.setdiff1d(np.arange(n_all), free_cols)
+    if fx.size:
         b_eff = b_eff - A[:, fx] @ lb[fx]
-    alive = (A[:, free_cols] != 0).any(axis=1)
-    if (~alive & (np.abs(b_eff) > FEAS_TOL)).any():
-        return SimplexResult("Infeasible"), None
-    live_rows = [int(i) for i in np.flatnonzero(alive)]
+    dead = np.ones(len(b), dtype=bool)
+    dead[live_rows] = False
+    if (dead & (np.abs(b_eff) > FEAS_TOL)).any():
+        return SimplexResult("Infeasible")
 
     A_r = A[np.ix_(live_rows, free_cols)]
     m, n = len(live_rows), len(free_cols)
@@ -238,53 +334,63 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None):
     lb_r = lb[free_cols]
     ub_r = ub[free_cols]
     b_r = b_eff[live_rows]
-    sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0)
+    sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0) if start is None \
+        else start.sign
 
     full_A = np.concatenate([A_r, np.diag(sign)], axis=1)
     full_lb = np.concatenate([lb_r, np.zeros(m)])
-    full_ub = np.concatenate([ub_r, np.full(m, INF)])
+    # phase 2 holds the artificial columns at zero, and so does a warm start
+    full_ub = np.concatenate([ub_r, np.full(m, INF if start is None else 0.0)])
     phase2 = np.concatenate([c[free_cols], np.zeros(m)])
-    basis = list(range(n, n + m))
-    status = np.full(n + m, AT_LOWER, dtype=int)
-    status[n:] = BASIC
+    if start is None:
+        basis = list(range(n, n + m))
+        status = np.full(n + m, AT_LOWER, dtype=int)
+        status[n:] = BASIC
+    else:
+        basis, status = list(start.basis), start.status.copy()
     run = _Basis("Optimal", free_cols, live_rows, sign, basis, status)
 
-    it1 = it2 = 0
+    iterations = 0
+    x_r = y_r = np.zeros(0)
     if n:
-        phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-        # the artificial diagonal is its own inverse
-        state, it1, B_inv, x_B, _ = _simplex(full_A, b_r, full_lb, full_ub,
-                                             basis, status, phase1, max_iter,
-                                             np.diag(sign))
-        if state == "Unbounded":
-            raise NumericalFailure("phase 1 unbounded")
-        if sum((x_B[i] for i in range(m) if basis[i] >= n), 0.0) > FEAS_TOL:
+        if start is None:
+            # the artificial diagonal is its own inverse
+            p = _Pivots(full_A, b_r, full_lb, full_ub, basis, status,
+                        np.diag(sign), max_iter)
+            state, _ = _simplex(p, np.concatenate([np.zeros(n), np.ones(m)]))
+            if state == "Unbounded":
+                raise NumericalFailure("phase 1 unbounded")
+            infeasible = sum((p.x_B[i] for i in range(m) if basis[i] >= n),
+                             0.0) > FEAS_TOL
+        else:
+            p = _Pivots(full_A, b_r, full_lb, full_ub, basis, status,
+                        _inverse(full_A, basis), max_iter)
+            run.row = _dual(p, phase2)
+            infeasible = run.row >= 0
+        iterations = p.iters
+        if infeasible:
             run.state = "Infeasible"
-            return SimplexResult("Infeasible", iterations=it1), run
+            return SimplexResult("Infeasible", iterations=iterations,
+                                 basis=run)
         full_ub[n:] = 0.0
-        state, it2, B_inv, x_B, run.entering = _simplex(
-            full_A, b_r, full_lb, full_ub, basis, status, phase2, max_iter,
-            B_inv)
+        state, run.entering = _simplex(p, phase2)
+        iterations += p.iters
         if state == "Unbounded":
             run.state = "Unbounded"
-            return SimplexResult("Unbounded", iterations=it1 + it2), run
-        # wash out eta-update drift before reporting
-        B_inv = _inverse(full_A, basis)
-        x_B = _basic_values(full_A, b_r, full_lb, full_ub, status, B_inv)
+            return SimplexResult("Unbounded", iterations=iterations,
+                                 basis=run)
+        p.refactor()  # wash out eta-update drift before reporting
         x_r = _nonbasic_values(full_lb, full_ub, status)
-        x_r[basis] = x_B
-        y_r = phase2[basis] @ B_inv
-    else:
-        x_r = y_r = np.zeros(0)
+        x_r[basis] = p.x_B
+        y_r = phase2[basis] @ p.B_inv
 
     x = lb.copy()
     x[free_cols] = x_r[:n]
     y = np.zeros(len(b))
     y[live_rows] = y_r
     obj = sum((c[j] * x[j] for j in range(n_all)), 0.0)
-    result = SimplexResult("Optimal", objective=obj, x=x, y=y,
-                           iterations=it1 + it2)
-    return result, run
+    return SimplexResult("Optimal", objective=obj, x=x, y=y,
+                         iterations=iterations, basis=run)
 
 
 def _rational_solve(rows: list[dict], rhs: list[list]):
@@ -334,9 +440,9 @@ def _rational_solve(rows: list[dict], rhs: list[list]):
     return z
 
 
-def _certify(c, A, b, lb, ub, max_iter: int | None) -> SimplexResult:
+def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
     """The exact answer: rational presolve, the float run, then a rational
-    certificate of the basis that run ends on."""
+    certificate of the basis that run ends on, over that run's layout."""
     # presolve on the lifted nonzeros; its infeasibility verdicts are proofs
     if (lb == -INF).any():
         raise NumericalFailure("free variables are not supported")
@@ -351,38 +457,55 @@ def _certify(c, A, b, lb, ub, max_iter: int | None) -> SimplexResult:
         if a:
             cols[j].append((i, a))
     cost = {j: to_fraction(v) for j, v in enumerate(c.tolist()) if v}
-    rhs = [to_fraction(v) for v in b.tolist()]
-    free_cols = [j for j in range(n_all) if lo_all[j] != up_all[j]]
-    for j in range(n_all):
-        if lo_all[j] == up_all[j]:
+
+    def rhs_without(kept):
+        """b less the columns outside ``kept``, each at its fixed value."""
+        rhs = [to_fraction(v) for v in b.tolist()]
+        for j in set(range(n_all)).difference(kept):
             for i, a in cols[j]:
                 rhs[i] -= a * lo_all[j]
+        return rhs
+
+    free_cols = [j for j in range(n_all) if lo_all[j] != up_all[j]]
+    rhs = rhs_without(free_cols)
     live_rows = sorted({i for j in free_cols for i, _ in cols[j]})
     if any(rhs[i] for i in set(range(m_all)).difference(live_rows)):
         return SimplexResult("Infeasible")
 
     try:
-        approx, run = _solve_float(c, A, b, lb, ub, max_iter)
+        approx = _solve_float(c, A, b, lb, ub, max_iter, start)
     except NumericalFailure as e:
         raise NumericalFailure(f"certificate: float run failed: {e}") from e
-    if run is None or run.free_cols != free_cols or run.live_rows != live_rows:
+    run = approx.basis
+    if run is None:
         raise NumericalFailure("certificate: float presolve differs from "
                                "the rational presolve")
+    # the run's layout may be a parent's: every column it leaves out must be
+    # fixed here, and every live row must be in it
+    for what, ours, theirs in (("free column", free_cols, run.free_cols),
+                               ("live row", live_rows, run.live_rows)):
+        stray = sorted(set(ours).difference(theirs))
+        if stray:
+            raise NumericalFailure("certificate: the float run's layout "
+                                   f"leaves out {what} {stray[0]}")
+    if len(run.free_cols) != len(free_cols):
+        rhs = rhs_without(run.free_cols)
 
-    # the reduced problem: free columns, then one artificial per live row
-    m, n = len(live_rows), len(free_cols)
-    at = {i: k for k, i in enumerate(live_rows)}
-    column = [[(at[i], a) for i, a in cols[j]] for j in free_cols] + \
+    # the reduced problem: layout columns, then one artificial per live row
+    m, n = len(run.live_rows), len(run.free_cols)
+    at = {i: k for k, i in enumerate(run.live_rows)}
+    column = [[(at[i], a) for i, a in cols[j]] for j in run.free_cols] + \
         [[(k, Fraction(int(s)))] for k, s in enumerate(run.sign)]
-    phase1 = run.state == "Infeasible"
-    lo = [lo_all[j] for j in free_cols] + [Fraction(0)] * m
-    up = [up_all[j] for j in free_cols] + [INF if phase1 else Fraction(0)] * m
+    phase1 = run.state == "Infeasible" and run.row < 0
+    lo = [lo_all[j] for j in run.free_cols] + [Fraction(0)] * m
+    up = [up_all[j] for j in run.free_cols] + \
+        [INF if phase1 else Fraction(0)] * m
     costs = [Fraction(0)] * n + [Fraction(1)] * m if phase1 else \
-        [cost.get(j, Fraction(0)) for j in free_cols] + [Fraction(0)] * m
+        [cost.get(j, Fraction(0)) for j in run.free_cols] + [Fraction(0)] * m
     basis, status = run.basis, run.status
 
-    # x_B from B x_B = b - N x_N, within its bounds
-    b_r = [rhs[i] for i in live_rows]
+    # x_B from B x_B = b - N x_N
+    b_r = [rhs[i] for i in run.live_rows]
     x_r = [Fraction(0)] * (n + m)
     for j in range(n + m):
         if status[j] != BASIC:
@@ -405,6 +528,32 @@ def _certify(c, A, b, lb, ub, max_iter: int | None) -> SimplexResult:
         raise NumericalFailure("certificate: singular basis")
     for pos, j in enumerate(basis):
         x_r[j] = solved[0][pos]
+
+    if run.row >= 0:
+        # x_r = u.b - sum over nonbasic j of (u.A_j) x_j with B'u = e_row:
+        # no choice of nonbasic values within their bounds lets it reach
+        # the bound it violates
+        r, j_r = run.row, basis[run.row]
+        u = _rational_solve([dict(column[j]) for j in basis],
+                            [[Fraction(int(pos == r)) for pos in range(m)]])[0]
+        below = x_r[j_r] < lo[j_r]
+        reach = x_r[j_r]
+        for j in range(n + m):
+            alpha = sum(u[k] * a for k, a in column[j]) \
+                if status[j] != BASIC else 0
+            if alpha:
+                end = lo[j] if (alpha > 0) == below else up[j]
+                if end == INF:
+                    raise NumericalFailure(f"certificate: column {j} moves "
+                                           f"row {r} without bound")
+                reach += alpha * (x_r[j] - end)
+        if (reach >= lo[j_r]) if below else (reach <= up[j_r]):
+            raise NumericalFailure(f"certificate: row {r} can reach the bounds "
+                                   f"of its basic column {j_r}")
+        return SimplexResult("Infeasible", iterations=approx.iterations,
+                             basis=run)
+
+    for j in basis:
         if x_r[j] < lo[j] or x_r[j] > up[j]:
             raise NumericalFailure(f"certificate: basic column {j} = "
                                    f"{x_r[j]} is outside its bounds")
@@ -419,7 +568,8 @@ def _certify(c, A, b, lb, ub, max_iter: int | None) -> SimplexResult:
         if gain * direction >= 0 or blocked:
             raise NumericalFailure(f"certificate: column {e} is no unbounded "
                                    "ray")
-        return SimplexResult("Unbounded", iterations=approx.iterations)
+        return SimplexResult("Unbounded", iterations=approx.iterations,
+                             basis=run)
 
     # y from B'y = c_B, and reduced costs of the right sign
     y_r = _rational_solve([dict(column[j]) for j in basis],
@@ -434,31 +584,37 @@ def _certify(c, A, b, lb, ub, max_iter: int | None) -> SimplexResult:
     if phase1:
         if not sum(x_r[n:]) > 0:
             raise NumericalFailure("certificate: the phase-1 optimum is zero")
-        return SimplexResult("Infeasible", iterations=approx.iterations)
+        return SimplexResult("Infeasible", iterations=approx.iterations,
+                             basis=run)
 
     x = np.array(lo_all, dtype=object)
-    for k, j in enumerate(free_cols):
+    for k, j in enumerate(run.free_cols):
         x[j] = x_r[k]
     y = np.array([Fraction(0)] * m_all, dtype=object)
-    for k, i in enumerate(live_rows):
+    for k, i in enumerate(run.live_rows):
         y[i] = y_r[k]
     obj = sum((q * x[j] for j, q in cost.items()), Fraction(0))
     return SimplexResult("Optimal", objective=obj, x=x, y=y,
-                         iterations=approx.iterations)
+                         iterations=approx.iterations, basis=run)
 
 
 def solve_arrays(c, A, b, lb, ub, exact: bool = False,
-                 max_iter: int | None = None) -> SimplexResult:
-    """Two-phase bounded simplex on dense data.
+                 max_iter: int | None = None,
+                 start: _Basis | None = None) -> SimplexResult:
+    """Bounded simplex on dense data.
 
     ``A`` is (m x n); bounds may use ``float('inf')`` for no upper bound.
-    Fixed columns (equal bounds) are substituted out up front. With
-    ``exact`` the float run's basis is certified in rational arithmetic and
-    the answer (status, objective, x, y) is exact; ``iterations`` counts the
-    float run's pricing passes either way. A basis that fails its
-    certificate raises ``NumericalFailure``; there is no rational pivoting.
+    Fixed columns (equal bounds) are substituted out up front and phase 1
+    starts from an all-artificial basis. With ``start``, the ``basis`` of an
+    earlier result on the same data under bounds that contain these, the
+    run keeps that result's layout and reaches the answer by dual pivots
+    from its basis, then one primal pass. With ``exact`` the float run's
+    basis is certified in rational arithmetic and the answer (status,
+    objective, x, y) is exact; ``iterations`` counts the float run's pivot
+    passes either way. A basis that fails its certificate raises
+    ``NumericalFailure``; there is no rational pivoting.
     """
     c, A, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, A, b, lb, ub))
     if exact:
-        return _certify(c, A, b, lb, ub, max_iter)
-    return _solve_float(c, A, b, lb, ub, max_iter)[0]
+        return _certify(c, A, b, lb, ub, max_iter, start)
+    return _solve_float(c, A, b, lb, ub, max_iter, start)

@@ -41,12 +41,15 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["objective"] == pytest.approx(40.0)
         assert payload["breakdown"]["coupling"] == pytest.approx(10.0)
+        assert payload["nodes"] == 1 and payload["iterations"] > 0
 
     def test_solve_lp_flag(self, capsys):
         code, out, _ = _capture(capsys, ["solve", "--canonical", "Situation2",
                                          "--variant", "hD", "--lp", "--json"])
         assert code == 0
-        assert json.loads(out)["objective"] == pytest.approx(12.0)
+        payload = json.loads(out)
+        assert payload["objective"] == pytest.approx(12.0)
+        assert "nodes" not in payload and "iterations" not in payload
 
     def test_compare_table(self, capsys):
         code, out, _ = _capture(capsys, [
@@ -148,9 +151,9 @@ class TestExactRational:
         real = simplex._solve_float
 
         def repeat_column(*args):
-            res, run = real(*args)
-            run.basis[1] = run.basis[0]
-            return res, run
+            res = real(*args)
+            res.basis.basis[1] = res.basis.basis[0]
+            return res
 
         monkeypatch.setattr(simplex, "_solve_float", repeat_column)
         code, out, err = _capture(capsys, ["solve", "--canonical", "TwoTrip",

@@ -112,6 +112,19 @@ class TestLp:
         assert float(sol.objective) == pytest.approx(12.0)
         assert sol.iterations == solve_lp(m).iterations > 1
 
+    def test_refactorizes_before_every_256th_pass(self, monkeypatch):
+        passes = _record_passes(monkeypatch)
+        real = simplex._inverse
+        inverses = []
+        monkeypatch.setattr(simplex, "_inverse",
+                            lambda *a: inverses.append(1) or real(*a))
+        inst = generate(GenConfig(seed=5, lines=2, trips_per_line=4,
+                                  stations=4))
+        assert solve_lp(_model(inst, "HD").relaxed()).status == "Optimal"
+        assert max(passes) > 256
+        # and once more before reporting
+        assert len(inverses) == sum(k // 256 for k in passes) + 1
+
     def test_determinism(self, situation2):
         m = _model(situation2, "HD").relaxed()
         a, b = solve_lp(m), solve_lp(m)
@@ -158,7 +171,8 @@ class TestIp:
         assert ip.objective is None and ip.values == {}
 
     def test_exact_ip_proves_unsatisfiable_reduction_infeasible(self):
-        # the children are infeasible LPs, proven by phase-1 certificates
+        # the children are infeasible LPs, each started from its parent's
+        # basis and proven by the dual loop's infeasible-row certificate
         ip = solve_ip(_unsat_c_model(), exact=True)
         assert ip.status == "Infeasible" and ip.nodes > 1
         assert ip.root.status == "Optimal" and ip.root.objective == Fraction(0)
@@ -173,8 +187,10 @@ class TestIp:
         ip = solve_ip(m, exact=True)
         assert ip.status == "Infeasible"
         assert ip.root.objective == Fraction(10000001, 10000000)
-        with pytest.raises(NumericalFailure, match="incumbent residual"):
-            solve_ip(m)  # float mode rounds, and the residual check refuses
+        # float mode rounds x to 1, the residual check refuses that point,
+        # and the search branches on x instead
+        ip = solve_ip(m)
+        assert ip.status == "Infeasible" and ip.nodes == 3
 
     def test_incumbent_residual_is_certified(self, monkeypatch):
         m = MilpModel("cert", [Variable("x", 0.0, 10.0, True, 1.0)],
@@ -182,7 +198,7 @@ class TestIp:
         real = branch_bound.solve_arrays
         calls = []
 
-        def integral_but_infeasible(c, A, b, lb, ub, exact=False):
+        def integral_but_infeasible(c, A, b, lb, ub, exact=False, start=None):
             calls.append(1)
             if len(calls) == 1:  # the true root, x = 0.5
                 return real(c, A, b, lb, ub, exact=exact)
@@ -224,6 +240,119 @@ class TestIp:
                 assert ip.objective == pytest.approx(res.fun, rel=1e-6), (seed, variant)
 
 
+_SAT_SHAPED = (  # unsatisfiable: two variables, four clauses, each padded
+    "p cnf 2 4\n2 2 1 0\n-2 1 1 0\n2 -1 -1 0\n-2 -2 -1 0\n",
+    "p cnf 2 4\n-1 2 2 0\n1 1 2 0\n-1 -1 -2 0\n1 -2 -2 0\n",
+    "p cnf 2 4\n2 -1 -1 0\n-2 -2 1 0\n2 2 1 0\n-2 -1 -1 0\n",
+    "p cnf 2 4\n1 2 2 0\n1 1 -2 0\n-1 2 2 0\n-1 -2 -2 0\n",
+)
+
+
+def _sat_c_model(text):
+    inst, _ = reduce_3sat(parse_dimacs(text))
+    return _model(inst, "C")
+
+
+def _branching_genbench(seed, variant):
+    inst = generate(GenConfig(seed=seed, lines=3, trips_per_line=3,
+                              unit_types=2, stations=3))
+    return _model(inst, variant)
+
+
+def _record_children(monkeypatch):
+    """Record (start, lb, ub, warm result, cold result) of every node LP
+    started from a parent's basis; the cold result re-solves the same
+    bounds from scratch."""
+    real = branch_bound.solve_arrays
+    children = []
+
+    def recording(c, A, b, lb, ub, exact=False, start=None):
+        res = real(c, A, b, lb, ub, exact=exact, start=start)
+        if start is not None:
+            cold = real(c, A, b, lb, ub, exact=exact)
+            children.append((start, lb, ub, res, cold))
+        return res
+
+    monkeypatch.setattr(branch_bound, "solve_arrays", recording)
+    return children
+
+
+def _record_passes(monkeypatch):
+    """Record the passes of every primal loop."""
+    real = simplex._simplex
+    passes = []
+
+    def recording(p, costs):
+        out = real(p, costs)
+        passes.append(p.iters)
+        return out
+
+    monkeypatch.setattr(simplex, "_simplex", recording)
+    return passes
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("build,exact", [
+        (_unsat_c_model, False),
+        (_unsat_c_model, True),
+        *[(lambda text=text: _sat_c_model(text), False) for text in _SAT_SHAPED],
+        (lambda: _branching_genbench(3, "hD"), False),
+        (lambda: _branching_genbench(20, "hD"), False),
+        (lambda: _branching_genbench(3, "hD"), True),
+    ], ids=["unsat-2v4c", "unsat-2v4c-exact", "sat-shaped-0", "sat-shaped-1",
+            "sat-shaped-2", "sat-shaped-3", "genbench-3-hD", "genbench-20-hD",
+            "genbench-3-hD-exact"])
+    def test_children_match_a_cold_solve(self, monkeypatch, build, exact):
+        model = build()
+        children = _record_children(monkeypatch)
+        ip = solve_ip(model, exact=exact)
+        assert ip.nodes > 1 and len(children) == ip.nodes - 1
+        for _, _, _, warm, cold in children:
+            assert warm.status == cold.status
+            if exact:
+                assert warm.objective == cold.objective
+            elif warm.status == "Optimal":
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       rel=1e-9, abs=1e-9)
+
+    def test_children_pivot_less_than_the_root(self, monkeypatch):
+        children = _record_children(monkeypatch)
+        ip = solve_ip(_unsat_c_model())
+        assert ip.status == "Infeasible" and ip.nodes == 3
+        assert ip.iterations == ip.root.iterations + sum(
+            warm.iterations for _, _, _, warm, _ in children)
+        assert ip.iterations < ip.root.iterations * ip.nodes
+
+    def test_dual_loop_keeps_dual_feasibility(self, monkeypatch):
+        # so the primal pass after it only confirms the optimum
+        passes = _record_passes(monkeypatch)
+        ip = solve_ip(_branching_genbench(20, "hD"))
+        assert ip.status == "Optimal" and ip.nodes > 10
+        assert len(passes) > 2 and set(passes[2:]) == {1}  # after the root
+
+    def test_fixed_nonbasic_column_never_enters(self, monkeypatch):
+        children = _record_children(monkeypatch)
+        solve_ip(_branching_genbench(20, "hD"))
+        for start, lb, ub, warm, _ in children:
+            for k, j in enumerate(start.free_cols):
+                if lb[j] == ub[j] and k not in start.basis:
+                    assert k not in warm.basis.basis
+
+    def test_branching_fixed_basic_column_leaves_the_basis(self, monkeypatch):
+        # the LP optimum x = 0.5, y = 1 has x basic; each child fixes x
+        m = MilpModel("fix", [Variable("x", 0.0, 1.0, True, -1.0),
+                              Variable("y", 0.0, 1.0, True, -2.0)],
+                      [Row("r", (("x", 1.0), ("y", 1.0)), "<=", 1.5)])
+        children = _record_children(monkeypatch)
+        ip = solve_ip(m)
+        assert ip.status == "Optimal" and ip.objective == pytest.approx(-2.0)
+        assert [(lb[0], ub[0]) for _, lb, ub, _, _ in children] == [(0, 0), (1, 1)]
+        for start, _, _, warm, _ in children:
+            k = start.free_cols.index(0)
+            assert k in start.basis
+            assert warm.status == "Optimal" and k not in warm.basis.basis
+
+
 class TestOracle:
     def test_trip_limit(self):
         inst = generate(GenConfig(seed=1, lines=3, trips_per_line=4))
@@ -261,9 +390,9 @@ def _hand_basis(monkeypatch, edit):
     real = simplex._solve_float
 
     def edited(*args):
-        res, run = real(*args)
-        edit(run)
-        return res, run
+        res = real(*args)
+        edit(res.basis)
+        return res
 
     monkeypatch.setattr(simplex, "_solve_float", edited)
 
@@ -274,6 +403,8 @@ _X_GE_3 = ([Variable("x", 0.0, 5.0, False, 1.0)],
            [Row("r", (("x", 1.0),), ">=", 3.0)])       # optimum 3 at x = 3
 _P_GE_0 = ([Variable("p", 0.0, None, False, 1.0)],
            [Row("r", (("p", 1.0),), ">=", 0.0)])       # optimum 0 at p = 0
+_P_GE_3 = ([Variable("p", 0.0, None, False, 1.0)],
+           [Row("r", (("p", 1.0),), ">=", 3.0)])       # optimum 3 at p = 3
 _TWIN_ROWS = ([Variable("x", 0.0, 5.0, False, 1.0),
                Variable("y", 0.0, 5.0, False, 1.0)],
               [Row("r1", (("x", 1.0), ("y", 1.0)), "=", 2.0),
@@ -313,6 +444,36 @@ class TestCertificate:
         _hand_basis(monkeypatch, hand)
         with pytest.raises(NumericalFailure, match=f"certificate: {failure}"):
             solve_lp(m, exact=True)
+
+    # an Infeasible state with a row is the dual loop's: no nonbasic values
+    # within their bounds may bring that row's basic column into its bounds
+    @pytest.mark.parametrize("model,basis,status,failure", [
+        (_X_GE_3, [1], [AT_LOWER, BASIC, AT_LOWER],
+         "row 0 can reach the bounds of its basic column 1"),
+        (_P_GE_3, [1], [AT_LOWER, BASIC, AT_LOWER],
+         "column 0 moves row 0 without bound"),
+    ], ids=["reachable-row", "unbounded-row"])
+    def test_wrong_infeasible_row_names_the_failed_check(
+            self, monkeypatch, model, basis, status, failure):
+        m = MilpModel("handed", *model)
+
+        def hand(run):
+            run.state, run.row = "Infeasible", 0
+            run.basis[:] = basis
+            run.status[:] = status
+
+        _hand_basis(monkeypatch, hand)
+        with pytest.raises(NumericalFailure, match=f"certificate: {failure}"):
+            solve_lp(m, exact=True)
+
+    def test_layout_must_hold_every_free_column(self, monkeypatch):
+        def drop_first(run):
+            run.free_cols = run.free_cols[1:]
+
+        _hand_basis(monkeypatch, drop_first)
+        with pytest.raises(NumericalFailure, match="certificate: the float "
+                           "run's layout leaves out free column 0"):
+            solve_lp(MilpModel("handed", *_X_GE_3), exact=True)
 
     def test_compare_reports_a_failed_certificate_per_row(self, two_trip,
                                                            monkeypatch):
