@@ -5,9 +5,9 @@ variable index) and a best-bound reordering of the open stack every 1000
 nodes. Unbounded integer parking variables branch like any other integer
 variable via floor/ceil bound splits. A light fix-propagation pass over the
 equality rows tightens variable bounds before the search; it is pure
-algebra, so LP relaxation values are unaffected. The root is solved from
-scratch; children start from the parent's basis by dual simplex, since
-they differ from it in one bound.
+algebra, so LP relaxation values are unaffected. The root is solved by
+dual simplex from the slack basis; children start from the parent's basis
+by the same dual simplex, since they differ from it in one bound.
 """
 
 from __future__ import annotations

@@ -2,22 +2,27 @@
 
 Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). Columns fixed
 by equal bounds are substituted out and rows left without a free column are
-dropped before the iterations start (the run's *layout*); phase 1 starts
-from one artificial column per remaining row.
+dropped before the iterations start (the run's *layout*). A cold run starts
+from the slack basis: one artificial column per remaining row, every other
+column at its lower bound.
 
-A warm start reuses an earlier run's layout and final basis under bounds
-that only tighten, as in a branch-and-bound child: the artificial columns
-are held at zero, a column the new bounds fix stays in the layout and never
-enters, and dual pivots (largest bound violation leaves, smallest ratio
-|d_j / alpha_rj| enters) restore primal feasibility from the dual-feasible
-start. A row that no column can repair proves infeasibility; otherwise one
-primal phase-2 pass confirms optimality.
+That basis has zero duals, so when no free column costs less than zero
+(every model built from a valid instance) it is dual feasible: the
+artificial columns are held at zero and dual pivots (dual steepest edge
+picks the leaving row, Forrest and Goldfarb 1992; the smallest ratio
+|d_j / alpha_rj| enters) restore primal feasibility. A warm start does the
+same from an earlier run's layout and final basis under bounds that only
+tighten, as in a branch-and-bound child; a column the new bounds fix stays
+in the layout and never enters. A row that no column can repair proves
+infeasibility; otherwise one primal phase-2 pass confirms optimality. Only
+a cold start with a negative-cost column runs primal phase 1 over free
+artificial columns instead.
 
-Pivoting is deterministic: Dantzig pricing with lowest-index tie-breaking,
-falling back to Bland's rule permanently once a run of degenerate pivots
-suggests cycling. The basis inverse is kept explicitly, updated by a rank-one
-eta step per pivot (one routine for the primal and the dual loop) and
-refactorized every 256 iterations.
+Pivoting is deterministic: Dantzig pricing in the primal loop, lowest-index
+tie-breaking, and a permanent fall back to Bland's rule once a run of
+degenerate pivots suggests cycling. The basis inverse is kept explicitly,
+updated by a rank-one eta step per pivot (one routine for the primal and the
+dual loop) and refactorized every 256 iterations.
 
 The rational mode backs the optimal-value *equality* assertions between
 models. It does not pivot over ``Fraction``s: it takes the presolve decisions
@@ -254,12 +259,13 @@ def _dual(p: _Pivots, costs) -> int:
     basic column no eligible column can move toward its violated bound
     (the reduced problem is infeasible).
 
-    The leaving position has the largest bound violation, the lowest on
-    ties (once a run of degenerate pivots suggests cycling: the violated
-    position with the lowest basic column, as Bland's rule). The entering
-    column has the smallest |d_j / alpha_rj| among nonbasic columns that
-    are not fixed and push the leaving value toward its bound, the lowest
-    index on ties.
+    The leaving position r maximises the dual steepest-edge ratio
+    viol_r^2 / |e_r' B^-1|^2, with the row norms read off the explicit
+    inverse, the lowest position on ties (once a run of degenerate pivots
+    suggests cycling: the violated position with the lowest basic column,
+    as Bland's rule). The entering column has the smallest |d_j / alpha_rj|
+    among nonbasic columns that are not fixed and push the leaving value
+    toward its bound, the lowest index on ties.
     """
     p.start()
     degenerate_run = 0
@@ -272,8 +278,11 @@ def _dual(p: _Pivots, costs) -> int:
         bad = viol > TOL
         if not bad.any():
             return -1
-        r = int(np.flatnonzero(bad)[np.argmin(p.basis_arr[bad])]) if bland \
-            else int(np.argmax(viol))
+        if bland:
+            r = int(np.flatnonzero(bad)[np.argmin(p.basis_arr[bad])])
+        else:
+            r = int(np.argmax(np.where(bad, viol, 0.0) ** 2
+                              / np.einsum("ij,ij->i", p.B_inv, p.B_inv)))
         to_lower = below[r] > 0
 
         direction = np.where(p.status == AT_LOWER, 1.0, -1.0)
@@ -298,16 +307,20 @@ def _dual(p: _Pivots, costs) -> int:
 
 
 def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
-    """The float run: two phases from an all-artificial basis, or with
-    ``start`` a dual run from that basis on its layout. The result's
-    ``basis`` is None when the presolve alone proves infeasibility.
+    """The float run, from ``start``'s basis on its layout or else from the
+    slack basis: one artificial column per live row, every other column at
+    its lower bound. That basis has zero duals, so it is dual feasible when
+    no free column costs less than zero; then, as from a ``start``, the
+    artificial columns are held at zero and the dual loop runs first. Only a
+    slack basis with a negative-cost column goes through primal phase 1,
+    with the artificial columns free. The result's ``basis`` is None when
+    the presolve alone proves infeasibility.
     """
     n_all = len(c)
-    for j in range(n_all):
-        if lb[j] > ub[j]:
-            return SimplexResult("Infeasible")
-        if lb[j] == -INF:
-            raise NumericalFailure("free variables are not supported")
+    if (lb > ub).any():
+        return SimplexResult("Infeasible")
+    if (lb == -INF).any():
+        raise NumericalFailure("free variables are not supported")
 
     # substitute out fixed columns, drop rows that become empty; a warm
     # start keeps its layout, and the columns that layout left out stay
@@ -334,39 +347,38 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
     lb_r = lb[free_cols]
     ub_r = ub[free_cols]
     b_r = b_eff[live_rows]
-    sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0) if start is None \
-        else start.sign
-
-    full_A = np.concatenate([A_r, np.diag(sign)], axis=1)
-    full_lb = np.concatenate([lb_r, np.zeros(m)])
-    # phase 2 holds the artificial columns at zero, and so does a warm start
-    full_ub = np.concatenate([ub_r, np.full(m, INF if start is None else 0.0)])
     phase2 = np.concatenate([c[free_cols], np.zeros(m)])
     if start is None:
+        sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0)
         basis = list(range(n, n + m))
         status = np.full(n + m, AT_LOWER, dtype=int)
         status[n:] = BASIC
     else:
-        basis, status = list(start.basis), start.status.copy()
+        sign, basis, status = start.sign, list(start.basis), start.status.copy()
+    dual = start is not None or bool((phase2 >= 0).all())
+
+    full_A = np.concatenate([A_r, np.diag(sign)], axis=1)
+    full_lb = np.concatenate([lb_r, np.zeros(m)])
+    # the dual loop and phase 2 hold the artificial columns at zero
+    full_ub = np.concatenate([ub_r, np.full(m, 0.0 if dual else INF)])
     run = _Basis("Optimal", free_cols, live_rows, sign, basis, status)
 
     iterations = 0
     x_r = y_r = np.zeros(0)
     if n:
-        if start is None:
-            # the artificial diagonal is its own inverse
-            p = _Pivots(full_A, b_r, full_lb, full_ub, basis, status,
-                        np.diag(sign), max_iter)
+        # the artificial diagonal is its own inverse
+        B_inv = np.diag(sign) if start is None else _inverse(full_A, basis)
+        p = _Pivots(full_A, b_r, full_lb, full_ub, basis, status, B_inv,
+                    max_iter)
+        if dual:
+            run.row = _dual(p, phase2)
+            infeasible = run.row >= 0
+        else:
             state, _ = _simplex(p, np.concatenate([np.zeros(n), np.ones(m)]))
             if state == "Unbounded":
                 raise NumericalFailure("phase 1 unbounded")
             infeasible = sum((p.x_B[i] for i in range(m) if basis[i] >= n),
                              0.0) > FEAS_TOL
-        else:
-            p = _Pivots(full_A, b_r, full_lb, full_ub, basis, status,
-                        _inverse(full_A, basis), max_iter)
-            run.row = _dual(p, phase2)
-            infeasible = run.row >= 0
         iterations = p.iters
         if infeasible:
             run.state = "Infeasible"
@@ -604,11 +616,12 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     """Bounded simplex on dense data.
 
     ``A`` is (m x n); bounds may use ``float('inf')`` for no upper bound.
-    Fixed columns (equal bounds) are substituted out up front and phase 1
-    starts from an all-artificial basis. With ``start``, the ``basis`` of an
-    earlier result on the same data under bounds that contain these, the
-    run keeps that result's layout and reaches the answer by dual pivots
-    from its basis, then one primal pass. With ``exact`` the float run's
+    Fixed columns (equal bounds) are substituted out up front, and the run
+    reaches the answer by dual pivots from the slack basis, then one primal
+    pass; only a negative-cost column sends it through primal phase 1
+    instead. With ``start``, the ``basis`` of an earlier result on the same
+    data under bounds that contain these, the dual pivots start from that
+    basis on that result's layout. With ``exact`` the float run's
     basis is certified in rational arithmetic and the answer (status,
     objective, x, y) is exact; ``iterations`` counts the float run's pivot
     passes either way. A basis that fails its certificate raises

@@ -1,5 +1,6 @@
 """LP/IP solver correctness against scipy and the enumeration oracle."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,13 @@ def _unsat_c_model():
     return _model(inst, "C")
 
 
+def _solve_arrays(model, exact):
+    """The simplex result, basis included, of ``model``'s LP."""
+    form = model_arrays(model)
+    return simplex.solve_arrays(form.c, form.A, form.b, form.lb, form.ub,
+                                exact=exact)
+
+
 def _scipy_lp_value(model):
     form = model_arrays(model)
     ub = np.where(np.isinf(form.ub), None, form.ub)
@@ -71,6 +79,19 @@ class TestLp:
                 assert mine.objective == pytest.approx(ref.fun, rel=1e-6,
                                                        abs=1e-6), (seed, variant)
 
+    @pytest.mark.parametrize("variant", ["C", "HD", "HAbar"])
+    def test_matches_scipy_on_ladder_rung(self, variant):
+        # genbench ladder, 4 lines x 8 trips, 4 stations: HAbar is 718 x
+        # 8,360 and rank deficient, and primal phase 1 from the
+        # all-artificial basis ends on a singular basis there
+        inst = generate(GenConfig(seed=5, lines=4, trips_per_line=8,
+                                  stations=4))
+        m = _model(inst, variant).relaxed()
+        mine = solve_lp(m)
+        ref = _scipy_lp_value(m)
+        assert mine.status == "Optimal" and ref.status == 0
+        assert mine.objective == pytest.approx(ref.fun, rel=1e-6)
+
     def test_residuals_within_tolerance(self, two_trip):
         m = _model(two_trip, "HD").relaxed()
         sol = solve_lp(m)
@@ -82,14 +103,63 @@ class TestLp:
         m = MilpModel("bad", [Variable("x", 0.0, 0.0, False, 1.0)],
                       [Row("r", (("x", 1.0),), "=", 1.0)])
         assert solve_lp(m, exact=exact).status == "Infeasible"
-
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_infeasible_after_phase_one(self, exact):
+        # a partition no free column can fill: the dual loop from the
+        # slack basis stops on its row, which exact mode certifies
         m = MilpModel("over", [Variable("x", 0.0, 1.0, False, 1.0),
                                Variable("y", 0.0, 1.0, False, 1.0)],
                       [Row("r", (("x", 1.0), ("y", 1.0)), "=", 3.0)])
+        res = _solve_arrays(m, exact)
+        assert res.status == "Infeasible" and res.iterations > 0
+        assert res.basis.row >= 0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_infeasible_after_phase_one(self, exact, monkeypatch):
+        # a negative cost makes the slack basis dual infeasible
+        m = MilpModel("over", [Variable("x", 0.0, 1.0, False, -1.0),
+                               Variable("y", 0.0, 1.0, False, 1.0)],
+                      [Row("r", (("x", 1.0), ("y", 1.0)), "=", 3.0)])
+        passes = _record_passes(monkeypatch)
+        res = _solve_arrays(m, exact)
+        assert res.status == "Infeasible" and res.iterations > 0
+        assert res.basis.row == -1
+        assert [loop for loop, _ in passes] == ["_simplex"]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_negative_cost_runs_phase_one(self, exact, monkeypatch):
+        m = MilpModel("neg", [Variable("x", 0.0, 2.0, False, -1.0),
+                              Variable("y", 0.0, None, False, 0.5)],
+                      [Row("r", (("x", 1.0), ("y", -1.0)), "<=", 1.0)])
+        passes = _record_passes(monkeypatch)
         sol = solve_lp(m, exact=exact)
-        assert sol.status == "Infeasible" and sol.iterations > 0
+        assert sol.status == "Optimal" and sol.objective == -1.5
+        assert sol.values["x"] == 2 and sol.values["y"] == 1
+        assert [loop for loop, _ in passes] == ["_simplex", "_simplex"]
+
+    @pytest.mark.parametrize("name", sorted(canonical_instances()))
+    def test_dual_root_ends_optimal(self, monkeypatch, name):
+        # the dual loop from the slack basis reaches the optimum, so the
+        # primal pass after it only confirms
+        inst = canonical_instances()[name]
+        passes = _record_passes(monkeypatch)
+        for variant in VARIANTS7:
+            passes.clear()
+            assert solve_lp(_model(inst, variant).relaxed()).status == "Optimal"
+            assert passes[0][0] == "_dual" and passes[1:] == [("_simplex", 1)]
+
+    def test_dual_leaves_on_the_steepest_edge(self):
+        # B^-1 = diag(4, 1): row 0 violates its bound by 3 and row 1 by 2,
+        # but 3^2 / 4^2 < 2^2 / 1^2, so row 1 leaves first
+        A = np.array([[0.25, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+        b = np.array([-0.75, -2.0])
+        lb, ub = np.zeros(4), np.full(4, simplex.INF)
+        status = np.array([BASIC, BASIC, AT_LOWER, AT_LOWER])
+        p = simplex._Pivots(A, b, lb, ub, [0, 1], status,
+                            np.diag([4.0, 1.0]), 100)
+        leaving = []
+        real = p.pivot
+        p.pivot = lambda *a: leaving.append(a[3]) or real(*a)
+        assert simplex._dual(p, np.array([0.0, 0.0, 1.0, 1.0])) == -1
+        assert leaving == [1, 0] and p.basis == [2, 3]
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_unbounded_negative_cost_parking(self, exact):
@@ -118,12 +188,12 @@ class TestLp:
         inverses = []
         monkeypatch.setattr(simplex, "_inverse",
                             lambda *a: inverses.append(1) or real(*a))
-        inst = generate(GenConfig(seed=5, lines=2, trips_per_line=4,
+        inst = generate(GenConfig(seed=5, lines=2, trips_per_line=8,
                                   stations=4))
         assert solve_lp(_model(inst, "HD").relaxed()).status == "Optimal"
-        assert max(passes) > 256
-        # and once more before reporting
-        assert len(inverses) == sum(k // 256 for k in passes) + 1
+        assert max(k for _, k in passes) > 256
+        # and once more before reporting; the slack basis needs no inverse
+        assert len(inverses) == sum(k // 256 for _, k in passes) + 1
 
     def test_determinism(self, situation2):
         m = _model(situation2, "HD").relaxed()
@@ -278,16 +348,20 @@ def _record_children(monkeypatch):
 
 
 def _record_passes(monkeypatch):
-    """Record the passes of every primal loop."""
-    real = simplex._simplex
+    """Record (loop, passes) of every primal (``_simplex``) and dual
+    (``_dual``) loop, in the order they end."""
     passes = []
 
-    def recording(p, costs):
-        out = real(p, costs)
-        passes.append(p.iters)
-        return out
+    def recording(real, name):
+        def loop(p, costs):
+            out = real(p, costs)
+            passes.append((name, p.iters))
+            return out
+        return loop
 
-    monkeypatch.setattr(simplex, "_simplex", recording)
+    for name in ("_simplex", "_dual"):
+        monkeypatch.setattr(simplex, name,
+                            recording(getattr(simplex, name), name))
     return passes
 
 
@@ -324,11 +398,19 @@ class TestWarmStart:
         assert ip.iterations < ip.root.iterations * ip.nodes
 
     def test_dual_loop_keeps_dual_feasibility(self, monkeypatch):
-        # so the primal pass after it only confirms the optimum
+        # so the primal pass after it only confirms the optimum, at the
+        # root as at every child
         passes = _record_passes(monkeypatch)
-        ip = solve_ip(_branching_genbench(20, "hD"))
-        assert ip.status == "Optimal" and ip.nodes > 10
-        assert len(passes) > 2 and set(passes[2:]) == {1}  # after the root
+        children = 0
+        for seed, variant in itertools.product((3, 20, 35, 39), ("hD", "HD")):
+            ip = solve_ip(_branching_genbench(seed, variant))
+            assert ip.status == "Optimal"
+            children += ip.nodes - 1
+            if children >= 10:
+                break
+        assert children >= 10
+        primal = [k for loop, k in passes if loop == "_simplex"]
+        assert len(primal) > 1 and set(primal) == {1}
 
     def test_fixed_nonbasic_column_never_enters(self, monkeypatch):
         children = _record_children(monkeypatch)
