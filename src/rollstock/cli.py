@@ -171,8 +171,7 @@ def cmd_gen(args) -> int:
 def cmd_export_lp(args) -> int:
     instance = _load_instance(args)
     graph = analysis.build_variant(instance, args.variant, args.closure)
-    opts = ModelOptions(relax=args.lp,
-                        connection_constraints=not args.no_connection_constraints)
+    opts = ModelOptions(connection_constraints=not args.no_connection_constraints)
     model = assemble(graph, opts)
     if args.lp:
         model = model.relaxed()
@@ -192,6 +191,9 @@ def _add_model_args(p):
     p.add_argument("--closure", action="store_true",
                    help="use the closure of direct connection arcs")
     p.add_argument("--no-connection-constraints", action="store_true")
+
+
+def _add_solve_args(p):
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--node-limit", type=int, default=200000)
     p.add_argument("--exact-rational", action="store_true",
@@ -217,6 +219,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one model variant")
     _add_instance_args(p)
     _add_model_args(p)
+    _add_solve_args(p)
     p.add_argument("--lp", action="store_true", help="LP relaxation only")
     p.add_argument("--json", action="store_true")
     p.add_argument("--export-lp", metavar="PATH")
@@ -226,6 +229,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="solve and relate all variants")
     _add_instance_args(p)
     _add_model_args(p)
+    _add_solve_args(p)
     p.add_argument("--all", action="store_true")
     p.add_argument("--variants", nargs="*")
     p.add_argument("--json", action="store_true")

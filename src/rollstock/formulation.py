@@ -42,9 +42,7 @@ class Row:
 
 @dataclass(frozen=True)
 class ModelOptions:
-    relax: bool = False
     connection_constraints: bool = True
-    variant: str = ""
 
 
 @dataclass
@@ -52,12 +50,7 @@ class MilpModel:
     name: str
     variables: list[Variable]
     rows: list[Row]
-    options: ModelOptions = field(default_factory=ModelOptions)
     kinds: dict[str, str] = field(default_factory=dict)  # var id -> hyperarc kind
-
-    @property
-    def var_ids(self) -> list[str]:
-        return [v.id for v in self.variables]
 
     def stats(self) -> tuple[int, int]:
         return len(self.variables), len(self.rows)
@@ -67,7 +60,6 @@ class MilpModel:
             name=self.name,
             variables=[replace(v, integer=False) for v in self.variables],
             rows=list(self.rows),
-            options=replace(self.options, relax=True),
             kinds=dict(self.kinds),
         )
 
@@ -97,19 +89,17 @@ def assemble(graph: Hypergraph | CompositionGraph,
              options: ModelOptions | None = None) -> MilpModel:
     """Build the MILP of one model variant."""
     if isinstance(graph, CompositionGraph):
-        return _assemble_composition(graph, options or ModelOptions(variant="C"))
-    return _assemble_hypergraph(graph, options or ModelOptions(variant=graph.variant))
+        return _assemble_composition(graph, options or ModelOptions())
+    return _assemble_hypergraph(graph, options or ModelOptions())
 
 
 def _assemble_hypergraph(g: Hypergraph, options: ModelOptions) -> MilpModel:
-    options = replace(options, variant=g.variant)
-    integer = not options.relax
     variables: list[Variable] = []
     kinds: dict[str, str] = {}
     for h in _ordered_hyperarcs(g):
         unbounded = h.kind in ("Parking", "InventoryDeviation")
         variables.append(Variable(h.id, 0.0, None if unbounded else float(h.upper),
-                                  integer=integer, cost=float(h.cost)))
+                                  integer=True, cost=float(h.cost)))
         kinds[h.id] = h.kind
 
     rows: list[Row] = []
@@ -136,15 +126,13 @@ def _assemble_hypergraph(g: Hypergraph, options: ModelOptions) -> MilpModel:
             coeffs = {hid: 1.0 for hid in g.connection_arcs[c]}
             rows.append(Row(f"conn.{c}", _coeff_tuple(coeffs), "=", 1.0))
 
-    return MilpModel(f"{g.instance.name}-{g.variant}", variables, rows, options, kinds)
+    return MilpModel(f"{g.instance.name}-{g.variant}", variables, rows, kinds)
 
 
 def _assemble_composition(cg: CompositionGraph, options: ModelOptions) -> MilpModel:
     if not options.connection_constraints:
         raise InvalidOptions("the composition model cannot drop the connection "
                              "constraints")
-    options = replace(options, variant="C")
-    integer = not options.relax
     variables: list[Variable] = []
     kinds: dict[str, str] = {}
 
@@ -156,13 +144,13 @@ def _assemble_composition(cg: CompositionGraph, options: ModelOptions) -> MilpMo
         order.extend(sorted(cg.connection_arcs[c.id]))
     for aid in order:
         a = cg.by_id[aid]
-        variables.append(Variable(aid, 0.0, 1.0, integer=integer, cost=float(a.cost)))
+        variables.append(Variable(aid, 0.0, 1.0, integer=True, cost=float(a.cost)))
         kinds[aid] = a.kind
     dev_rate = float(cg.instance.costs.ending_deviation_per_unit)
     for e in cg.end_inventories:
         for side in ("surplus", "deficit"):
             vid = f"dev.{e.station}.{e.unit_type}.{side}"
-            variables.append(Variable(vid, 0.0, None, integer=integer, cost=dev_rate))
+            variables.append(Variable(vid, 0.0, None, integer=True, cost=dev_rate))
             kinds[vid] = "InventoryDeviation"
 
     rows: list[Row] = []
@@ -210,7 +198,7 @@ def _assemble_composition(cg: CompositionGraph, options: ModelOptions) -> MilpMo
         rows.append(Row(f"end.{e.station}.{e.unit_type}", _coeff_tuple(coeffs),
                         "=", float(e.target - e.start)))
 
-    return MilpModel(f"{cg.instance.name}-C", variables, rows, options, kinds)
+    return MilpModel(f"{cg.instance.name}-C", variables, rows, kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Embedded LP/MILP solving for assembled models.
 
 ``solve_lp`` runs the bounded simplex, dual pivots from the slack basis
-and one confirming primal pass (in floats, or with a rational certificate
-of the final basis in exact mode);
+and one primal pass (in floats, or with a rational certificate of the
+final basis in exact mode), the one path for every LP;
 ``solve_ip`` wraps it in branch and bound, whose children start from their
 parent's basis by dual simplex, and keeps the root node's answer as the LP
 relaxation's; ``enumerate_oracle`` computes ground-truth integer optima on

@@ -4,19 +4,20 @@ Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). Columns fixed
 by equal bounds are substituted out and rows left without a free column are
 dropped before the iterations start (the run's *layout*). A cold run starts
 from the slack basis: one artificial column per remaining row, every other
-column at its lower bound.
+column at its lower bound. A warm run starts from an earlier run's layout
+and final basis under bounds that only tighten, as in a branch-and-bound
+child; a column the new bounds fix stays in the layout and never enters.
 
-That basis has zero duals, so when no free column costs less than zero
-(every model built from a valid instance) it is dual feasible: the
-artificial columns are held at zero and dual pivots (dual steepest edge
-picks the leaving row, Forrest and Goldfarb 1992; the smallest ratio
-|d_j / alpha_rj| enters) restore primal feasibility. A warm start does the
-same from an earlier run's layout and final basis under bounds that only
-tighten, as in a branch-and-bound child; a column the new bounds fix stays
-in the layout and never enters. A row that no column can repair proves
-infeasibility; otherwise one primal phase-2 pass confirms optimality. Only
-a cold start with a negative-cost column runs primal phase 1 over free
-artificial columns instead.
+Every run then takes the same two steps, with the artificial columns held
+at zero. Dual pivots (dual steepest edge picks the leaving row, Forrest and
+Goldfarb 1992; the smallest ratio |d_j / alpha_rj| enters) restore primal
+feasibility, or stop on a row that no column can repair, which proves
+infeasibility. One primal pass then optimises with the true costs. The
+dual pivots need a dual-feasible start: a warm basis is optimal for the
+same costs, and the slack basis has zero duals, so a cold run prices them
+at the costs clipped at zero (cost modification; Koberstein and Suhl
+2007). Without a negative cost, as in every model built from a valid
+instance, those are the true costs and the primal pass only confirms.
 
 Pivoting is deterministic: Dantzig pricing in the primal loop, lowest-index
 tie-breaking, and a permanent fall back to Bland's rule once a run of
@@ -30,12 +31,12 @@ in rational arithmetic, runs the float simplex, and then certifies the basis
 that run ends on (the approach of QSopt_ex, Applegate, Cook, Dash and
 Espinoza 2007), over that run's layout. One sparse rational elimination
 solves B x_B = b - N x_N and B'y = c_B. An optimum needs its primal bounds
-and reduced-cost signs; an infeasibility needs an optimal phase-1 basis with
-a positive artificial sum, or, from the dual loop, a row r with B'u = e_r
-whose basic value u.b - sum_j (u.A_j) x_j cannot reach its bounds for any
-nonbasic x_j within theirs; an unboundedness needs a feasible phase-2 basis
-and an improving column that no basic variable blocks. A basis that fails,
-or a float run that fails, raises ``NumericalFailure`` naming the check.
+and reduced-cost signs; an infeasibility needs the dual loop's row r, with
+B'u = e_r, whose basic value u.b - sum_j (u.A_j) x_j cannot reach its
+bounds for any nonbasic x_j within theirs; an unboundedness needs a
+feasible basis and an improving column that no basic variable blocks. A
+basis that fails, or a float run that fails, raises ``NumericalFailure``
+naming the check.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ BASIC = 2
 
 TOL = 1e-9        # pricing and ratio-test pivots
 TIE = 1e-12       # ratio ties and degenerate steps
-FEAS_TOL = 1e-7   # dead rows and the phase-1 artificial sum
+FEAS_TOL = 1e-7   # right-hand sides of dead rows
 
 
 @dataclass
@@ -72,12 +73,10 @@ class SimplexResult:
 class _Basis:
     """Where the float run stopped, over its layout: the reduced columns
     are the free columns in order, then the artificial column
-    ``sign[i] * e_i`` of each live row. ``state`` is Optimal (phase 2),
-    Infeasible (phase 1, or with ``row`` set the dual loop's basis position
-    that no column can repair) or Unbounded (phase 2, ``entering`` improves
-    without a blocking row)."""
+    ``sign[i] * e_i`` of each live row. An Infeasible run sets ``row``, the
+    dual loop's basis position that no column can repair; an Unbounded run
+    sets ``entering``, the column that improves without a blocking row."""
 
-    state: str
     free_cols: list[int]
     live_rows: list[int]
     sign: np.ndarray
@@ -309,12 +308,10 @@ def _dual(p: _Pivots, costs) -> int:
 def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
     """The float run, from ``start``'s basis on its layout or else from the
     slack basis: one artificial column per live row, every other column at
-    its lower bound. That basis has zero duals, so it is dual feasible when
-    no free column costs less than zero; then, as from a ``start``, the
-    artificial columns are held at zero and the dual loop runs first. Only a
-    slack basis with a negative-cost column goes through primal phase 1,
-    with the artificial columns free. The result's ``basis`` is None when
-    the presolve alone proves infeasibility.
+    its lower bound. The artificial columns are held at zero; the dual loop
+    runs first (on the costs clipped at zero from the slack basis, whose
+    duals are zero), then one primal pass on the true costs. The result's
+    ``basis`` is None when the presolve alone proves infeasibility.
     """
     n_all = len(c)
     if (lb > ub).any():
@@ -347,21 +344,23 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
     lb_r = lb[free_cols]
     ub_r = ub[free_cols]
     b_r = b_eff[live_rows]
-    phase2 = np.concatenate([c[free_cols], np.zeros(m)])
+    costs = np.concatenate([c[free_cols], np.zeros(m)])
     if start is None:
         sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0)
         basis = list(range(n, n + m))
         status = np.full(n + m, AT_LOWER, dtype=int)
         status[n:] = BASIC
+        # the slack basis has zero duals, so it is dual feasible for the
+        # costs clipped at zero; the primal pass restores the true costs
+        dual_costs = np.maximum(costs, 0.0)
     else:
         sign, basis, status = start.sign, list(start.basis), start.status.copy()
-    dual = start is not None or bool((phase2 >= 0).all())
+        dual_costs = costs
 
     full_A = np.concatenate([A_r, np.diag(sign)], axis=1)
     full_lb = np.concatenate([lb_r, np.zeros(m)])
-    # the dual loop and phase 2 hold the artificial columns at zero
-    full_ub = np.concatenate([ub_r, np.full(m, 0.0 if dual else INF)])
-    run = _Basis("Optimal", free_cols, live_rows, sign, basis, status)
+    full_ub = np.concatenate([ub_r, np.zeros(m)])  # artificials held at zero
+    run = _Basis(free_cols, live_rows, sign, basis, status)
 
     iterations = 0
     x_r = y_r = np.zeros(0)
@@ -370,31 +369,20 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
         B_inv = np.diag(sign) if start is None else _inverse(full_A, basis)
         p = _Pivots(full_A, b_r, full_lb, full_ub, basis, status, B_inv,
                     max_iter)
-        if dual:
-            run.row = _dual(p, phase2)
-            infeasible = run.row >= 0
-        else:
-            state, _ = _simplex(p, np.concatenate([np.zeros(n), np.ones(m)]))
-            if state == "Unbounded":
-                raise NumericalFailure("phase 1 unbounded")
-            infeasible = sum((p.x_B[i] for i in range(m) if basis[i] >= n),
-                             0.0) > FEAS_TOL
+        run.row = _dual(p, dual_costs)
         iterations = p.iters
-        if infeasible:
-            run.state = "Infeasible"
+        if run.row >= 0:
             return SimplexResult("Infeasible", iterations=iterations,
                                  basis=run)
-        full_ub[n:] = 0.0
-        state, run.entering = _simplex(p, phase2)
+        state, run.entering = _simplex(p, costs)
         iterations += p.iters
         if state == "Unbounded":
-            run.state = "Unbounded"
             return SimplexResult("Unbounded", iterations=iterations,
                                  basis=run)
         p.refactor()  # wash out eta-update drift before reporting
         x_r = _nonbasic_values(full_lb, full_ub, status)
         x_r[basis] = p.x_B
-        y_r = phase2[basis] @ p.B_inv
+        y_r = costs[basis] @ p.B_inv
 
     x = lb.copy()
     x[free_cols] = x_r[:n]
@@ -508,12 +496,10 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
     at = {i: k for k, i in enumerate(run.live_rows)}
     column = [[(at[i], a) for i, a in cols[j]] for j in run.free_cols] + \
         [[(k, Fraction(int(s)))] for k, s in enumerate(run.sign)]
-    phase1 = run.state == "Infeasible" and run.row < 0
     lo = [lo_all[j] for j in run.free_cols] + [Fraction(0)] * m
-    up = [up_all[j] for j in run.free_cols] + \
-        [INF if phase1 else Fraction(0)] * m
-    costs = [Fraction(0)] * n + [Fraction(1)] * m if phase1 else \
-        [cost.get(j, Fraction(0)) for j in run.free_cols] + [Fraction(0)] * m
+    up = [up_all[j] for j in run.free_cols] + [Fraction(0)] * m
+    costs = [cost.get(j, Fraction(0)) for j in run.free_cols] + \
+        [Fraction(0)] * m
     basis, status = run.basis, run.status
 
     # x_B from B x_B = b - N x_N
@@ -532,7 +518,7 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
         for k, a in column[j]:
             B_rows[k][pos] = a
     wanted = [b_r]
-    if run.state == "Unbounded":  # and the entering column's tableau column
+    if approx.status == "Unbounded":  # and the entering column's B^-1 A_e
         entering = dict(column[run.entering])
         wanted.append([entering.get(k, 0) for k in range(m)])
     solved = _rational_solve(B_rows, wanted)
@@ -570,7 +556,7 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
             raise NumericalFailure(f"certificate: basic column {j} = "
                                    f"{x_r[j]} is outside its bounds")
 
-    if run.state == "Unbounded":
+    if approx.status == "Unbounded":
         e, w = run.entering, solved[1]
         direction = 1 if status[e] == AT_LOWER else -1
         gain = costs[e] - sum(costs[j] * w[pos] for pos, j in enumerate(basis))
@@ -593,11 +579,6 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
         if (d < 0) if status[j] == AT_LOWER else (d > 0):
             raise NumericalFailure(f"certificate: reduced cost {d} of column "
                                    f"{j} has the wrong sign")
-    if phase1:
-        if not sum(x_r[n:]) > 0:
-            raise NumericalFailure("certificate: the phase-1 optimum is zero")
-        return SimplexResult("Infeasible", iterations=approx.iterations,
-                             basis=run)
 
     x = np.array(lo_all, dtype=object)
     for k, j in enumerate(run.free_cols):
@@ -618,13 +599,12 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     ``A`` is (m x n); bounds may use ``float('inf')`` for no upper bound.
     Fixed columns (equal bounds) are substituted out up front, and the run
     reaches the answer by dual pivots from the slack basis, then one primal
-    pass; only a negative-cost column sends it through primal phase 1
-    instead. With ``start``, the ``basis`` of an earlier result on the same
-    data under bounds that contain these, the dual pivots start from that
-    basis on that result's layout. With ``exact`` the float run's
-    basis is certified in rational arithmetic and the answer (status,
-    objective, x, y) is exact; ``iterations`` counts the float run's pivot
-    passes either way. A basis that fails its certificate raises
+    pass; a row the dual pivots cannot repair makes it Infeasible. With
+    ``start``, the ``basis`` of an earlier result on the same data under
+    bounds that contain these, the dual pivots start from that basis on
+    that result's layout. With ``exact`` the float run's basis is certified
+    in rational arithmetic and the answer (status, objective, x, y) is
+    exact; ``iterations`` counts the float run's pivot passes either way. A basis that fails its certificate raises
     ``NumericalFailure``; there is no rational pivoting.
     """
     c, A, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, A, b, lb, ub))

@@ -114,6 +114,15 @@ class TestCommands:
         assert run(["solve", "--variant", "bogus"]) == 2
         assert run(["definitely-not-a-command"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--exact-rational"], ["--tol", "1e-6"],
+                                      ["--node-limit", "5"]],
+                             ids=["exact-rational", "tol", "node-limit"])
+    def test_export_lp_takes_no_solve_flag(self, capsys, tmp_path, flag):
+        path = tmp_path / "model.lp"
+        assert run(["export-lp", "--canonical", "TwoTrip", "--out", str(path),
+                    *flag]) == 2
+        assert not path.exists()
+
     def test_compare_node_limit_zero_is_undecided(self, capsys):
         code, out, _ = _capture(capsys, ["compare", "--canonical", "Situation2",
                                          "--node-limit", "0", "--deterministic",

@@ -82,8 +82,7 @@ class TestLp:
     @pytest.mark.parametrize("variant", ["C", "HD", "HAbar"])
     def test_matches_scipy_on_ladder_rung(self, variant):
         # genbench ladder, 4 lines x 8 trips, 4 stations: HAbar is 718 x
-        # 8,360 and rank deficient, and primal phase 1 from the
-        # all-artificial basis ends on a singular basis there
+        # 8,360 and rank deficient, one dependent flow row per unit type
         inst = generate(GenConfig(seed=5, lines=4, trips_per_line=8,
                                   stations=4))
         m = _model(inst, variant).relaxed()
@@ -113,19 +112,22 @@ class TestLp:
         assert res.basis.row >= 0
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_infeasible_after_phase_one(self, exact, monkeypatch):
-        # a negative cost makes the slack basis dual infeasible
+    def test_infeasible_with_negative_cost(self, exact, monkeypatch):
+        # the dual loop stops on the row whatever the costs, and exact mode
+        # certifies that row
         m = MilpModel("over", [Variable("x", 0.0, 1.0, False, -1.0),
                                Variable("y", 0.0, 1.0, False, 1.0)],
                       [Row("r", (("x", 1.0), ("y", 1.0)), "=", 3.0)])
         passes = _record_passes(monkeypatch)
         res = _solve_arrays(m, exact)
         assert res.status == "Infeasible" and res.iterations > 0
-        assert res.basis.row == -1
-        assert [loop for loop, _ in passes] == ["_simplex"]
+        assert res.basis.row >= 0
+        assert [loop for loop, _ in passes] == ["_dual"]
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_negative_cost_runs_phase_one(self, exact, monkeypatch):
+        # the dual loop reaches a feasible basis on the clipped costs, and
+        # the primal pass optimises the true ones
         m = MilpModel("neg", [Variable("x", 0.0, 2.0, False, -1.0),
                               Variable("y", 0.0, None, False, 0.5)],
                       [Row("r", (("x", 1.0), ("y", -1.0)), "<=", 1.0)])
@@ -133,7 +135,45 @@ class TestLp:
         sol = solve_lp(m, exact=exact)
         assert sol.status == "Optimal" and sol.objective == -1.5
         assert sol.values["x"] == 2 and sol.values["y"] == 1
-        assert [loop for loop, _ in passes] == ["_simplex", "_simplex"]
+        assert [loop for loop, _ in passes] == ["_dual", "_simplex"]
+
+    def test_cold_dual_loop_sees_no_negative_cost(self, monkeypatch):
+        # the slack basis is dual feasible only for nonnegative costs; a
+        # warm child's basis is optimal for the true costs and keeps them
+        real = simplex._dual
+        seen = []
+        monkeypatch.setattr(simplex, "_dual", lambda p, costs: (
+            seen.append(float(costs.min())) or real(p, costs)))
+        m = MilpModel("fix", [Variable("x", 0.0, 1.0, True, -1.0),
+                              Variable("y", 0.0, 1.0, True, -2.0)],
+                      [Row("r", (("x", 1.0), ("y", 1.0)), "<=", 1.5)])
+        ip = solve_ip(m)
+        assert ip.status == "Optimal" and ip.objective == pytest.approx(-2.0)
+        assert ip.nodes == 3 and seen[0] == 0.0 and seen[1:] == [-2.0, -2.0]
+
+    @pytest.mark.parametrize("name", sorted(canonical_instances()))
+    @pytest.mark.parametrize("variant", ["HD", "C", "hAbar"])
+    def test_negative_costs_on_canonicals(self, name, variant):
+        # every bounded column pays -c-1: the slack basis is dual
+        # infeasible for these costs, the answer is still HiGHS's
+        form = model_arrays(_model(canonical_instances()[name],
+                                   variant).relaxed())
+        bounded = np.isfinite(form.ub)
+        c = np.where(bounded, -form.c - 1.0, form.c)
+        ref = scipy_opt.linprog(c, A_eq=form.A, b_eq=form.b, method="highs",
+                                bounds=list(zip(form.lb, np.where(
+                                    bounded, form.ub, None))))
+        assert ref.status == 0
+        for exact in (False, True):
+            res = simplex.solve_arrays(c, form.A, form.b, form.lb, form.ub,
+                                       exact=exact)
+            assert res.status == "Optimal"
+            assert float(res.objective) == pytest.approx(ref.fun, rel=1e-6)
+        # and a negative cost on every unbounded column is a ray
+        c = np.where(bounded, form.c, -1.0)
+        for exact in (False, True):
+            assert simplex.solve_arrays(c, form.A, form.b, form.lb, form.ub,
+                                        exact=exact).status == "Unbounded"
 
     @pytest.mark.parametrize("name", sorted(canonical_instances()))
     def test_dual_root_ends_optimal(self, monkeypatch, name):
@@ -467,13 +507,15 @@ class TestOracle:
         assert ip.root.status == solve_lp(model.relaxed()).status
 
 
-def _hand_basis(monkeypatch, edit):
-    """Let the certificate see the float run's basis after ``edit(run)``."""
+def _hand_basis(monkeypatch, edit, status=None):
+    """Let the certificate see the float run's basis after ``edit(run)``,
+    and the float run's status as ``status`` if one is given."""
     real = simplex._solve_float
 
     def edited(*args):
         res = real(*args)
         edit(res.basis)
+        res.status = status or res.status
         return res
 
     monkeypatch.setattr(simplex, "_solve_float", edited)
@@ -509,21 +551,19 @@ class TestCertificate:
          "column 0 is no unbounded ray"),
         (_P_GE_0, "Unbounded", [1], [AT_LOWER, BASIC, AT_LOWER],
          "column 0 is no unbounded ray"),
-        (_X_LE_1, "Infeasible", [1], [AT_LOWER, BASIC, AT_LOWER],
-         "the phase-1 optimum is zero"),
     ], ids=["non-optimal", "infeasible", "at-infinity", "singular",
-            "blocked-ray", "ascending-ray", "feasible-phase-1"])
+            "blocked-ray", "ascending-ray"])
     def test_wrong_basis_names_the_failed_check(self, monkeypatch, model,
                                                 state, basis, status, failure):
         m = MilpModel("handed", *model)
         assert solve_lp(m, exact=True).status == "Optimal"
 
         def hand(run):
-            run.state, run.entering = state, 0
+            run.entering = 0
             run.basis[:] = basis
             run.status[:] = status
 
-        _hand_basis(monkeypatch, hand)
+        _hand_basis(monkeypatch, hand, state)
         with pytest.raises(NumericalFailure, match=f"certificate: {failure}"):
             solve_lp(m, exact=True)
 
@@ -540,11 +580,11 @@ class TestCertificate:
         m = MilpModel("handed", *model)
 
         def hand(run):
-            run.state, run.row = "Infeasible", 0
+            run.row = 0
             run.basis[:] = basis
             run.status[:] = status
 
-        _hand_basis(monkeypatch, hand)
+        _hand_basis(monkeypatch, hand, "Infeasible")
         with pytest.raises(NumericalFailure, match=f"certificate: {failure}"):
             solve_lp(m, exact=True)
 
