@@ -509,29 +509,30 @@ def to_dict(instance: Instance) -> dict:
     return d
 
 
+# how each list of the JSON form becomes entities, in the order read
+_ENTITIES = {
+    "unit_types": lambda u: UnitType(u["id"], u["length_units"], u["seats"]),
+    "compositions": lambda p: Composition(p["id"], tuple(p["units"])),
+    "trips": lambda t: Trip(t["id"], t["dep_station"], t["arr_station"],
+                            t["dep_time"], t["arr_time"], t["distance_km"],
+                            t["demand_seats"], tuple(t["allowed_compositions"])),
+    "connections": lambda c: Connection(
+        c["id"], c["kind"], tuple(c["predecessors"]), tuple(c["successors"]),
+        tuple(tuple(e) for e in c["allowed_changes"])
+        if c.get("allowed_changes") else None),
+    "depots": lambda x: Depot(x["station"], x["unit_type"],
+                              x.get("start_inventory", 0),
+                              x.get("target_end_inventory", 0)),
+}
+
+
 def from_dict(d: dict) -> Instance:
     """Instance from its JSON form; raises :class:`MalformedInstance` on a
-    missing key or a value of the wrong shape."""
+    missing key, named by its path, or a value of the wrong shape."""
     try:
         return Instance(
             name=d.get("name", "unnamed"),
-            unit_types=tuple(UnitType(u["id"], u["length_units"], u["seats"])
-                             for u in d["unit_types"]),
-            compositions=tuple(Composition(p["id"], tuple(p["units"]))
-                               for p in d["compositions"]),
-            trips=tuple(Trip(t["id"], t["dep_station"], t["arr_station"],
-                             t["dep_time"], t["arr_time"], t["distance_km"],
-                             t["demand_seats"], tuple(t["allowed_compositions"]))
-                        for t in d["trips"]),
-            connections=tuple(Connection(
-                c["id"], c["kind"], tuple(c["predecessors"]), tuple(c["successors"]),
-                tuple(tuple(e) for e in c["allowed_changes"])
-                if c.get("allowed_changes") else None)
-                for c in d["connections"]),
-            depots=tuple(Depot(x["station"], x["unit_type"],
-                               x.get("start_inventory", 0),
-                               x.get("target_end_inventory", 0))
-                         for x in d["depots"]),
+            **{key: tuple(map(make, d[key])) for key, make in _ENTITIES.items()},
             costs=CostParams(**d.get("costs", {})),
             direct_arcs=tuple(tuple(a) for a in d["direct_arcs"])
             if d.get("direct_arcs") is not None else None,
@@ -539,9 +540,24 @@ def from_dict(d: dict) -> Instance:
             shunt=ShuntConfig(**d.get("shunting", {})),
         )
     except KeyError as e:
-        raise MalformedInstance(f"instance lacks required key {e.args[0]!r}") from None
+        raise MalformedInstance("instance lacks required key "
+                                f"{_key_path(d, e.args[0])!r}") from None
     except (AttributeError, TypeError, ValueError) as e:
         raise MalformedInstance(f"malformed instance: {e}") from None
+
+
+def _key_path(d: dict, key: str) -> str:
+    """The path of the key ``from_dict`` missed, as ``trips[3].dep_time``,
+    found by reading the lists again in the same order."""
+    for name, make in _ENTITIES.items():
+        if name not in d:
+            return name
+        for k, item in enumerate(d[name]):
+            try:
+                make(item)
+            except KeyError as e:
+                return f"{name}[{k}].{e.args[0]}"
+    return key
 
 
 def dumps(instance: Instance) -> str:

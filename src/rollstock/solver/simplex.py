@@ -6,7 +6,8 @@ dropped before the iterations start (the run's *layout*). A cold run starts
 from the slack basis: one artificial column per remaining row, every other
 column at its lower bound. A warm run starts from an earlier run's layout
 and final basis under bounds that only tighten, as in a branch-and-bound
-child; a column the new bounds fix stays in the layout and never enters.
+child, and from a copy of that run's final basis inverse; a column the new
+bounds fix stays in the layout and never enters.
 
 Every run then takes the same two steps, with the artificial columns held
 at zero. Dual pivots (dual steepest edge picks the leaving row, Forrest and
@@ -21,9 +22,12 @@ instance, those are the true costs and the primal pass only confirms.
 
 Pivoting is deterministic: Dantzig pricing in the primal loop, lowest-index
 tie-breaking, and a permanent fall back to Bland's rule once a run of
-degenerate pivots suggests cycling. The basis inverse is kept explicitly,
-updated by a rank-one eta step per pivot (one routine for the primal and the
-dual loop) and refactorized every 256 iterations.
+degenerate pivots suggests cycling. The basis inverse is kept explicitly
+and refactorized every 256 iterations. In between, a pass works in
+proportion to what its pivot changes (Hall and McKinnon 2005): the eta step
+(one routine for both loops) updates the rows of B^-1 where B^-1 A_q is
+nonzero and their steepest-edge norms, and the dual loop carries its
+reduced costs along the pivot row, d -= (d_q / alpha_rq) alpha_r.
 
 The rational mode backs the optimal-value *equality* assertions between
 models. It does not pivot over ``Fraction``s: it takes the presolve decisions
@@ -75,7 +79,9 @@ class _Basis:
     are the free columns in order, then the artificial column
     ``sign[i] * e_i`` of each live row. An Infeasible run sets ``row``, the
     dual loop's basis position that no column can repair; an Unbounded run
-    sets ``entering``, the column that improves without a blocking row."""
+    sets ``entering``, the column that improves without a blocking row. An
+    Optimal run keeps ``B_inv``, the inverse of its final refactorization,
+    and a run started from this basis begins from a copy of it."""
 
     free_cols: list[int]
     live_rows: list[int]
@@ -84,6 +90,7 @@ class _Basis:
     status: np.ndarray
     entering: int = -1
     row: int = -1
+    B_inv: np.ndarray | None = None
 
 
 def to_fraction(v) -> Fraction:
@@ -159,21 +166,24 @@ def _ratio_test(lb, ub, basis_arr, x_B, col, direction, cap):
 
 
 class _Pivots:
-    """A basis of the reduced problem as the pivot loops move it: B^-1, the
-    basic values ``x_B`` and the column statuses. ``basis`` and ``status``
-    are the caller's and are updated in place."""
+    """A basis of the reduced problem as the pivot loops move it: B^-1, its
+    squared row ``norms``, the basic values ``x_B`` and the column statuses.
+    ``basis`` and ``status`` are the caller's and are updated in place;
+    ``d`` holds the reduced costs that the dual loop carries."""
 
     def __init__(self, A, b, lb, ub, basis: list[int], status: np.ndarray,
                  B_inv, max_iter: int):
         self.A, self.b, self.lb, self.ub = A, b, lb, ub
         self.basis, self.status, self.B_inv = basis, status, B_inv
         self.max_iter = max_iter
+        # the nonzeros of A column by column; ``at[j]:at[j + 1]`` is column j
+        self.nz_cols, self.nz_rows = np.nonzero(A.T)
+        self.nz_vals = A[self.nz_rows, self.nz_cols]
+        self.at = np.searchsorted(self.nz_cols, np.arange(A.shape[1] + 1))
 
     def start(self):
-        """Begin a loop: basic values from B^-1 and the current bounds."""
-        self.x_B = _basic_values(self.A, self.b, self.lb, self.ub, self.status,
-                                 self.B_inv)
-        self.basis_arr = np.array(self.basis)
+        """Begin a loop: norms and basic values from B^-1 and the bounds."""
+        self._derive()
         self.fixed = self.lb == self.ub
         self.iters = 0
 
@@ -186,15 +196,35 @@ class _Pivots:
 
     def refactor(self):
         self.B_inv = _inverse(self.A, self.basis)
+        self._derive()
+
+    def _derive(self):
+        self.norms = np.einsum("ij,ij->i", self.B_inv, self.B_inv)
         self.x_B = _basic_values(self.A, self.b, self.lb, self.ub, self.status,
                                  self.B_inv)
         self.basis_arr = np.array(self.basis)
 
-    def pivot(self, entering: int, col, delta, leaving: int, leave_to: int):
+    def reduced_costs(self, costs):
+        """c - (c_B B^-1) A, priced afresh."""
+        return costs - (costs[self.basis] @ self.B_inv) @ self.A
+
+    def column(self, j):
+        """B^-1 A_j, over the nonzeros of A_j."""
+        nz = slice(self.at[j], self.at[j + 1])
+        return self.B_inv[:, self.nz_rows[nz]] @ self.nz_vals[nz]
+
+    def row(self, r):
+        """e_r' B^-1 A, over the nonzeros of A."""
+        weights = self.B_inv[r, self.nz_rows] * self.nz_vals
+        return np.bincount(self.nz_cols, weights, minlength=self.A.shape[1])
+
+    def pivot(self, entering: int, col, delta, leaving: int,
+              leave_to: int) -> bool:
         """Move the nonbasic column ``entering`` by ``delta``; ``col`` is
         B^-1 A_entering. With ``leaving`` -1 the column flips to its other
         bound; otherwise it takes the basis position ``leaving``, whose
-        column goes to ``leave_to``. Refactorizes before every 256th pass."""
+        column goes to ``leave_to``. Refactorizes before every 256th pass,
+        and returns whether it did."""
         status = self.status
         x_B = self.x_B - col * delta
         if leaving < 0:
@@ -207,14 +237,19 @@ class _Pivots:
             status[entering] = BASIC
             self.basis[leaving] = entering
             self.basis_arr[leaving] = entering
+            # the eta step: a row with col[i] == 0 would lose 0 * row
             B_inv = self.B_inv
-            B_inv[leaving, :] /= col[leaving]
-            factor = col.copy()
-            factor[leaving] = 0.0
-            B_inv -= np.outer(factor, B_inv[leaving, :])
+            row = B_inv[leaving] / col[leaving]
+            touched = np.flatnonzero(col)
+            B_inv[touched] -= col[touched, None] * row
+            B_inv[leaving] = row
+            new = B_inv[touched]
+            self.norms[touched] = np.einsum("ij,ij->i", new, new)
         self.x_B = x_B
         if (self.iters + 1) % 256 == 0:
             self.refactor()
+            return True
+        return False
 
 
 def _cycling(degenerate_run: int, p: _Pivots) -> bool:
@@ -232,14 +267,13 @@ def _simplex(p: _Pivots, costs):
     bland = False
     while True:
         p.count()
-        y = costs[p.basis] @ p.B_inv
-        d = costs - y @ p.A
-        entering = _pick_entering(p.status, d, p.fixed, bland)
+        entering = _pick_entering(p.status, p.reduced_costs(costs), p.fixed,
+                                  bland)
         if entering < 0:
             return "Optimal", -1
 
         direction = 1 if p.status[entering] == AT_LOWER else -1
-        col = p.B_inv @ p.A[:, entering]
+        col = p.column(entering)
         lo, up = p.lb[entering], p.ub[entering]
         cap = up - lo if up != INF else INF
         t, leaving, leave_to = _ratio_test(p.lb, p.ub, p.basis_arr, p.x_B, col,
@@ -259,14 +293,16 @@ def _dual(p: _Pivots, costs) -> int:
     (the reduced problem is infeasible).
 
     The leaving position r maximises the dual steepest-edge ratio
-    viol_r^2 / |e_r' B^-1|^2, with the row norms read off the explicit
-    inverse, the lowest position on ties (once a run of degenerate pivots
+    viol_r^2 / |e_r' B^-1|^2, with the exact row norms that ``_Pivots``
+    keeps, the lowest position on ties (once a run of degenerate pivots
     suggests cycling: the violated position with the lowest basic column,
     as Bland's rule). The entering column has the smallest |d_j / alpha_rj|
     among nonbasic columns that are not fixed and push the leaving value
-    toward its bound, the lowest index on ties.
+    toward its bound, the lowest index on ties. d is priced afresh only at
+    the start and after a refactorization, else d -= (d_q / alpha_rq) alpha_r.
     """
     p.start()
+    p.d = p.reduced_costs(costs)
     degenerate_run = 0
     bland = False
     while True:
@@ -280,29 +316,32 @@ def _dual(p: _Pivots, costs) -> int:
         if bland:
             r = int(np.flatnonzero(bad)[np.argmin(p.basis_arr[bad])])
         else:
-            r = int(np.argmax(np.where(bad, viol, 0.0) ** 2
-                              / np.einsum("ij,ij->i", p.B_inv, p.B_inv)))
+            r = int(np.argmax(np.where(bad, viol, 0.0) ** 2 / p.norms))
         to_lower = below[r] > 0
 
         direction = np.where(p.status == AT_LOWER, 1.0, -1.0)
         # a unit step of nonbasic column j moves x_B[r] by -alpha_rj
         # * direction_j; ``push`` is that move toward the violated bound
-        push = (p.B_inv[r] @ p.A) * direction * (-1.0 if to_lower else 1.0)
+        alpha = p.row(r)
+        push = alpha * direction * (-1.0 if to_lower else 1.0)
         eligible = np.flatnonzero((push > TOL) & (p.status != BASIC) & ~p.fixed)
         if eligible.size == 0:
             return r
-        y = costs[p.basis] @ p.B_inv
-        d = costs[eligible] - y @ p.A[:, eligible]
-        ratios = np.maximum(d * direction[eligible], 0.0) / push[eligible]
+        ratios = np.maximum(p.d[eligible] * direction[eligible], 0.0) \
+            / push[eligible]
         r_min = float(ratios.min())
         entering = int(eligible[np.argmax(ratios <= r_min + TIE)])
 
         degenerate_run = degenerate_run + 1 if r_min <= TIE else 0
         bland = bland or _cycling(degenerate_run, p)
-        col = p.B_inv @ p.A[:, entering]
+        col = p.column(entering)
         bound = lb_B[r] if to_lower else ub_B[r]
-        p.pivot(entering, col, (p.x_B[r] - bound) / col[r], r,
-                AT_LOWER if to_lower else AT_UPPER)
+        if p.pivot(entering, col, (p.x_B[r] - bound) / col[r], r,
+                   AT_LOWER if to_lower else AT_UPPER):
+            p.d = p.reduced_costs(costs)
+        else:
+            p.d -= p.d[entering] / alpha[entering] * alpha
+            p.d[entering] = 0.0
 
 
 def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
@@ -366,7 +405,7 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
     x_r = y_r = np.zeros(0)
     if n:
         # the artificial diagonal is its own inverse
-        B_inv = np.diag(sign) if start is None else _inverse(full_A, basis)
+        B_inv = np.diag(sign) if start is None else start.B_inv.copy()
         p = _Pivots(full_A, b_r, full_lb, full_ub, basis, status, B_inv,
                     max_iter)
         run.row = _dual(p, dual_costs)
@@ -380,6 +419,7 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
             return SimplexResult("Unbounded", iterations=iterations,
                                  basis=run)
         p.refactor()  # wash out eta-update drift before reporting
+        run.B_inv = p.B_inv
         x_r = _nonbasic_values(full_lb, full_ub, status)
         x_r[basis] = p.x_B
         y_r = costs[basis] @ p.B_inv
@@ -604,8 +644,9 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     bounds that contain these, the dual pivots start from that basis on
     that result's layout. With ``exact`` the float run's basis is certified
     in rational arithmetic and the answer (status, objective, x, y) is
-    exact; ``iterations`` counts the float run's pivot passes either way. A basis that fails its certificate raises
-    ``NumericalFailure``; there is no rational pivoting.
+    exact; ``iterations`` counts the float run's pivot passes either way.
+    A basis that fails its certificate raises ``NumericalFailure``; there
+    is no rational pivoting.
     """
     c, A, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, A, b, lb, ub))
     if exact:

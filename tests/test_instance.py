@@ -145,6 +145,16 @@ class TestJson:
         with pytest.raises(MalformedInstance, match="'compositions'"):
             loads('{"unit_types": []}')
 
+    @pytest.mark.parametrize("section,k,key", [
+        ("trips", 1, "dep_time"), ("unit_types", 0, "id"),
+        ("connections", 0, "kind"), ("depots", 0, "station")])
+    def test_missing_key_names_its_entity(self, section, k, key):
+        d = json.loads(dumps(canonical("Situation1")))
+        del d[section][k][key]
+        with pytest.raises(MalformedInstance,
+                           match=rf"'{section}\[{k}\]\.{key}'"):
+            loads(json.dumps(d))
+
     def test_invalid_json_is_typed(self):
         with pytest.raises(MalformedInstance, match="line 1 column 1"):
             loads("not json")

@@ -1,5 +1,7 @@
 """LP/IP solver correctness against scipy and the enumeration oracle."""
 
+import collections
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -405,6 +407,85 @@ def _record_passes(monkeypatch):
     return passes
 
 
+def _check_every_pivot(monkeypatch):
+    """Check every pivot of the dual (``_dual``) and the primal
+    (``_simplex``) loop against dense recomputation: B^-1 against the dense
+    rank-one update, bit for bit; the kept row norms against B^-1, bit for
+    bit; and, in the dual loop, the carried reduced costs against
+    c - (c_B B^-1) A on the nonbasic columns that are not fixed, and bit for
+    bit at the start of the loop and after a refactorization. Returns the
+    loop of each checked pivot, in order."""
+    running = []  # (loop, costs) of each loop as it starts
+    priced = [True]  # d was priced afresh and not carried since
+    for name in ("_dual", "_simplex"):
+        def loop(p, costs, real=getattr(simplex, name), name=name):
+            running.append((name, costs))
+            priced[0] = True
+            return real(p, costs)
+        monkeypatch.setattr(simplex, name, loop)
+
+    def norms_match(p):
+        return np.array_equal(p.norms,
+                              np.einsum("ij,ij->i", p.B_inv, p.B_inv))
+
+    real_pivot = simplex._Pivots.pivot
+    checked = []
+
+    def pivot(p, entering, col, delta, leaving, leave_to):
+        name, costs = running[-1]
+        assert norms_match(p)
+        if name == "_dual":
+            fresh = costs - (costs[p.basis] @ p.B_inv) @ p.A
+            free = (p.status != BASIC) & ~p.fixed
+            np.testing.assert_allclose(p.d[free], fresh[free], rtol=1e-9,
+                                       atol=1e-9)
+            assert np.array_equal(p.d, fresh) or not priced[0]
+        dense = p.B_inv.copy()
+        if leaving >= 0:
+            dense[leaving, :] /= col[leaving]
+            factor = col.copy()
+            factor[leaving] = 0.0
+            dense -= np.outer(factor, dense[leaving, :])
+        refactored = priced[0] = real_pivot(p, entering, col, delta, leaving,
+                                            leave_to)
+        if not refactored:
+            assert np.array_equal(p.B_inv, dense)
+        assert norms_match(p)
+        checked.append(name)
+        return refactored
+
+    monkeypatch.setattr(simplex._Pivots, "pivot", pivot)
+    return checked
+
+
+class TestSparsePass:
+    def test_dual_pivots_match_dense_recomputation(self, monkeypatch):
+        checked = _check_every_pivot(monkeypatch)
+        inst = generate(GenConfig(seed=5, lines=2, trips_per_line=8,
+                                  stations=4))
+        assert solve_lp(_model(inst, "HD").relaxed()).status == "Optimal"
+        # past the refactorization before pass 256, which recomputes d
+        assert checked.count("_dual") > 256
+
+    def test_primal_pivots_match_dense_recomputation(self, monkeypatch):
+        # every bounded column pays -c-1, so the primal pass pivots
+        form = model_arrays(_model(generate(GenConfig(seed=3)), "HD")
+                            .relaxed())
+        bounded = np.isfinite(form.ub)
+        c = np.where(bounded, -form.c - 1.0, form.c)
+        checked = _check_every_pivot(monkeypatch)
+        assert simplex.solve_arrays(c, form.A, form.b, form.lb,
+                                    form.ub).status == "Optimal"
+        assert "_dual" in checked and "_simplex" in checked
+
+    def test_children_pivots_match_dense_recomputation(self, monkeypatch):
+        # the children's dual loops start from a copy of the parent's inverse
+        checked = _check_every_pivot(monkeypatch)
+        ip = solve_ip(_branching_genbench(3, "hD"))
+        assert ip.status == "Optimal" and ip.nodes > 1
+        assert len(checked) > ip.root.iterations
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("build,exact", [
         (_unsat_c_model, False),
@@ -451,6 +532,56 @@ class TestWarmStart:
         assert children >= 10
         primal = [k for loop, k in passes if loop == "_simplex"]
         assert len(primal) > 1 and set(primal) == {1}
+
+    def test_parent_inverse_gives_the_fresh_inverse_run(self, monkeypatch):
+        # the parent's final inverse is _inverse of the same columns, so a
+        # child started from it runs bit for bit as from a fresh inversion
+        real = branch_bound.solve_arrays
+        pairs = []
+
+        def recording(c, A, b, lb, ub, exact=False, start=None):
+            res = real(c, A, b, lb, ub, exact=exact, start=start)
+            if start is not None:
+                full_A = np.concatenate([
+                    A[np.ix_(start.live_rows, start.free_cols)],
+                    np.diag(start.sign)], axis=1)
+                fresh = dataclasses.replace(
+                    start, B_inv=simplex._inverse(full_A, start.basis))
+                assert np.array_equal(fresh.B_inv, start.B_inv)
+                pairs.append((res, real(c, A, b, lb, ub, exact=exact,
+                                        start=fresh)))
+            return res
+
+        monkeypatch.setattr(branch_bound, "solve_arrays", recording)
+        for seed in (3, 20):
+            solve_ip(_branching_genbench(seed, "hD"))
+        assert len(pairs) > 2
+        for inherited, fresh in pairs:
+            assert inherited.status == fresh.status
+            assert inherited.iterations == fresh.iterations
+            assert inherited.objective == fresh.objective
+            for a, b in ((inherited.x, fresh.x), (inherited.y, fresh.y)):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_a_child_leaves_its_sibling_start_untouched(self, monkeypatch):
+        # siblings share their parent's basis; each pivots on a copy of its
+        # inverse
+        real = branch_bound.solve_arrays
+        starts = []
+
+        def recording(c, A, b, lb, ub, exact=False, start=None):
+            if start is None:
+                return real(c, A, b, lb, ub, exact=exact)
+            before = start.B_inv.copy()
+            res = real(c, A, b, lb, ub, exact=exact, start=start)
+            assert np.array_equal(start.B_inv, before)
+            starts.append(start)
+            return res
+
+        monkeypatch.setattr(branch_bound, "solve_arrays", recording)
+        ip = solve_ip(_branching_genbench(3, "hD"))
+        assert ip.nodes == len(starts) + 1
+        assert 2 in collections.Counter(map(id, starts)).values()
 
     def test_fixed_nonbasic_column_never_enters(self, monkeypatch):
         children = _record_children(monkeypatch)
