@@ -526,10 +526,56 @@ _ENTITIES = {
 }
 
 
+# the Python types that ``json`` gives each field (a bool is no number), per
+# object: the top level, ``costs``, ``shunting`` and the entries of each list
+_NUMBER, _STRING = frozenset({int, float}), frozenset({str})
+_LIST, _LIST_OR_NULL = frozenset({list}), frozenset({list, type(None)})
+_KIND = {_NUMBER: "a number", _STRING: "a string", _LIST: "a list",
+         _LIST_OR_NULL: "a list or null"}
+_TYPES = {
+    "": {"name": _STRING, "n_max": _NUMBER, "direct_arcs": _LIST_OR_NULL},
+    "costs": dict.fromkeys(CostParams.__dataclass_fields__, _NUMBER),
+    "shunting": dict.fromkeys(ShuntConfig.__dataclass_fields__, _STRING),
+    "unit_types": {"id": _STRING, "length_units": _NUMBER, "seats": _NUMBER},
+    "compositions": {"id": _STRING, "units": _LIST},
+    "trips": {"id": _STRING, "dep_station": _STRING, "arr_station": _STRING,
+              "dep_time": _NUMBER, "arr_time": _NUMBER, "distance_km": _NUMBER,
+              "demand_seats": _NUMBER, "allowed_compositions": _LIST},
+    "connections": {"id": _STRING, "kind": _STRING, "predecessors": _LIST,
+                    "successors": _LIST, "allowed_changes": _LIST_OR_NULL},
+    "depots": {"station": _STRING, "unit_type": _STRING,
+               "start_inventory": _NUMBER, "target_end_inventory": _NUMBER},
+}
+
+
+def _wrong_type(d: dict) -> str | None:
+    """The path and the wanted type of the first field whose JSON type is
+    wrong, as ``trips[0].dep_time must be a number, got 'late'``, or None.
+    A missing field is left to the missing-key check."""
+    objects = [("", d, ""), ("costs.", d.get("costs", {}), "costs"),
+               ("shunting.", d.get("shunting", {}), "shunting")]
+    for name in _ENTITIES:
+        entries = d.get(name, [])
+        if not isinstance(entries, list):
+            return f"{name} must be a list, got {entries!r}"
+        objects += [(f"{name}[{k}].", e, name) for k, e in enumerate(entries)]
+    for at, obj, name in objects:
+        if not isinstance(obj, dict):
+            return f"{at.rstrip('.')} must be an object, got {obj!r}"
+        for key, types in _TYPES[name].items():
+            if key in obj and type(obj[key]) not in types:
+                return f"{at}{key} must be {_KIND[types]}, got {obj[key]!r}"
+    return None
+
+
 def from_dict(d: dict) -> Instance:
     """Instance from its JSON form; raises :class:`MalformedInstance` on a
-    missing key, named by its path, or a value of the wrong shape."""
+    missing key or a value of the wrong JSON type, each named by its path,
+    or on a value of the wrong shape."""
     try:
+        wrong = _wrong_type(d)
+        if wrong:
+            raise MalformedInstance(f"malformed instance: {wrong}")
         return Instance(
             name=d.get("name", "unnamed"),
             **{key: tuple(map(make, d[key])) for key, make in _ENTITIES.items()},

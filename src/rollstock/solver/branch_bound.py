@@ -127,10 +127,12 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
 
     def fractional(x, tolerance):
         """The integer column farthest from an integer, beyond
-        ``tolerance``, or -1; ties go to the lowest index."""
+        ``tolerance``, or -1; ties go to the lowest index. An exact value
+        with denominator 1 is integral and skipped unmeasured."""
         worst, pick = tolerance, -1
         for i in range(n):
-            if int_mask[i] and (f := abs(x[i] - round(x[i]))) > worst:
+            if int_mask[i] and not (exact and x[i].denominator == 1) and \
+                    (f := abs(x[i] - round(x[i]))) > worst:
                 worst, pick = f, i
         return pick
 

@@ -40,11 +40,15 @@ B'u = e_r, whose basic value u.b - sum_j (u.A_j) x_j cannot reach its
 bounds for any nonbasic x_j within theirs; an unboundedness needs a
 feasible basis and an improving column that no basic variable blocks. A
 basis that fails, or a float run that fails, raises ``NumericalFailure``
-naming the check.
+naming the check. The certificate lifts the data once and computes in
+Python ints wherever a value is integral, as model data mostly is; a
+``Fraction`` appears only where an exact quotient is not an integer, and in
+the answer, converted once at the end.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,6 +110,17 @@ def to_fraction(v) -> Fraction:
     if isinstance(v, int) or float(v).is_integer():
         return Fraction(int(v))
     return Fraction(v).limit_denominator(10 ** 9)
+
+
+def _lift(v: np.ndarray) -> list:
+    """The exact values of a float array: the integral entries below 2**53
+    as ints by one numpy test, the others by ``to_fraction``; +inf stays
+    ``INF``."""
+    whole = (v == np.rint(v)) & (np.abs(v) < 2.0 ** 53)
+    out = np.where(whole, v, 0.0).astype(np.int64).tolist()
+    for k in np.flatnonzero(~whole).tolist():
+        out[k] = INF if v[k] == INF else to_fraction(v[k])
+    return out
 
 
 def _inverse(A, basis):
@@ -433,13 +448,26 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
                          iterations=iterations, basis=run)
 
 
+def _div(a, b):
+    """The exact quotient a / b of ints and Fractions: an int where it is
+    integral, a Fraction elsewhere."""
+    if b == 1 or b == -1:
+        return a if b == 1 else -a
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
 def _rational_solve(rows: list[dict], rhs: list[list]):
     """Solve M z = r exactly for each r in ``rhs``.
 
-    M is square and given as sparse rows ``{column: Fraction}``. Gaussian
-    elimination pivots on the sparsest remaining row and, within it, on the
-    column held by the fewest remaining rows; back substitution follows.
-    Returns one solution per right-hand side, or None if M is singular.
+    M is square and given as sparse rows ``{column: value}``, values ints
+    or Fractions; every quotient goes through ``_div``, so integral data
+    stay ints. Gaussian elimination pivots on the sparsest remaining row,
+    the lowest index on ties, from a heap of ``(len(row), i)`` that gets a
+    new entry when fill-in changes a row's length (an entry whose row is
+    gone or has another length is stale), and within it on the column held
+    by the fewest remaining rows; back substitution follows. Returns one
+    solution per right-hand side, or None if M is singular.
     """
     m = len(rows)
     rows = [dict(r) for r in rows]
@@ -449,9 +477,12 @@ def _rational_solve(rows: list[dict], rhs: list[list]):
         for j in row:
             holders.setdefault(j, set()).add(i)
     remaining = set(range(m))
+    heap = sorted((len(row), i) for i, row in enumerate(rows))
     order = []
     while remaining:
-        p = min(remaining, key=lambda i: (len(rows[i]), i))
+        size, p = heapq.heappop(heap)
+        if p not in remaining or size != len(rows[p]):
+            continue
         if not rows[p]:
             return None
         q = min(rows[p], key=lambda j: (len(holders[j]), j))
@@ -460,7 +491,7 @@ def _rational_solve(rows: list[dict], rhs: list[list]):
             holders[j].discard(p)
         pivot_row, pivot = rows[p], rows[p][q]
         for i in sorted(holders[q]):
-            row, f = rows[i], rows[i][q] / pivot
+            row, f, size = rows[i], _div(rows[i][q], pivot), len(rows[i])
             for j, a in pivot_row.items():
                 v = row.get(j, 0) - f * a
                 if v:
@@ -469,14 +500,16 @@ def _rational_solve(rows: list[dict], rhs: list[list]):
                 else:
                     row.pop(j, None)
                     holders[j].discard(i)
+            if len(row) != size:
+                heapq.heappush(heap, (len(row), i))
             vals[i] = [u - f * w for u, w in zip(vals[i], vals[p])]
         order.append((p, q))
-    z = [[Fraction(0)] * m for _ in rhs]
+    z = [[0] * m for _ in rhs]
     for p, q in reversed(order):
         row = rows[p]
         for k, zk in enumerate(z):
             acc = vals[p][k] - sum(a * zk[j] for j, a in row.items() if j != q)
-            zk[q] = acc / row[q]
+            zk[q] = _div(acc, row[q])
     return z
 
 
@@ -487,20 +520,20 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
     if (lb == -INF).any():
         raise NumericalFailure("free variables are not supported")
     n_all, m_all = len(c), len(b)
-    lo_all = [to_fraction(v) for v in lb.tolist()]
-    up_all = [INF if v == INF else to_fraction(v) for v in ub.tolist()]
+    lo_all, up_all, b_all = _lift(lb), _lift(ub), _lift(b)
     if any(lo > up for lo, up in zip(lo_all, up_all)):
         return SimplexResult("Infeasible")
     cols = [[] for _ in range(n_all)]
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(A))):
-        a = to_fraction(A[i, j])
+    nz_rows, nz_cols = np.nonzero(A)
+    for i, j, a in zip(nz_rows.tolist(), nz_cols.tolist(),
+                       _lift(A[nz_rows, nz_cols])):
         if a:
             cols[j].append((i, a))
-    cost = {j: to_fraction(v) for j, v in enumerate(c.tolist()) if v}
+    cost = {j: v for j, v in enumerate(_lift(c)) if v}
 
     def rhs_without(kept):
         """b less the columns outside ``kept``, each at its fixed value."""
-        rhs = [to_fraction(v) for v in b.tolist()]
+        rhs = list(b_all)
         for j in set(range(n_all)).difference(kept):
             for i, a in cols[j]:
                 rhs[i] -= a * lo_all[j]
@@ -535,16 +568,15 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
     m, n = len(run.live_rows), len(run.free_cols)
     at = {i: k for k, i in enumerate(run.live_rows)}
     column = [[(at[i], a) for i, a in cols[j]] for j in run.free_cols] + \
-        [[(k, Fraction(int(s)))] for k, s in enumerate(run.sign)]
-    lo = [lo_all[j] for j in run.free_cols] + [Fraction(0)] * m
-    up = [up_all[j] for j in run.free_cols] + [Fraction(0)] * m
-    costs = [cost.get(j, Fraction(0)) for j in run.free_cols] + \
-        [Fraction(0)] * m
+        [[(k, int(s))] for k, s in enumerate(run.sign)]
+    lo = [lo_all[j] for j in run.free_cols] + [0] * m
+    up = [up_all[j] for j in run.free_cols] + [0] * m
+    costs = [cost.get(j, 0) for j in run.free_cols] + [0] * m
     basis, status = run.basis, run.status
 
     # x_B from B x_B = b - N x_N
     b_r = [rhs[i] for i in run.live_rows]
-    x_r = [Fraction(0)] * (n + m)
+    x_r = [0] * (n + m)
     for j in range(n + m):
         if status[j] != BASIC:
             x_r[j] = lo[j] if status[j] == AT_LOWER else up[j]
@@ -573,7 +605,7 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
         # the bound it violates
         r, j_r = run.row, basis[run.row]
         u = _rational_solve([dict(column[j]) for j in basis],
-                            [[Fraction(int(pos == r)) for pos in range(m)]])[0]
+                            [[int(pos == r) for pos in range(m)]])[0]
         below = x_r[j_r] < lo[j_r]
         reach = x_r[j_r]
         for j in range(n + m):
@@ -620,13 +652,14 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
             raise NumericalFailure(f"certificate: reduced cost {d} of column "
                                    f"{j} has the wrong sign")
 
-    x = np.array(lo_all, dtype=object)
+    x, y = list(lo_all), [0] * m_all
     for k, j in enumerate(run.free_cols):
         x[j] = x_r[k]
-    y = np.array([Fraction(0)] * m_all, dtype=object)
     for k, i in enumerate(run.live_rows):
         y[i] = y_r[k]
-    obj = sum((q * x[j] for j, q in cost.items()), Fraction(0))
+    obj = Fraction(sum(q * x[j] for j, q in cost.items()))
+    x, y = (np.array([Fraction(v) for v in vec], dtype=object)
+            for vec in (x, y))
     return SimplexResult("Optimal", objective=obj, x=x, y=y,
                          iterations=approx.iterations, basis=run)
 
@@ -643,8 +676,9 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     ``start``, the ``basis`` of an earlier result on the same data under
     bounds that contain these, the dual pivots start from that basis on
     that result's layout. With ``exact`` the float run's basis is certified
-    in rational arithmetic and the answer (status, objective, x, y) is
-    exact; ``iterations`` counts the float run's pivot passes either way.
+    in rational arithmetic and the answer is exact: a ``Fraction``
+    objective, and x and y as object arrays of ``Fraction``s. ``iterations``
+    counts the float run's pivot passes either way.
     A basis that fails its certificate raises ``NumericalFailure``; there
     is no rational pivoting.
     """

@@ -145,6 +145,17 @@ class TestCommands:
         assert code == 1
         assert err.startswith("error: ") and needle in err
 
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_wrong_typed_instance_exits_one(self, capsys, tmp_path, command):
+        from rollstock.instance import canonical, dumps
+        d = json.loads(dumps(canonical("TwoTrip")))
+        d["trips"][0]["dep_time"] = "late"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        code, out, err = _capture(capsys, [command, "--instance", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "trips[0].dep_time" in err
+
 
 class TestExactRational:
     @pytest.mark.parametrize("name", sorted(canonical_instances()))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -154,6 +155,37 @@ class TestJson:
         with pytest.raises(MalformedInstance,
                            match=rf"'{section}\[{k}\]\.{key}'"):
             loads(json.dumps(d))
+
+    @pytest.mark.parametrize("section,k,key,value,kind", [
+        ("trips", 0, "dep_time", "late", "a number"),
+        ("unit_types", 0, "seats", None, "a number"),
+        ("compositions", 0, "units", 3, "a list"),
+        ("trips", 1, "demand_seats", True, "a number"),
+        ("depots", 0, "station", 7, "a string")])
+    def test_wrong_type_names_its_path(self, section, k, key, value, kind):
+        d = json.loads(dumps(canonical("Situation1")))
+        d[section][k][key] = value
+        with pytest.raises(MalformedInstance,
+                           match=rf"{section}\[{k}\]\.{key} must be {kind}, "
+                                 rf"got {re.escape(repr(value))}"):
+            loads(json.dumps(d))
+
+    def test_wrong_type_of_a_list_or_cost_names_its_path(self):
+        d = json.loads(dumps(canonical("TwoTrip")))
+        d["costs"]["shunting_per_action"] = "10"
+        with pytest.raises(MalformedInstance,
+                           match=r"costs\.shunting_per_action must be a number"):
+            loads(json.dumps(d))
+        d = json.loads(dumps(canonical("TwoTrip")))
+        d["trips"] = {"t1": {}}
+        with pytest.raises(MalformedInstance, match="trips must be a list"):
+            loads(json.dumps(d))
+
+    def test_null_optional_lists_load(self):
+        d = json.loads(dumps(canonical("Situation1")))
+        d["direct_arcs"] = None
+        d["connections"][0]["allowed_changes"] = None
+        assert loads(json.dumps(d)).direct_arcs is None
 
     def test_invalid_json_is_typed(self):
         with pytest.raises(MalformedInstance, match="line 1 column 1"):

@@ -1,7 +1,9 @@
 """Property tests over small generated instances."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,7 +14,7 @@ from rollstock.formulation import assemble  # noqa: E402
 from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
 from rollstock.solver import model_arrays  # noqa: E402
-from rollstock.solver.simplex import solve_arrays  # noqa: E402
+from rollstock.solver.simplex import solve_arrays, to_fraction  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -44,3 +46,51 @@ def test_warm_child_equals_its_cold_resolve(seed, lines, trips_per_line,
     if warm.status == "Optimal":
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
                                                abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(1, 10_000), lines=st.integers(1, 3),
+       trips_per_line=st.integers(1, 3), unit_types=st.integers(1, 2),
+       stations=st.integers(2, 3), variant=st.sampled_from(["hD", "HD", "C"]))
+def test_exact_root_is_an_optimum_checked_from_scratch(seed, lines,
+                                                       trips_per_line,
+                                                       unit_types, stations,
+                                                       variant):
+    # the exact root has the float root's status and value, and its answer
+    # is an optimum by its own: A x = b, the bounds, and reduced costs
+    # c - A'y of the right sign wherever x rests at a bound
+    inst = generate(GenConfig(seed=seed, lines=lines,
+                              trips_per_line=trips_per_line,
+                              unit_types=unit_types, stations=stations))
+    graph = build(inst, "HD" if variant == "C" else variant)
+    form = model_arrays(assemble(contract(graph) if variant == "C" else graph))
+    approx = solve_arrays(form.c, form.A, form.b, form.lb, form.ub)
+    exact = solve_arrays(form.c, form.A, form.b, form.lb, form.ub, exact=True)
+    assert exact.status == approx.status
+    if exact.status != "Optimal":
+        return
+    assert float(exact.objective) == pytest.approx(approx.objective,
+                                                   rel=1e-9, abs=1e-9)
+    x, y = exact.x, exact.y
+    assert all(isinstance(v, Fraction) for v in (exact.objective, *x, *y))
+    c = [to_fraction(v) for v in form.c]
+    lb = [to_fraction(v) for v in form.lb]
+    ub = [None if v == float("inf") else to_fraction(v) for v in form.ub]
+    lhs = [Fraction(0)] * len(y)
+    d = list(c)
+    for i, j in zip(*np.nonzero(form.A)):
+        a = to_fraction(form.A[i, j])
+        lhs[i] += a * x[j]
+        d[j] -= a * y[i]
+    assert lhs == [to_fraction(v) for v in form.b]
+    assert exact.objective == sum(cj * xj for cj, xj in zip(c, x))
+    for j, xj in enumerate(x):
+        assert lb[j] <= xj and (ub[j] is None or xj <= ub[j]), j
+        if lb[j] == ub[j]:
+            continue
+        if xj == lb[j]:
+            assert d[j] >= 0, j
+        elif xj == ub[j]:
+            assert d[j] <= 0, j
+        else:
+            assert d[j] == 0, j

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -636,6 +637,130 @@ class TestOracle:
         ip = solve_ip(model)
         assert orc.status == ip.status == "Infeasible"
         assert ip.root.status == solve_lp(model.relaxed()).status
+
+
+def _reference_solve(rows, rhs):
+    """Dense Gaussian elimination in Fractions with the pivot rule that
+    ``_rational_solve`` documents, the sparsest remaining row and in it the
+    column held by the fewest remaining rows, each found by a scan.
+    Returns (z, the pivot values in order), or None if singular."""
+    m = len(rows)
+    M = [[Fraction(row.get(j, 0)) for j in range(m)] for row in rows]
+    r = [Fraction(v) for v in rhs]
+    left, order = list(range(m)), []
+    while left:
+        p = min(left, key=lambda i: (sum(map(bool, M[i])), i))
+        if not any(M[p]):
+            return None
+        q = min((j for j in range(m) if M[p][j]),
+                key=lambda j: (sum(bool(M[i][j]) for i in left), j))
+        left.remove(p)
+        for i in left:
+            f = M[i][q] / M[p][q]
+            M[i] = [a - f * b for a, b in zip(M[i], M[p])]
+            r[i] -= f * r[p]
+        order.append((p, q))
+    z = [Fraction(0)] * m
+    for p, q in reversed(order):
+        z[q] = (r[p] - sum(M[p][j] * z[j] for j in range(m) if j != q)) \
+            / M[p][q]
+    return z, [M[p][q] for p, q in order]
+
+
+def _sparse_rows(rng, m, density, values):
+    rows = [{j: rng.choice(values) for j in range(m)
+             if j == i or rng.random() < density} for i in range(m)]
+    return rows, [rng.randint(-9, 9) for _ in range(m)]
+
+
+class TestRationalSolve:
+    def test_equals_fraction_elimination_in_its_pivot_order(self, monkeypatch):
+        # non-unit pivots and fill-in that changes row lengths; the back
+        # substitution divides by the pivots in reverse order, so the
+        # recorded divisors show the elimination order
+        divisors = []
+        real = simplex._div
+
+        def spy(a, b):
+            divisors.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(simplex, "_div", spy)
+        rng = random.Random(5)
+        checked, fractions = 0, 0
+        for _ in range(40):
+            rows, rhs = _sparse_rows(rng, 9, 0.3, (-4, -3, -2, 2, 3, 5))
+            ref = _reference_solve(rows, rhs)
+            divisors.clear()
+            z = simplex._rational_solve(rows, [rhs])
+            if ref is None:
+                assert z is None
+                continue
+            assert z[0] == ref[0]
+            assert divisors[-9:][::-1] == ref[1]
+            checked += 1
+            fractions += any(type(v) is Fraction for v in z[0])
+        assert checked >= 30 and fractions >= 20
+
+    def test_several_right_hand_sides(self):
+        rng = random.Random(8)
+        rows, rhs = _sparse_rows(rng, 6, 0.4, (-2, 3, 7))
+        other = [Fraction(k, 3) for k in range(6)]
+        z = simplex._rational_solve(rows, [rhs, other])
+        assert z == [_reference_solve(rows, rhs)[0],
+                     _reference_solve(rows, other)[0]]
+
+    def test_unimodular_matrix_stays_in_ints(self):
+        # the incidence matrix of a tree less its root row is a basis of a
+        # network matrix: every pivot is +-1 and every value an int
+        rng = random.Random(3)
+        for m in (5, 12, 30):
+            rows = [{} for _ in range(m)]
+            for edge, node in enumerate(rng.sample(range(1, m + 1), m)):
+                parent = rng.randrange(node)
+                head, tail = (node, parent) if rng.random() < 0.5 \
+                    else (parent, node)
+                for at, sign in ((head, 1), (tail, -1)):
+                    if at:
+                        rows[at - 1][edge] = sign
+            rhs = [rng.randint(-5, 5) for _ in range(m)]
+            z = simplex._rational_solve(rows, [rhs])[0]
+            assert all(type(v) is int for v in z)
+            assert z == _reference_solve(rows, rhs)[0]
+
+    def test_singular_matrix(self):
+        rows = [{0: 2, 1: 3}, {1: 1, 2: -1}, {0: 4, 1: 7, 2: -1}]
+        assert simplex._rational_solve(rows, [[1, 2, 3]]) is None
+        assert simplex._rational_solve([{0: 1}, {0: 5}], [[1, 5]]) is None
+
+    def test_division_keeps_ints_where_integral(self):
+        assert simplex._div(6, -1) == -6 and type(simplex._div(6, -1)) is int
+        assert type(simplex._div(6, 3)) is int
+        assert type(simplex._div(Fraction(9, 2), Fraction(3, 2))) is int
+        assert simplex._div(1, 3) == Fraction(1, 3)
+        assert simplex._div(Fraction(1, 2), 1) == Fraction(1, 2)
+
+    # the four canonicals, and the unsatisfiable reduction whose IP is
+    # infeasible while its relaxation is not
+    @pytest.mark.parametrize("name", sorted(canonical_instances()) + ["unsat"])
+    def test_exact_answer_is_fractions(self, name):
+        model = _unsat_c_model() if name == "unsat" else \
+            _model(canonical_instances()[name], "HD")
+        res = _solve_arrays(model.relaxed(), exact=True)
+        assert res.status == "Optimal"
+        assert type(res.objective) is Fraction
+        assert all(type(v) is Fraction for v in res.x)
+        assert all(type(v) is Fraction for v in res.y)
+        assert res.objective == sum(simplex.to_fraction(c) * x for c, x
+                                    in zip(model_arrays(model).c, res.x))
+
+    def test_infeasible_answer_has_no_values(self):
+        m = MilpModel("over", [Variable("x", 0.0, 1.0, False, 1.0),
+                               Variable("y", 0.0, 1.0, False, 1.0)],
+                      [Row("r", (("x", 1.0), ("y", 1.0)), "=", 3.0)])
+        res = _solve_arrays(m, exact=True)
+        assert res.status == "Infeasible"
+        assert res.objective is None and res.x is None and res.y is None
 
 
 def _hand_basis(monkeypatch, edit, status=None):
