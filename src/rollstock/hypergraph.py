@@ -159,8 +159,8 @@ def enumerate_changes(instance: Instance, conn: Connection) -> list[Change]:
                 if not allowed((pid1,), (pid2,)):
                     continue
                 m = _match_one_to_one(comps[pid1], comps[pid2],
-                                      instance.shunt.uncouple_side,
-                                      instance.shunt.couple_side)
+                                      instance.shunting.uncouple_side,
+                                      instance.shunting.couple_side)
                 if m is None:
                     continue
                 _, pairs, unc, cpl = m
@@ -336,12 +336,12 @@ def _small_pull_costs(instance: Instance) -> tuple[dict, dict]:
     pout: dict[tuple[str, int, str], float] = {}
     for conn in instance.connections:
         for change in enumerate_changes(instance, conn):
-            head_in = block_head(change.uncoupled, instance.shunt.uncouple_side)
+            head_in = block_head(change.uncoupled, instance.shunting.uncouple_side)
             for (t, n, r) in change.uncoupled:
                 cost = rate if n == head_in else 0.0
                 key = (t, n, r)
                 pin[key] = min(pin.get(key, cost), cost)
-            head_out = block_head(change.coupled, instance.shunt.couple_side)
+            head_out = block_head(change.coupled, instance.shunting.couple_side)
             for (t, n, r) in change.coupled:
                 cost = rate if n == head_out else 0.0
                 key = (t, n, r)
@@ -529,7 +529,6 @@ def build(instance: Instance, variant: str) -> Hypergraph:
             parking.append(hid)
             _deviation_arcs(hyperarcs, d, terminal, hubs[d.unit_type], instance)
 
-        seen_pull: set[str] = set()
         for spec in specs:
             if spec.source == INITIAL:
                 src = [(initial_of[(spec.station, spec.unit_type)], None)]
@@ -543,20 +542,12 @@ def build(instance: Instance, variant: str) -> Hypergraph:
                        if node.unit_type == spec.unit_type]
             for s_node, s_hid in src:
                 for d_node, d_hid in dst:
-                    if spec.source == INITIAL and spec.target == TERMINAL:
-                        continue
                     if spec.source == INITIAL:
-                        if d_hid in seen_pull:
-                            continue
-                        seen_pull.add(d_hid)
                         hyperarcs.append(Hyperarc(d_hid, "PullOut", ((s_node, d_node),),
                                                   pull_cost(d_node, OUT), 1,
                                                   {"station": spec.station,
                                                    "time": spec.pull_out_time}))
                     elif spec.target == TERMINAL:
-                        if s_hid in seen_pull:
-                            continue
-                        seen_pull.add(s_hid)
                         hyperarcs.append(Hyperarc(s_hid, "PullIn", ((s_node, d_node),),
                                                   pull_cost(s_node, IN), 1,
                                                   {"station": spec.station,

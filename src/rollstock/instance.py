@@ -8,13 +8,19 @@ timeline used for coupling and uncoupling moves.
 The module also computes the closure of direct connection arcs (every time-
 and station-feasible shortcut past a depot) and ships a catalog of small
 hand-built instances used throughout the test suite.
+
+The JSON form is stated once, in ``JSON_FIELDS``: for each object the
+dataclass it reads into and the JSON type of each field. One walk over that
+table reads a document and names the path of its first fault (a non-object,
+an unknown key, a missing required key or a value of the wrong JSON type);
+``to_dict`` writes the same fields back.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 
 from .errors import MalformedInstance, NotFound, UnknownDepot
@@ -82,8 +88,8 @@ class Connection:
     this connection to an explicit list; each entry names the predecessor
     composition(s) followed by the successor composition(s), e.g.
     ``("rr", "r")`` for a 1-to-1 connection or ``("rb", "r", "b")`` for a
-    split. When absent, every transition reachable by the instance's
-    single-side shunting rules is allowed.
+    split. When None, every transition reachable by the instance's
+    single-side shunting rules is allowed; an empty tuple allows none.
     """
 
     id: str
@@ -178,7 +184,7 @@ class Instance:
     costs: CostParams = field(default_factory=CostParams)
     direct_arcs: tuple[tuple[str, str, str], ...] | None = None  # (unit_type, source, target)
     n_max: int = 5
-    shunt: ShuntConfig = field(default_factory=ShuntConfig)
+    shunting: ShuntConfig = field(default_factory=ShuntConfig)
 
     # -- indexed access -----------------------------------------------------
 
@@ -375,8 +381,8 @@ def validate(instance: Instance) -> list[Violation]:
     if min(c.mileage_per_carriage_km, c.seat_shortage_per_seat,
            c.shunting_per_action, c.ending_deviation_per_unit) < 0:
         add(Violation("NegativeValue", "costs", "cost rates must be nonnegative"))
-    if instance.shunt.uncouple_side not in ("rear", "front") or \
-            instance.shunt.couple_side not in ("rear", "front"):
+    if instance.shunting.uncouple_side not in ("rear", "front") or \
+            instance.shunting.couple_side not in ("rear", "front"):
         add(Violation("BadConfig", "shunt", "sides must be 'rear' or 'front'"))
 
     if instance.direct_arcs is not None and not out:
@@ -459,151 +465,100 @@ def closure_arcs(instance: Instance, mode: str = "closure") -> list[DirectArcSpe
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def to_dict(instance: Instance) -> dict:
-    d: dict = {
-        "name": instance.name,
-        "n_max": instance.n_max,
-        "unit_types": [
-            {"id": u.id, "length_units": u.length_units, "seats": u.seats}
-            for u in instance.unit_types
-        ],
-        "compositions": [
-            {"id": p.id, "units": list(p.units)} for p in instance.compositions
-        ],
-        "trips": [
-            {"id": t.id, "dep_station": t.dep_station, "arr_station": t.arr_station,
-             "dep_time": t.dep_time, "arr_time": t.arr_time,
-             "distance_km": t.distance_km, "demand_seats": t.demand_seats,
-             "allowed_compositions": list(t.allowed_compositions)}
-            for t in instance.trips
-        ],
-        "connections": [
-            {k: v for k, v in (
-                ("id", c.id), ("kind", c.kind),
-                ("predecessors", list(c.predecessors)),
-                ("successors", list(c.successors)),
-                ("allowed_changes",
-                 [list(e) for e in c.allowed_changes] if c.allowed_changes else None),
-            ) if v is not None}
-            for c in instance.connections
-        ],
-        "depots": [
-            {"station": d.station, "unit_type": d.unit_type,
-             "start_inventory": d.start_inventory,
-             "target_end_inventory": d.target_end_inventory}
-            for d in instance.depots
-        ],
-        "costs": {
-            "mileage_per_carriage_km": instance.costs.mileage_per_carriage_km,
-            "seat_shortage_per_seat": instance.costs.seat_shortage_per_seat,
-            "shunting_per_action": instance.costs.shunting_per_action,
-            "ending_deviation_per_unit": instance.costs.ending_deviation_per_unit,
-        },
-        "shunting": {
-            "uncouple_side": instance.shunt.uncouple_side,
-            "couple_side": instance.shunt.couple_side,
-        },
-    }
-    if instance.direct_arcs is not None:
-        d["direct_arcs"] = [list(a) for a in instance.direct_arcs]
-    return d
-
-
-# how each list of the JSON form becomes entities, in the order read
-_ENTITIES = {
-    "unit_types": lambda u: UnitType(u["id"], u["length_units"], u["seats"]),
-    "compositions": lambda p: Composition(p["id"], tuple(p["units"])),
-    "trips": lambda t: Trip(t["id"], t["dep_station"], t["arr_station"],
-                            t["dep_time"], t["arr_time"], t["distance_km"],
-                            t["demand_seats"], tuple(t["allowed_compositions"])),
-    "connections": lambda c: Connection(
-        c["id"], c["kind"], tuple(c["predecessors"]), tuple(c["successors"]),
-        tuple(tuple(e) for e in c["allowed_changes"])
-        if c.get("allowed_changes") else None),
-    "depots": lambda x: Depot(x["station"], x["unit_type"],
-                              x.get("start_inventory", 0),
-                              x.get("target_end_inventory", 0)),
+# The JSON form: for each object, the dataclass it reads into and the JSON
+# type of each field, in reading order. A field holding an object names its
+# dataclass, one holding a list of objects ``[dataclass]``.
+_NUMBER, _STRING, _LIST = "a number", "a string", "a list"
+_PYTHON = {_NUMBER: (int, float), _STRING: (str,), _LIST: (list,)}  # no bool
+JSON_FIELDS: dict[type, dict[str, object]] = {
+    Instance: {"name": _STRING, "unit_types": [UnitType], "compositions": [Composition],
+               "trips": [Trip], "connections": [Connection], "depots": [Depot],
+               "costs": CostParams, "direct_arcs": _LIST, "n_max": _NUMBER,
+               "shunting": ShuntConfig},
+    UnitType: {"id": _STRING, "length_units": _NUMBER, "seats": _NUMBER},
+    Composition: {"id": _STRING, "units": _LIST},
+    Trip: {"id": _STRING, "dep_station": _STRING, "arr_station": _STRING,
+           "dep_time": _NUMBER, "arr_time": _NUMBER, "distance_km": _NUMBER,
+           "demand_seats": _NUMBER, "allowed_compositions": _LIST},
+    Connection: {"id": _STRING, "kind": _STRING, "predecessors": _LIST,
+                 "successors": _LIST, "allowed_changes": _LIST},
+    Depot: {"station": _STRING, "unit_type": _STRING,
+            "start_inventory": _NUMBER, "target_end_inventory": _NUMBER},
+    CostParams: dict.fromkeys(CostParams.__dataclass_fields__, _NUMBER),
+    ShuntConfig: dict.fromkeys(ShuntConfig.__dataclass_fields__, _STRING),
 }
 
-
-# the Python types that ``json`` gives each field (a bool is no number), per
-# object: the top level, ``costs``, ``shunting`` and the entries of each list
-_NUMBER, _STRING = frozenset({int, float}), frozenset({str})
-_LIST, _LIST_OR_NULL = frozenset({list}), frozenset({list, type(None)})
-_KIND = {_NUMBER: "a number", _STRING: "a string", _LIST: "a list",
-         _LIST_OR_NULL: "a list or null"}
-_TYPES = {
-    "": {"name": _STRING, "n_max": _NUMBER, "direct_arcs": _LIST_OR_NULL},
-    "costs": dict.fromkeys(CostParams.__dataclass_fields__, _NUMBER),
-    "shunting": dict.fromkeys(ShuntConfig.__dataclass_fields__, _STRING),
-    "unit_types": {"id": _STRING, "length_units": _NUMBER, "seats": _NUMBER},
-    "compositions": {"id": _STRING, "units": _LIST},
-    "trips": {"id": _STRING, "dep_station": _STRING, "arr_station": _STRING,
-              "dep_time": _NUMBER, "arr_time": _NUMBER, "distance_km": _NUMBER,
-              "demand_seats": _NUMBER, "allowed_compositions": _LIST},
-    "connections": {"id": _STRING, "kind": _STRING, "predecessors": _LIST,
-                    "successors": _LIST, "allowed_changes": _LIST_OR_NULL},
-    "depots": {"station": _STRING, "unit_type": _STRING,
-               "start_inventory": _NUMBER, "target_end_inventory": _NUMBER},
+# what an absent key reads as: its dataclass default (null is allowed where
+# that is None), and "unnamed" for an instance; every other key is required
+JSON_DEFAULTS: dict[type, dict[str, object]] = {
+    cls: {f.name: f.default_factory() if f.default is MISSING else f.default
+          for f in fields(cls) if (f.default, f.default_factory) != (MISSING, MISSING)}
+    for cls in JSON_FIELDS
 }
+JSON_DEFAULTS[Instance]["name"] = "unnamed"
 
 
-def _wrong_type(d: dict) -> str | None:
-    """The path and the wanted type of the first field whose JSON type is
-    wrong, as ``trips[0].dep_time must be a number, got 'late'``, or None.
-    A missing field is left to the missing-key check."""
-    objects = [("", d, ""), ("costs.", d.get("costs", {}), "costs"),
-               ("shunting.", d.get("shunting", {}), "shunting")]
-    for name in _ENTITIES:
-        entries = d.get(name, [])
-        if not isinstance(entries, list):
-            return f"{name} must be a list, got {entries!r}"
-        objects += [(f"{name}[{k}].", e, name) for k, e in enumerate(entries)]
-    for at, obj, name in objects:
-        if not isinstance(obj, dict):
-            return f"{at.rstrip('.')} must be an object, got {obj!r}"
-        for key, types in _TYPES[name].items():
-            if key in obj and type(obj[key]) not in types:
-                return f"{at}{key} must be {_KIND[types]}, got {obj[key]!r}"
-    return None
+def _read(cls: type, obj, at: str):
+    """``cls`` from the JSON object ``obj`` at path ``at`` ("" for the
+    document). Raises :class:`MalformedInstance` naming the path of the first
+    fault: a non-object, then an unknown key, then in field order a missing
+    required key or a value of the wrong JSON type."""
+    if type(obj) is not dict:
+        raise MalformedInstance(f"malformed instance: {at or 'instance'} must be an "
+                                f"object, got {obj!r}")
+    table, defaults = JSON_FIELDS[cls], JSON_DEFAULTS[cls]
+    prefix = f"{at}." if at else ""
+    if not obj.keys() <= table.keys():
+        unknown = next(key for key in obj if key not in table)
+        raise MalformedInstance(f"malformed instance: unknown key {prefix + unknown!r}")
+    values = dict(defaults)
+    for key, kind in table.items():
+        if key not in obj:
+            if key not in defaults:
+                raise MalformedInstance(f"instance lacks required key {prefix + key!r}")
+            continue
+        value = obj[key]
+        if type(kind) is type:
+            values[key] = _read(kind, value, prefix + key)
+            continue
+        json_type = _LIST if type(kind) is list else kind
+        if type(value) in _PYTHON[json_type]:
+            values[key] = value if json_type is kind else tuple(
+                _read(kind[0], e, f"{prefix}{key}[{k}]") for k, e in enumerate(value))
+            continue
+        nullable = defaults.get(key, MISSING) is None
+        if not (nullable and value is None):
+            raise MalformedInstance(f"malformed instance: {prefix}{key} must be {json_type}"
+                                    f"{' or null' if nullable else ''}, got {value!r}")
+    return cls(**values)
 
 
-def from_dict(d: dict) -> Instance:
-    """Instance from its JSON form; raises :class:`MalformedInstance` on a
-    missing key or a value of the wrong JSON type, each named by its path,
-    or on a value of the wrong shape."""
+def from_dict(d) -> Instance:
+    """Instance from its JSON form; raises :class:`MalformedInstance` on the
+    first fault in reading order, named by its path, or on a value of the
+    wrong shape."""
     try:
-        wrong = _wrong_type(d)
-        if wrong:
-            raise MalformedInstance(f"malformed instance: {wrong}")
-        return Instance(
-            name=d.get("name", "unnamed"),
-            **{key: tuple(map(make, d[key])) for key, make in _ENTITIES.items()},
-            costs=CostParams(**d.get("costs", {})),
-            direct_arcs=tuple(tuple(a) for a in d["direct_arcs"])
-            if d.get("direct_arcs") is not None else None,
-            n_max=d.get("n_max", 5),
-            shunt=ShuntConfig(**d.get("shunting", {})),
-        )
-    except KeyError as e:
-        raise MalformedInstance("instance lacks required key "
-                                f"{_key_path(d, e.args[0])!r}") from None
-    except (AttributeError, TypeError, ValueError) as e:
+        return _read(Instance, d, "")
+    except (TypeError, ValueError) as e:
         raise MalformedInstance(f"malformed instance: {e}") from None
 
 
-def _key_path(d: dict, key: str) -> str:
-    """The path of the key ``from_dict`` missed, as ``trips[3].dep_time``,
-    found by reading the lists again in the same order."""
-    for name, make in _ENTITIES.items():
-        if name not in d:
-            return name
-        for k, item in enumerate(d[name]):
-            try:
-                make(item)
-            except KeyError as e:
-                return f"{name}[{k}].{e.args[0]}"
-    return key
+def to_dict(obj) -> dict:
+    """The JSON form of an instance or of one of its objects: each field of
+    ``JSON_FIELDS`` that is not None, with lists for tuples."""
+    out = {}
+    for key, kind in JSON_FIELDS[type(obj)].items():
+        value = getattr(obj, key)
+        if value is None:
+            continue
+        if type(kind) is type:
+            value = to_dict(value)
+        elif type(kind) is list:
+            value = [to_dict(e) for e in value]
+        elif type(value) is tuple:
+            value = [list(e) if type(e) is tuple else e for e in value]
+        out[key] = value
+    return out
 
 
 def dumps(instance: Instance) -> str:
@@ -669,7 +624,7 @@ def _situation1() -> Instance:
         depots=(Depot("A", "r", 2, 0), Depot("B", "b", 1, 1)),
         costs=CostParams(ending_deviation_per_unit=0.0),
         n_max=2,
-        shunt=ShuntConfig(uncouple_side="rear", couple_side="front"),
+        shunting=ShuntConfig(uncouple_side="rear", couple_side="front"),
     )
 
 

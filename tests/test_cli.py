@@ -136,8 +136,10 @@ class TestCommands:
         assert by_mp["IP"] == {"Undecided"}
         assert "Undecided" not in by_mp["LP"]
 
-    @pytest.mark.parametrize("text,needle", [('{"unit_types": []}', "'compositions'"),
-                                             ("{oops", "line 1 column 2")])
+    @pytest.mark.parametrize("text,needle", [
+        ('{"unit_types": []}', "'compositions'"), ("{oops", "line 1 column 2"),
+        ("[1]", "instance must be an object, got [1]"),
+        ('"x"', "instance must be an object, got 'x'")])
     def test_malformed_instance_exits_one(self, capsys, tmp_path, text, needle):
         path = tmp_path / "bad.json"
         path.write_text(text)

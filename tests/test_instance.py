@@ -1,7 +1,11 @@
 """Instance validation, closure arcs, catalog, and JSON round-trips."""
 
 import dataclasses
+import functools
 import json
+import math
+import operator
+import pathlib
 import re
 
 import pytest
@@ -9,8 +13,11 @@ import pytest
 from rollstock.errors import MalformedInstance, NotFound
 from rollstock.instance import (
     INITIAL,
+    JSON_DEFAULTS,
+    JSON_FIELDS,
     TERMINAL,
     Connection,
+    Instance,
     Trip,
     canonical,
     canonical_instances,
@@ -19,6 +26,9 @@ from rollstock.instance import (
     loads,
     validate,
 )
+
+
+SCHEMA = pathlib.Path(__file__).resolve().parents[1] / "docs" / "instance.schema.json"
 
 
 def _codes(violations):
@@ -190,6 +200,78 @@ class TestJson:
     def test_invalid_json_is_typed(self):
         with pytest.raises(MalformedInstance, match="line 1 column 1"):
             loads("not json")
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"'])
+    def test_non_object_document_names_its_path(self, text):
+        with pytest.raises(MalformedInstance, match="^" + re.escape(
+                f"malformed instance: instance must be an object, got {json.loads(text)!r}")
+                + "$"):
+            loads(text)
+
+    @pytest.mark.parametrize("where,key,path", [
+        (("depots", 0), "start_inventry", "depots[0].start_inventry"),
+        (("trips", 1), "dep_tme", "trips[1].dep_tme"),
+        ((), "nmax", "nmax"),
+        (("costs",), "shunting_per_move", "costs.shunting_per_move")])
+    def test_unknown_key_names_its_path(self, where, key, path):
+        d = json.loads(dumps(canonical("Situation1")))
+        functools.reduce(operator.getitem, where, d)[key] = 1
+        with pytest.raises(MalformedInstance,
+                           match=rf"^malformed instance: unknown key {re.escape(repr(path))}$"):
+            loads(json.dumps(d))
+
+    def test_first_fault_in_reading_order_is_reported(self):
+        d = json.loads(dumps(canonical("Situation1")))
+        del d["trips"][1]["dep_time"]
+        d["connections"][0]["kind"] = 5
+        with pytest.raises(MalformedInstance, match=r"'trips\[1\]\.dep_time'"):
+            loads(json.dumps(d))
+        d = json.loads(dumps(canonical("Situation1")))
+        d["trips"][0]["dep_time"] = "late"
+        del d["connections"][0]["kind"]
+        with pytest.raises(MalformedInstance, match=r"trips\[0\]\.dep_time must be"):
+            loads(json.dumps(d))
+
+    def test_empty_allowed_changes_round_trip(self, two_trip):
+        from rollstock.analysis import solve_variant
+        assert "allowed_changes" not in json.loads(dumps(two_trip))["connections"][0]
+        c1 = dataclasses.replace(two_trip.connections[0], allowed_changes=())
+        inst = dataclasses.replace(two_trip, connections=(c1,))
+        again = loads(dumps(inst))
+        assert again == inst and again.connections[0].allowed_changes == ()
+        value = solve_variant(inst, "HD", "IP")[0]
+        assert value == math.inf
+        assert solve_variant(again, "HD", "IP")[0] == value
+
+    def test_schema_matches_the_field_table(self):
+        schema = json.loads(SCHEMA.read_text())
+        seen = set()
+
+        def kind(prop):
+            if "$ref" in prop or "enum" in prop:
+                return "a string"
+            return {"number": "a number", "integer": "a number", "string": "a string",
+                    "array": "a list"}[prop["type"]]
+
+        def check(cls, node):
+            seen.add(cls)
+            table = JSON_FIELDS[cls]
+            assert node["additionalProperties"] is False, cls
+            assert set(node["properties"]) == set(table), cls
+            assert set(node.get("required", ())) == set(table) - set(JSON_DEFAULTS[cls]), cls
+            for key, want in table.items():
+                prop = node["properties"][key]
+                if isinstance(want, list):
+                    assert prop["type"] == "array", key
+                    check(want[0], prop["items"])
+                elif isinstance(want, type):
+                    assert prop["type"] == "object", key
+                    check(want, prop)
+                else:
+                    assert kind(prop) == want, key
+
+        check(Instance, schema)
+        assert seen == set(JSON_FIELDS)
 
 
 class TestIndexes:
