@@ -12,8 +12,8 @@ hand-built instances used throughout the test suite.
 The JSON form is stated once, in ``JSON_FIELDS``: for each object the
 dataclass it reads into and the JSON type of each field. One walk over that
 table reads a document and names the path of its first fault (a non-object,
-an unknown key, a missing required key or a value of the wrong JSON type);
-``to_dict`` writes the same fields back.
+an unknown key, a missing required key, or a value or list element of the
+wrong JSON type); ``to_dict`` writes the same fields back.
 """
 
 from __future__ import annotations
@@ -467,21 +467,22 @@ def closure_arcs(instance: Instance, mode: str = "closure") -> list[DirectArcSpe
 
 # The JSON form: for each object, the dataclass it reads into and the JSON
 # type of each field, in reading order. A field holding an object names its
-# dataclass, one holding a list of objects ``[dataclass]``.
+# dataclass, one holding a list ``[the kind of its elements]``.
 _NUMBER, _STRING, _LIST = "a number", "a string", "a list"
 _PYTHON = {_NUMBER: (int, float), _STRING: (str,), _LIST: (list,)}  # no bool
+_IDS = [_STRING]
 JSON_FIELDS: dict[type, dict[str, object]] = {
     Instance: {"name": _STRING, "unit_types": [UnitType], "compositions": [Composition],
                "trips": [Trip], "connections": [Connection], "depots": [Depot],
-               "costs": CostParams, "direct_arcs": _LIST, "n_max": _NUMBER,
+               "costs": CostParams, "direct_arcs": [_IDS], "n_max": _NUMBER,
                "shunting": ShuntConfig},
     UnitType: {"id": _STRING, "length_units": _NUMBER, "seats": _NUMBER},
-    Composition: {"id": _STRING, "units": _LIST},
+    Composition: {"id": _STRING, "units": _IDS},
     Trip: {"id": _STRING, "dep_station": _STRING, "arr_station": _STRING,
            "dep_time": _NUMBER, "arr_time": _NUMBER, "distance_km": _NUMBER,
-           "demand_seats": _NUMBER, "allowed_compositions": _LIST},
-    Connection: {"id": _STRING, "kind": _STRING, "predecessors": _LIST,
-                 "successors": _LIST, "allowed_changes": _LIST},
+           "demand_seats": _NUMBER, "allowed_compositions": _IDS},
+    Connection: {"id": _STRING, "kind": _STRING, "predecessors": _IDS,
+                 "successors": _IDS, "allowed_changes": [_IDS]},
     Depot: {"station": _STRING, "unit_type": _STRING,
             "start_inventory": _NUMBER, "target_end_inventory": _NUMBER},
     CostParams: dict.fromkeys(CostParams.__dataclass_fields__, _NUMBER),
@@ -498,39 +499,44 @@ JSON_DEFAULTS: dict[type, dict[str, object]] = {
 JSON_DEFAULTS[Instance]["name"] = "unnamed"
 
 
-def _read(cls: type, obj, at: str):
-    """``cls`` from the JSON object ``obj`` at path ``at`` ("" for the
-    document). Raises :class:`MalformedInstance` naming the path of the first
-    fault: a non-object, then an unknown key, then in field order a missing
-    required key or a value of the wrong JSON type."""
-    if type(obj) is not dict:
-        raise MalformedInstance(f"malformed instance: {at or 'instance'} must be an "
-                                f"object, got {obj!r}")
-    table, defaults = JSON_FIELDS[cls], JSON_DEFAULTS[cls]
-    prefix = f"{at}." if at else ""
-    if not obj.keys() <= table.keys():
-        unknown = next(key for key in obj if key not in table)
-        raise MalformedInstance(f"malformed instance: unknown key {prefix + unknown!r}")
-    values = dict(defaults)
-    for key, kind in table.items():
-        if key not in obj:
-            if key not in defaults:
-                raise MalformedInstance(f"instance lacks required key {prefix + key!r}")
-            continue
-        value = obj[key]
-        if type(kind) is type:
-            values[key] = _read(kind, value, prefix + key)
-            continue
-        json_type = _LIST if type(kind) is list else kind
-        if type(value) in _PYTHON[json_type]:
-            values[key] = value if json_type is kind else tuple(
-                _read(kind[0], e, f"{prefix}{key}[{k}]") for k, e in enumerate(value))
-            continue
-        nullable = defaults.get(key, MISSING) is None
-        if not (nullable and value is None):
-            raise MalformedInstance(f"malformed instance: {prefix}{key} must be {json_type}"
-                                    f"{' or null' if nullable else ''}, got {value!r}")
-    return cls(**values)
+def _read(kind, value, at: str, nullable: bool = False):
+    """``value`` at path ``at`` ("" for the document) read as ``kind``: a
+    dataclass from a JSON object, a tuple from a list, a JSON number or
+    string as it is, null only where ``nullable``. Raises
+    :class:`MalformedInstance` naming the path of the first fault: a
+    non-object, then an unknown key, then in field order a missing required
+    key or a value or list element of the wrong JSON type."""
+    if type(kind) is type:
+        if type(value) is not dict:
+            raise MalformedInstance(f"malformed instance: {at or 'instance'} must be an "
+                                    f"object, got {value!r}")
+        table, defaults = JSON_FIELDS[kind], JSON_DEFAULTS[kind]
+        prefix = f"{at}." if at else ""
+        if not value.keys() <= table.keys():
+            unknown = next(key for key in value if key not in table)
+            raise MalformedInstance(f"malformed instance: unknown key {prefix + unknown!r}")
+        values = dict(defaults)
+        for key, field_kind in table.items():
+            if key not in value:
+                if key not in defaults:
+                    raise MalformedInstance(f"instance lacks required key {prefix + key!r}")
+            elif type(field_kind) is str and type(value[key]) in _PYTHON[field_kind]:
+                values[key] = value[key]  # the common case, without a call
+            else:
+                values[key] = _read(field_kind, value[key], prefix + key,
+                                    defaults.get(key, MISSING) is None)
+        return kind(**values)
+    json_type = _LIST if type(kind) is list else kind
+    if type(value) in _PYTHON[json_type]:
+        if json_type is kind:
+            return value
+        if type(kind[0]) is str and all(type(e) in _PYTHON[kind[0]] for e in value):
+            return tuple(value)  # scalars, each path built only on a fault
+        return tuple(_read(kind[0], e, f"{at}[{k}]") for k, e in enumerate(value))
+    if not (nullable and value is None):
+        raise MalformedInstance(f"malformed instance: {at} must be {json_type}"
+                                f"{' or null' if nullable else ''}, got {value!r}")
+    return None
 
 
 def from_dict(d) -> Instance:
@@ -554,9 +560,8 @@ def to_dict(obj) -> dict:
         if type(kind) is type:
             value = to_dict(value)
         elif type(kind) is list:
-            value = [to_dict(e) for e in value]
-        elif type(value) is tuple:
-            value = [list(e) if type(e) is tuple else e for e in value]
+            value = [to_dict(e) if type(kind[0]) is type else
+                     list(e) if type(e) is tuple else e for e in value]
         out[key] = value
     return out
 

@@ -1,12 +1,13 @@
 """Embedded LP/MILP solving for assembled models.
 
-``solve_lp`` runs the bounded simplex, dual pivots from the slack basis
-and one primal pass (in floats, or with a rational certificate of the
-final basis in exact mode), the one path for every LP;
-``solve_ip`` wraps it in branch and bound, whose children start from their
-parent's basis by dual simplex, and keeps the root node's answer as the LP
-relaxation's; ``enumerate_oracle`` computes ground-truth integer optima on
-tiny instances by exhaustive enumeration.
+``solve_lp`` runs the bounded simplex, one exact presolve, dual pivots
+from the slack basis, one primal pass and the dual postsolve (in floats,
+or with a rational certificate of the final basis in exact mode), the one
+path for every LP; ``solve_ip`` wraps it in branch and bound, whose
+children start from their parent's basis and layout by dual simplex, and
+keeps the root node's answer as the LP relaxation's; ``enumerate_oracle``
+computes ground-truth integer optima on tiny instances by exhaustive
+enumeration.
 """
 
 from __future__ import annotations
@@ -41,11 +42,8 @@ class IpSolution:
 
     ``root`` is the LP relaxation's answer at the root node (status,
     objective, values, duals, iterations), so callers that need both the
-    LP bound and the IP optimum solve once. The root is solved on the bounds
-    that fix-propagation over the equality rows implies, so its objective is
-    the relaxation's value, but ``root.duals`` belong to that presolved root
-    and are no certificate of the original LP. ``iterations`` is the total
-    of simplex passes over every node LP, the root's included.
+    LP bound and the IP optimum solve once. ``iterations`` is the total of
+    simplex passes over every node LP, the root's included.
     """
 
     status: str                       # Optimal | Infeasible | Unbounded | NodeLimit

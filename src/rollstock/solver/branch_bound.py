@@ -3,11 +3,13 @@
 Depth-first search with most-fractional branching (ties to the lowest
 variable index) and a best-bound reordering of the open stack every 1000
 nodes. Unbounded integer parking variables branch like any other integer
-variable via floor/ceil bound splits. A light fix-propagation pass over the
-equality rows tightens variable bounds before the search; it is pure
-algebra, so LP relaxation values are unaffected. The root is solved by
-dual simplex from the slack basis; children start from the parent's basis
-by the same dual simplex, since they differ from it in one bound.
+variable via floor/ceil bound splits. The root LP is presolved once, by
+the simplex's exact presolve, and solved by dual simplex from the slack
+basis; children start from the parent's basis by the same dual simplex,
+since they differ from it in one bound, and inherit the root's layout and
+fixed values. An integer column that the presolve forces to a fraction
+branches like any other: both children exclude its value and are
+Infeasible.
 """
 
 from __future__ import annotations
@@ -32,44 +34,6 @@ class _Node:
     serial: int
     res: object = None    # LP result already computed for these bounds
     start: object = None  # the parent's final basis
-
-
-def _propagate_fixings(model: MilpModel, lb: np.ndarray, ub: np.ndarray,
-                       index: dict[str, int]) -> bool:
-    """Fix variables forced by equality rows; False if proven infeasible."""
-    eq_rows = [r for r in model.rows if r.sense == "="]
-    changed = True
-    while changed:
-        changed = False
-        for row in eq_rows:
-            residual = row.rhs
-            free = []
-            for vid, coef in row.coeffs:
-                i = index[vid]
-                if lb[i] == ub[i]:
-                    residual -= coef * lb[i]
-                else:
-                    free.append((i, coef))
-            if not free:
-                if abs(residual) > 1e-9:
-                    return False
-                continue
-            if len(free) == 1:
-                i, coef = free[0]
-                value = residual / coef
-                if value < lb[i] - 1e-9 or value > ub[i] + 1e-9:
-                    return False
-                lb[i] = ub[i] = value
-                changed = True
-                continue
-            # all-nonnegative coefficients with zero residual pin everything
-            if residual == 0 and all(c > 0 for _, c in free) and \
-                    all(lb[i] == 0 for i, _ in free):
-                for i, _ in free:
-                    if ub[i] != 0:
-                        ub[i] = 0.0
-                        changed = True
-    return True
 
 
 def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
@@ -97,32 +61,18 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
         return solve_arrays(form.c, form.A, form.b, lb, ub, exact=exact,
                             start=start)
 
-    lb0 = form.lb.copy()
-    ub0 = form.ub.copy()
-    index = {vid: i for i, vid in enumerate(form.var_ids)}
-    ok = _propagate_fixings(model, lb0, ub0, index) and not any(
-        int_mask[i] and lb0[i] == ub0[i] and abs(lb0[i] - round(lb0[i])) > INT_TOL
-        for i in range(n))
-    if not ok:
-        # the relaxation may still be feasible (an integer column forced to
-        # a fractional value), so its answer comes from the original bounds
-        root = run_lp(form.lb, form.ub)
-        root_lp = _lp_solution(model, form, root, tol, exact)
-        return IpSolution("Infeasible", nodes=0, root=root_lp,
-                          iterations=root.iterations)
-
     incumbent = None
     incumbent_obj = None
     nodes = 0
     serial = 0
 
-    root = run_lp(lb0, ub0)
+    root = run_lp(form.lb, form.ub)
     root_lp = _lp_solution(model, form, root, tol, exact)
     iterations = root.iterations
     if root.status != "Optimal":
         return IpSolution(root.status, nodes=1, root=root_lp,
                           iterations=iterations)
-    stack = [_Node(lb0, ub0, root.objective, serial, root)]
+    stack = [_Node(form.lb, form.ub, root.objective, serial, root)]
     root_bound = root.objective
 
     def fractional(x, tolerance):

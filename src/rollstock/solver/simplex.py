@@ -1,13 +1,16 @@
 """Bounded-variable revised simplex in floats, with a rational certificate.
 
-Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). Columns fixed
-by equal bounds are substituted out and rows left without a free column are
-dropped before the iterations start (the run's *layout*). A cold run starts
-from the slack basis: one artificial column per remaining row, every other
-column at its lower bound. A warm run starts from an earlier run's layout
-and final basis under bounds that only tighten, as in a branch-and-bound
-child, and from a copy of that run's final basis inverse; a column the new
-bounds fix stays in the layout and never enters.
+Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). A cold run
+first presolves once, exactly (Andersen and Andersen 1995): it fixes the
+columns that equal bounds, singleton rows, and zero-residual rows of
+positive coefficients over lower bounds 0 force, and drops the rows left
+without a free column; what is left is the run's *layout*. It starts from
+the slack basis: one artificial column per live row, every other column
+at its lower bound. A warm run, as in a branch-and-bound child, starts
+from an earlier run's layout, fixed values, final basis and a copy of its
+final basis inverse under bounds that only tighten; a column the new
+bounds fix never enters. A dual postsolve gives the dropped rows their
+duals, so x and y are an optimum of the original model in either mode.
 
 Every run then takes the same two steps, with the artificial columns held
 at zero. Dual pivots (dual steepest edge picks the leaving row, Forrest and
@@ -30,25 +33,27 @@ nonzero and their steepest-edge norms, and the dual loop carries its
 reduced costs along the pivot row, d -= (d_q / alpha_rq) alpha_r.
 
 The rational mode backs the optimal-value *equality* assertions between
-models. It does not pivot over ``Fraction``s: it takes the presolve decisions
-in rational arithmetic, runs the float simplex, and then certifies the basis
-that run ends on (the approach of QSopt_ex, Applegate, Cook, Dash and
-Espinoza 2007), over that run's layout. One sparse rational elimination
-solves B x_B = b - N x_N and B'y = c_B. An optimum needs its primal bounds
-and reduced-cost signs; an infeasibility needs the dual loop's row r, with
-B'u = e_r, whose basic value u.b - sum_j (u.A_j) x_j cannot reach its
-bounds for any nonbasic x_j within theirs; an unboundedness needs a
+models. It does not pivot over ``Fraction``s: it runs the float simplex on
+the presolve's layout and then certifies the basis that run ends on (the
+approach of QSopt_ex, Applegate, Cook, Dash and Espinoza 2007), over the
+reduced problem built from the presolve's exact data. One sparse rational
+elimination solves B x_B = b - N x_N and B'y = c_B. An optimum needs its
+primal bounds and, after the postsolve, the reduced-cost sign of every
+column of the original model; an infeasibility needs the dual loop's row
+r, with B'u = e_r, whose basic value u.b - sum_j (u.A_j) x_j cannot reach
+its bounds for any nonbasic x_j within theirs; an unboundedness needs a
 feasible basis and an improving column that no basic variable blocks. A
 basis that fails, or a float run that fails, raises ``NumericalFailure``
-naming the check. The certificate lifts the data once and computes in
-Python ints wherever a value is integral, as model data mostly is; a
-``Fraction`` appears only where an exact quotient is not an integer, and in
-the answer, converted once at the end.
+naming the check. The certificate computes in Python ints wherever a value
+is integral, as model data mostly is; a ``Fraction`` appears only where an
+exact quotient is not an integer, and in the answer, converted once at the
+end.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +69,6 @@ BASIC = 2
 
 TOL = 1e-9        # pricing and ratio-test pivots
 TIE = 1e-12       # ratio ties and degenerate steps
-FEAS_TOL = 1e-7   # right-hand sides of dead rows
 
 
 @dataclass
@@ -78,6 +82,22 @@ class SimplexResult:
 
 
 @dataclass
+class _Layout:
+    """What the presolve leaves, in the exact values of the data: the free
+    columns and live rows of the reduced problem, the value of every other
+    column, ``rhs`` (b less the fixed columns), the reductions in order,
+    each as (row, [(column, coefficient), ...]) of the columns that row
+    fixed, and the lifted nonzeros (row, coefficient) of each column."""
+
+    free_cols: list[int]
+    live_rows: list[int]
+    fixed: dict[int, object]
+    rhs: list
+    records: list[tuple]
+    cols: list[list]
+
+
+@dataclass
 class _Basis:
     """Where the float run stopped, over its layout: the reduced columns
     are the free columns in order, then the artificial column
@@ -87,8 +107,7 @@ class _Basis:
     Optimal run keeps ``B_inv``, the inverse of its final refactorization,
     and a run started from this basis begins from a copy of it."""
 
-    free_cols: list[int]
-    live_rows: list[int]
+    layout: _Layout
     sign: np.ndarray
     basis: list[int]
     status: np.ndarray
@@ -121,6 +140,88 @@ def _lift(v: np.ndarray) -> list:
     for k in np.flatnonzero(~whole).tolist():
         out[k] = INF if v[k] == INF else to_fraction(v[k])
     return out
+
+
+def _presolve(A, b, lb, ub) -> _Layout | None:
+    """The layout of a cold run, or None when the data contradict exactly.
+
+    Works on the lifted data, so every decision is exact. Fixing a column
+    updates the residual and the count of free columns of each of its rows
+    and puts them on a worklist; a row taken from it that has one free
+    column, or a zero residual and only free columns with positive
+    coefficients and lower bound 0, fixes them. Each row's nonzeros are
+    scanned once when it is reduced, so the pass costs O(nnz).
+    """
+    if (lb == -INF).any():
+        raise NumericalFailure("free variables are not supported")
+    m, n = A.shape
+    lo, up, rhs = _lift(lb), _lift(ub), _lift(b)
+    if any(lo_j > up_j for lo_j, up_j in zip(lo, up)):
+        return None
+    rows, cols = [[] for _ in range(m)], [[] for _ in range(n)]
+    nz_rows, nz_cols = np.nonzero(A)
+    for i, j, a in zip(nz_rows.tolist(), nz_cols.tolist(),
+                       _lift(A[nz_rows, nz_cols])):
+        if a:
+            rows[i].append((j, a))
+            cols[j].append((i, a))
+    count = [len(row) for row in rows]  # free columns per row
+    bad = [sum(a < 0 or lo[j] != 0 for j, a in row) for row in rows]
+    fixed, records, work = {}, [], list(range(m - 1, -1, -1))
+
+    def fix(j, v):
+        fixed[j] = v
+        for k, a in cols[j]:
+            rhs[k] -= a * v
+            count[k] -= 1
+            bad[k] -= a < 0 or lo[j] != 0
+            work.append(k)
+
+    for j in range(n):
+        if lo[j] == up[j]:
+            fix(j, lo[j])
+    while work:
+        i = work.pop()
+        if count[i] == 0:
+            if rhs[i]:
+                return None
+            continue
+        if count[i] == 1:
+            j, a = next((j, a) for j, a in rows[i] if j not in fixed)
+            v, pinned = _div(rhs[i], a), [(j, a)]
+            if not lo[j] <= v <= up[j]:
+                return None
+        elif rhs[i] == 0 and not bad[i]:
+            v, pinned = 0, [(j, a) for j, a in rows[i] if j not in fixed]
+        else:
+            continue
+        records.append((i, pinned))
+        for j, _ in pinned:
+            fix(j, v)
+    return _Layout([j for j in range(n) if j not in fixed],
+                   [i for i in range(m) if count[i]], fixed, rhs, records, cols)
+
+
+def _admits(layout: _Layout, lb, ub) -> bool:
+    """Whether bounds tighter than those ``layout`` was made under hold its
+    fixed values; a run started on that layout is Infeasible otherwise."""
+    at = list(layout.fixed)
+    return not (lb > ub).any() and all(
+        lo <= v <= up for lo, v, up in zip(_lift(lb[at]), layout.fixed.values(),
+                                           _lift(ub[at])))
+
+
+def _postsolve(layout: _Layout, cost, y: list, div) -> list:
+    """Duals for the rows the presolve dropped, walking its reductions
+    backwards: the row of each gets min_j d_j / a_ij over the columns it
+    fixed, so d_j is zero for a singleton's column and nonnegative for
+    columns pinned at lower bound 0; an earlier reduction's row holds none
+    of a later one's columns. ``cost`` and ``y`` (the live rows' duals, 0
+    elsewhere) are floats or exact values, ``div`` their quotient."""
+    for i, pinned in reversed(layout.records):
+        y[i] = min(div(cost[j] - sum(y[k] * a for k, a in layout.cols[j]),
+                       a_ij) for j, a_ij in pinned)
+    return y
 
 
 def _inverse(A, basis):
@@ -217,7 +318,7 @@ class _Pivots:
         self.norms = np.einsum("ij,ij->i", self.B_inv, self.B_inv)
         self.x_B = _basic_values(self.A, self.b, self.lb, self.ub, self.status,
                                  self.B_inv)
-        self.basis_arr = np.array(self.basis)
+        self.basis_arr = np.array(self.basis, dtype=int)
 
     def reduced_costs(self, costs):
         """c - (c_B B^-1) A, priced afresh."""
@@ -359,45 +460,23 @@ def _dual(p: _Pivots, costs) -> int:
             p.d[entering] = 0.0
 
 
-def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
-    """The float run, from ``start``'s basis on its layout or else from the
+def _solve_float(c, A, lb, ub, max_iter: int | None, layout: _Layout,
+                 start=None):
+    """The float run on ``layout``, from ``start``'s basis or else from the
     slack basis: one artificial column per live row, every other column at
     its lower bound. The artificial columns are held at zero; the dual loop
     runs first (on the costs clipped at zero from the slack basis, whose
-    duals are zero), then one primal pass on the true costs. The result's
-    ``basis`` is None when the presolve alone proves infeasibility.
+    duals are zero), then one primal pass on the true costs. An optimum
+    gets the layout's fixed values as floats and the postsolved duals.
     """
-    n_all = len(c)
-    if (lb > ub).any():
-        return SimplexResult("Infeasible")
-    if (lb == -INF).any():
-        raise NumericalFailure("free variables are not supported")
-
-    # substitute out fixed columns, drop rows that become empty; a warm
-    # start keeps its layout, and the columns that layout left out stay
-    # fixed under bounds that only tighten
-    if start is None:
-        free_cols = [j for j in range(n_all) if lb[j] != ub[j]]
-        live_rows = [int(i) for i in
-                     np.flatnonzero((A[:, free_cols] != 0).any(axis=1))]
-    else:
-        free_cols, live_rows = start.free_cols, start.live_rows
-    b_eff = b.copy()
-    fx = np.setdiff1d(np.arange(n_all), free_cols)
-    if fx.size:
-        b_eff = b_eff - A[:, fx] @ lb[fx]
-    dead = np.ones(len(b), dtype=bool)
-    dead[live_rows] = False
-    if (dead & (np.abs(b_eff) > FEAS_TOL)).any():
-        return SimplexResult("Infeasible")
-
+    free_cols, live_rows = layout.free_cols, layout.live_rows
     A_r = A[np.ix_(live_rows, free_cols)]
     m, n = len(live_rows), len(free_cols)
     if max_iter is None:
         max_iter = 5000 + 60 * (m + n)
     lb_r = lb[free_cols]
     ub_r = ub[free_cols]
-    b_r = b_eff[live_rows]
+    b_r = np.array([float(layout.rhs[i]) for i in live_rows])
     costs = np.concatenate([c[free_cols], np.zeros(m)])
     if start is None:
         sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0)
@@ -414,7 +493,7 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
     full_A = np.concatenate([A_r, np.diag(sign)], axis=1)
     full_lb = np.concatenate([lb_r, np.zeros(m)])
     full_ub = np.concatenate([ub_r, np.zeros(m)])  # artificials held at zero
-    run = _Basis(free_cols, live_rows, sign, basis, status)
+    run = _Basis(layout, sign, basis, status)
 
     iterations = 0
     x_r = y_r = np.zeros(0)
@@ -439,11 +518,13 @@ def _solve_float(c, A, b, lb, ub, max_iter: int | None, start=None):
         x_r[basis] = p.x_B
         y_r = costs[basis] @ p.B_inv
 
-    x = lb.copy()
+    x = np.empty(len(c))
+    x[list(layout.fixed)] = [float(v) for v in layout.fixed.values()]
     x[free_cols] = x_r[:n]
-    y = np.zeros(len(b))
+    y = np.zeros(A.shape[0])
     y[live_rows] = y_r
-    obj = sum((c[j] * x[j] for j in range(n_all)), 0.0)
+    y = np.array(_postsolve(layout, c, y.tolist(), operator.truediv))
+    obj = sum((c[j] * x[j] for j in range(len(c))), 0.0)
     return SimplexResult("Optimal", objective=obj, x=x, y=y,
                          iterations=iterations, basis=run)
 
@@ -513,69 +594,30 @@ def _rational_solve(rows: list[dict], rhs: list[list]):
     return z
 
 
-def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
-    """The exact answer: rational presolve, the float run, then a rational
-    certificate of the basis that run ends on, over that run's layout."""
-    # presolve on the lifted nonzeros; its infeasibility verdicts are proofs
-    if (lb == -INF).any():
-        raise NumericalFailure("free variables are not supported")
-    n_all, m_all = len(c), len(b)
-    lo_all, up_all, b_all = _lift(lb), _lift(ub), _lift(b)
-    if any(lo > up for lo, up in zip(lo_all, up_all)):
-        return SimplexResult("Infeasible")
-    cols = [[] for _ in range(n_all)]
-    nz_rows, nz_cols = np.nonzero(A)
-    for i, j, a in zip(nz_rows.tolist(), nz_cols.tolist(),
-                       _lift(A[nz_rows, nz_cols])):
-        if a:
-            cols[j].append((i, a))
-    cost = {j: v for j, v in enumerate(_lift(c)) if v}
-
-    def rhs_without(kept):
-        """b less the columns outside ``kept``, each at its fixed value."""
-        rhs = list(b_all)
-        for j in set(range(n_all)).difference(kept):
-            for i, a in cols[j]:
-                rhs[i] -= a * lo_all[j]
-        return rhs
-
-    free_cols = [j for j in range(n_all) if lo_all[j] != up_all[j]]
-    rhs = rhs_without(free_cols)
-    live_rows = sorted({i for j in free_cols for i, _ in cols[j]})
-    if any(rhs[i] for i in set(range(m_all)).difference(live_rows)):
-        return SimplexResult("Infeasible")
-
+def _certify(c, A, lb, ub, max_iter: int | None, layout: _Layout,
+             start) -> SimplexResult:
+    """The exact answer: the float run, then a rational certificate of the
+    basis that run ends on, over the presolve's exact reduced problem."""
     try:
-        approx = _solve_float(c, A, b, lb, ub, max_iter, start)
+        approx = _solve_float(c, A, lb, ub, max_iter, layout, start)
     except NumericalFailure as e:
         raise NumericalFailure(f"certificate: float run failed: {e}") from e
     run = approx.basis
-    if run is None:
-        raise NumericalFailure("certificate: float presolve differs from "
-                               "the rational presolve")
-    # the run's layout may be a parent's: every column it leaves out must be
-    # fixed here, and every live row must be in it
-    for what, ours, theirs in (("free column", free_cols, run.free_cols),
-                               ("live row", live_rows, run.live_rows)):
-        stray = sorted(set(ours).difference(theirs))
-        if stray:
-            raise NumericalFailure("certificate: the float run's layout "
-                                   f"leaves out {what} {stray[0]}")
-    if len(run.free_cols) != len(free_cols):
-        rhs = rhs_without(run.free_cols)
 
     # the reduced problem: layout columns, then one artificial per live row
-    m, n = len(run.live_rows), len(run.free_cols)
-    at = {i: k for k, i in enumerate(run.live_rows)}
-    column = [[(at[i], a) for i, a in cols[j]] for j in run.free_cols] + \
+    free_cols, live_rows = layout.free_cols, layout.live_rows
+    m, n = len(live_rows), len(free_cols)
+    at = {i: k for k, i in enumerate(live_rows)}
+    column = [[(at[i], a) for i, a in layout.cols[j]] for j in free_cols] + \
         [[(k, int(s))] for k, s in enumerate(run.sign)]
-    lo = [lo_all[j] for j in run.free_cols] + [0] * m
-    up = [up_all[j] for j in run.free_cols] + [0] * m
-    costs = [cost.get(j, 0) for j in run.free_cols] + [0] * m
+    lo_all, up_all, cost = _lift(lb), _lift(ub), _lift(c)
+    lo = [lo_all[j] for j in free_cols] + [0] * m
+    up = [up_all[j] for j in free_cols] + [0] * m
+    costs = [cost[j] for j in free_cols] + [0] * m
     basis, status = run.basis, run.status
 
     # x_B from B x_B = b - N x_N
-    b_r = [rhs[i] for i in run.live_rows]
+    b_r = [layout.rhs[i] for i in live_rows]
     x_r = [0] * (n + m)
     for j in range(n + m):
         if status[j] != BASIC:
@@ -641,23 +683,22 @@ def _certify(c, A, b, lb, ub, max_iter: int | None, start) -> SimplexResult:
         return SimplexResult("Unbounded", iterations=approx.iterations,
                              basis=run)
 
-    # y from B'y = c_B, and reduced costs of the right sign
+    # y from B'y = c_B, the dropped rows' duals from the postsolve, and the
+    # reduced cost of every column of the original model of the right sign
     y_r = _rational_solve([dict(column[j]) for j in basis],
                           [[costs[j] for j in basis]])[0]
-    for j in range(n + m):
-        if status[j] == BASIC or lo[j] == up[j]:
-            continue
-        d = costs[j] - sum(y_r[k] * a for k, a in column[j])
-        if (d < 0) if status[j] == AT_LOWER else (d > 0):
+    values = {**layout.fixed, **dict(zip(free_cols, x_r))}
+    x = [values[j] for j in range(len(c))]
+    duals = dict(zip(live_rows, y_r))
+    y = [duals.get(i, 0) for i in range(A.shape[0])]
+    _postsolve(layout, cost, y, _div)
+    for j, x_j in enumerate(x):
+        d = cost[j] - sum(y[i] * a for i, a in layout.cols[j])
+        if (d < 0 and x_j != up_all[j]) or (d > 0 and x_j != lo_all[j]):
             raise NumericalFailure(f"certificate: reduced cost {d} of column "
                                    f"{j} has the wrong sign")
 
-    x, y = list(lo_all), [0] * m_all
-    for k, j in enumerate(run.free_cols):
-        x[j] = x_r[k]
-    for k, i in enumerate(run.live_rows):
-        y[i] = y_r[k]
-    obj = Fraction(sum(q * x[j] for j, q in cost.items()))
+    obj = Fraction(sum(q * x_j for q, x_j in zip(cost, x) if q))
     x, y = (np.array([Fraction(v) for v in vec], dtype=object)
             for vec in (x, y))
     return SimplexResult("Optimal", objective=obj, x=x, y=y,
@@ -670,19 +711,24 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     """Bounded simplex on dense data.
 
     ``A`` is (m x n); bounds may use ``float('inf')`` for no upper bound.
-    Fixed columns (equal bounds) are substituted out up front, and the run
-    reaches the answer by dual pivots from the slack basis, then one primal
-    pass; a row the dual pivots cannot repair makes it Infeasible. With
-    ``start``, the ``basis`` of an earlier result on the same data under
-    bounds that contain these, the dual pivots start from that basis on
-    that result's layout. With ``exact`` the float run's basis is certified
-    in rational arithmetic and the answer is exact: a ``Fraction``
-    objective, and x and y as object arrays of ``Fraction``s. ``iterations``
-    counts the float run's pivot passes either way.
-    A basis that fails its certificate raises ``NumericalFailure``; there
-    is no rational pivoting.
+    A cold run presolves, then reaches the answer by dual pivots from the
+    slack basis and one primal pass; a row the dual pivots cannot repair
+    makes it Infeasible. With ``start``, the ``basis`` of an earlier result
+    on the same data under bounds that contain these, the run keeps that
+    result's layout and fixed values and starts from its basis. With
+    ``exact`` the float run's basis is certified in rational arithmetic and
+    the answer is exact: a ``Fraction`` objective, and x and y as object
+    arrays of ``Fraction``s. ``iterations`` counts the float run's pivot
+    passes either way. A basis that fails its certificate raises
+    ``NumericalFailure``; there is no rational pivoting.
     """
     c, A, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, A, b, lb, ub))
+    if start is None:
+        layout = _presolve(A, b, lb, ub)
+    else:
+        layout = start.layout if _admits(start.layout, lb, ub) else None
+    if layout is None:
+        return SimplexResult("Infeasible")
     if exact:
-        return _certify(c, A, b, lb, ub, max_iter, start)
-    return _solve_float(c, A, b, lb, ub, max_iter, start)
+        return _certify(c, A, lb, ub, max_iter, layout, start)
+    return _solve_float(c, A, lb, ub, max_iter, layout, start)

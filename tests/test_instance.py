@@ -220,6 +220,28 @@ class TestJson:
                            match=rf"^malformed instance: unknown key {re.escape(repr(path))}$"):
             loads(json.dumps(d))
 
+    @pytest.mark.parametrize("where,key,value,fault", [
+        (("compositions", 0), "units", [7], "compositions[0].units[0] must be a string, got 7"),
+        (("trips", 0), "allowed_compositions", [7],
+         "trips[0].allowed_compositions[0] must be a string, got 7"),
+        (("connections", 0), "predecessors", [7],
+         "connections[0].predecessors[0] must be a string, got 7"),
+        (("connections", 0), "successors", ["t2", None],
+         "connections[0].successors[1] must be a string, got None"),
+        (("connections", 0), "allowed_changes", [3],
+         "connections[0].allowed_changes[0] must be a list, got 3"),
+        (("connections", 0), "allowed_changes", [["rr", 3]],
+         "connections[0].allowed_changes[0][1] must be a string, got 3"),
+        ((), "direct_arcs", [["u", "t1", 5]], "direct_arcs[0][2] must be a string, got 5")],
+        ids=["units", "allowed_compositions", "predecessors", "successors",
+             "allowed_changes", "allowed_changes-entry", "direct_arcs"])
+    def test_list_element_of_the_wrong_type_names_its_path(self, where, key, value, fault):
+        d = json.loads(dumps(canonical("Situation1")))
+        functools.reduce(operator.getitem, where, d)[key] = value
+        with pytest.raises(MalformedInstance,
+                           match=rf"^malformed instance: {re.escape(fault)}$"):
+            loads(json.dumps(d))
+
     def test_first_fault_in_reading_order_is_reported(self):
         d = json.loads(dumps(canonical("Situation1")))
         del d["trips"][1]["dep_time"]
@@ -260,15 +282,18 @@ class TestJson:
             assert set(node["properties"]) == set(table), cls
             assert set(node.get("required", ())) == set(table) - set(JSON_DEFAULTS[cls]), cls
             for key, want in table.items():
-                prop = node["properties"][key]
-                if isinstance(want, list):
-                    assert prop["type"] == "array", key
-                    check(want[0], prop["items"])
-                elif isinstance(want, type):
-                    assert prop["type"] == "object", key
-                    check(want, prop)
-                else:
-                    assert kind(prop) == want, key
+                check_kind(want, node["properties"][key], key)
+
+        def check_kind(want, prop, key):
+            if isinstance(want, list):
+                assert prop["type"] == "array", key
+                for item in prop.get("prefixItems") or [prop["items"]]:
+                    check_kind(want[0], item, key)
+            elif isinstance(want, type):
+                assert prop["type"] == "object", key
+                check(want, prop)
+            else:
+                assert kind(prop) == want, key
 
         check(Instance, schema)
         assert seen == set(JSON_FIELDS)

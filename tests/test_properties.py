@@ -13,7 +13,8 @@ from rollstock.composition import contract  # noqa: E402
 from rollstock.formulation import assemble  # noqa: E402
 from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
-from rollstock.solver import model_arrays  # noqa: E402
+from rollstock.solver import (  # noqa: E402
+    dual_residual, feasibility_residual, model_arrays, solve_ip, solve_lp)
 from rollstock.solver.simplex import solve_arrays, to_fraction  # noqa: E402
 
 
@@ -94,3 +95,24 @@ def test_exact_root_is_an_optimum_checked_from_scratch(seed, lines,
             assert d[j] <= 0, j
         else:
             assert d[j] == 0, j
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(1, 10_000), lines=st.integers(1, 3),
+       trips_per_line=st.integers(1, 3), unit_types=st.integers(1, 2),
+       stations=st.integers(2, 3),
+       variant=st.sampled_from(["hD", "HD", "hAbar", "HAbar", "C"]))
+def test_every_optimum_carries_its_residuals(seed, lines, trips_per_line,
+                                             unit_types, stations, variant):
+    # the LP answer and the branch-and-bound root are optima of the original
+    # model: primal and dual residuals measured on it, not on the presolved
+    # problem
+    inst = generate(GenConfig(seed=seed, lines=lines,
+                              trips_per_line=trips_per_line,
+                              unit_types=unit_types, stations=stations))
+    graph = build(inst, "HD" if variant == "C" else variant)
+    model = assemble(contract(graph) if variant == "C" else graph)
+    for sol in (solve_lp(model.relaxed()), solve_ip(model).root):
+        if sol.status == "Optimal":
+            assert feasibility_residual(model, sol.values) <= 1e-7
+            assert dual_residual(model.relaxed(), sol) <= 1e-6

@@ -61,6 +61,54 @@ def _scipy_lp_value(model):
     return res
 
 
+def _forced_fraction_model(cap="="):
+    """r forces x = 10000001/10000000 once cap forces s = 0; y >= 1."""
+    return MilpModel("forced", [
+        Variable("x", 0.0, 5.0, False, 1.0),
+        Variable("s", 0.0, 5.0, True, 0.0),
+        Variable("y", 0.0, 3.0, True, 1.0)],
+        [Row("r", (("x", 10000000.0), ("s", 1.0)), "=", 10000001.0),
+         Row("cap", (("s", 1.0),), cap, 0.0),
+         Row("g", (("y", 1.0),), ">=", 1.0)])
+
+
+class TestPresolve:
+    def test_reductions_are_exact_and_in_order(self):
+        form = model_arrays(_forced_fraction_model(cap="<="))
+        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        # columns x, s, y, then the slacks of cap and g; cap pins s and its
+        # slack to 0, then r is a singleton row in x
+        assert layout.records == [(1, [(1, 1), (3, 1)]), (0, [(0, 10000000)])]
+        assert layout.fixed == {1: 0, 3: 0, 0: Fraction(10000001, 10000000)}
+        assert layout.free_cols == [2, 4] and layout.live_rows == [2]
+        assert layout.rhs[2] == 1
+
+    def test_a_chain_of_singletons_is_followed_to_its_end(self):
+        # x_0 = 3 and x_k - x_(k+1) = 0: each row fixes the next column
+        k = 30
+        rows = [Row(f"e{i}", ((f"x{i}", 1.0), (f"x{i + 1}", -1.0)), "=", 0.0)
+                for i in range(k - 1)] + [Row("top", (("x0", 1.0),), "=", 3.0)]
+        m = MilpModel("chain", [Variable(f"x{i}", 0.0, 5.0, False, 1.0)
+                                for i in range(k)], rows)
+        form = model_arrays(m)
+        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        assert layout.fixed == {j: 3 for j in range(k)}
+        assert layout.free_cols == [] and layout.live_rows == []
+        assert [i for i, _ in layout.records] == [k - 1, *range(k - 1)]
+        sol = solve_lp(m, exact=True)
+        assert sol.objective == 3 * k and dual_residual(m, sol) == 0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_column_left_in_no_row(self, exact):
+        # the presolve drops the only row; x is free and meets no live row
+        m = MilpModel("empty", [Variable("x", 0.0, 5.0, False, 1.0),
+                                Variable("z", 0.0, 5.0, False, 1.0)],
+                      [Row("d", (("z", 1.0),), "=", 2.0)])
+        sol = solve_lp(m, exact=exact)
+        assert sol.status == "Optimal" and sol.objective == 2
+        assert sol.values == {"x": 0, "z": 2} and sol.duals == {"d": 1}
+
+
 class TestLp:
     @pytest.mark.parametrize("name", sorted(canonical_instances()))
     @pytest.mark.parametrize("variant", ["hD", "HD", "hAbar", "C"])
@@ -105,6 +153,12 @@ class TestLp:
         m = MilpModel("bad", [Variable("x", 0.0, 0.0, False, 1.0)],
                       [Row("r", (("x", 1.0),), "=", 1.0)])
         assert solve_lp(m, exact=exact).status == "Infeasible"
+        # a row that forces its one free column outside its bounds: the
+        # presolve's verdict, with no run behind it
+        m = MilpModel("forced", [Variable("x", 0.0, 5.0, False, 1.0)],
+                      [Row("r", (("x", 1.0),), "=", 6.0)])
+        res = _solve_arrays(m, exact)
+        assert res.status == "Infeasible" and res.basis is None
         # a partition no free column can fill: the dual loop from the
         # slack basis stops on its row, which exact mode certifies
         m = MilpModel("over", [Variable("x", 0.0, 1.0, False, 1.0),
@@ -211,11 +265,12 @@ class TestLp:
         assert solve_lp(m, exact=exact).status == "Unbounded"
 
     def test_dead_row_below_float_tolerance(self):
-        # x is fixed, so the row is dead; its right-hand side is within the
-        # float presolve's 1e-7 but not zero
+        # x is fixed, so the row is dead; its right-hand side is below any
+        # float tolerance but not zero, and the presolve that both modes
+        # share checks it exactly
         m = MilpModel("dead", [Variable("x", 0.0, 0.0, False, 1.0)],
                       [Row("r", (("x", 1.0),), "=", 1e-8)])
-        assert solve_lp(m).status == "Optimal"
+        assert solve_lp(m).status == "Infeasible"
         assert solve_lp(m, exact=True).status == "Infeasible"
 
     def test_exact_mode_returns_fractions(self, situation2):
@@ -292,18 +347,43 @@ class TestIp:
 
     def test_exact_integrality_has_no_tolerance(self):
         # x = 10000001/10000000 is within 1e-6 of 1, but x = 1 leaves the
-        # row short by 1 and x = 2 overshoots it: there is no integer point
-        m = MilpModel("near", [Variable("x", 0.0, 5.0, True, 1.0),
-                               Variable("s", 0.0, 5.0, False, 0.0)],
-                      [Row("r", (("x", 10000000.0), ("s", 1.0)), "=", 10000001.0),
-                       Row("cap", (("s", 1.0),), "<=", 0.0)])
+        # row short by 1 and x = 2 overshoots it: there is no integer point;
+        # with cap as an equality the presolve forces x to that fraction,
+        # and both children of x exclude it
+        for cap in ("<=", "="):
+            m = MilpModel("near", [Variable("x", 0.0, 5.0, True, 1.0),
+                                   Variable("s", 0.0, 5.0, False, 0.0)],
+                          [Row("r", (("x", 10000000.0), ("s", 1.0)), "=",
+                               10000001.0),
+                           Row("cap", (("s", 1.0),), cap, 0.0)])
+            ip = solve_ip(m, exact=True)
+            assert ip.status == "Infeasible"
+            assert ip.root.objective == Fraction(10000001, 10000000)
+            # float mode rounds x to 1, the residual check refuses that
+            # point, and the search branches on x instead
+            ip = solve_ip(m)
+            assert ip.status == "Infeasible" and ip.nodes == 3
+
+    def test_exact_ip_keeps_a_presolved_fraction(self):
+        # the presolve fixes s = 0 and then x = 10000001/10000000 exactly,
+        # where lifting a float x = 1.0000001 would miss the row; y = 1
+        m = _forced_fraction_model()
         ip = solve_ip(m, exact=True)
-        assert ip.status == "Infeasible"
-        assert ip.root.objective == Fraction(10000001, 10000000)
-        # float mode rounds x to 1, the residual check refuses that point,
-        # and the search branches on x instead
+        assert ip.status == "Optimal" and ip.root.status == "Optimal"
+        assert ip.objective == ip.root.objective == Fraction(20000001,
+                                                            10000000)
+        assert dual_residual(m.relaxed(), ip.root) == 0
         ip = solve_ip(m)
-        assert ip.status == "Infeasible" and ip.nodes == 3
+        assert ip.status == "Optimal"
+        assert ip.objective == pytest.approx(2.0000001, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(canonical_instances()))
+    @pytest.mark.parametrize("variant", ["hD", "HD", "hAbar", "HAbar", "C"])
+    def test_root_duals_are_certificates(self, name, variant):
+        m = _model(canonical_instances()[name], variant)
+        root = solve_ip(m).root
+        assert root.status == "Optimal"
+        assert dual_residual(m.relaxed(), root) <= 1e-6
 
     def test_incumbent_residual_is_certified(self, monkeypatch):
         m = MilpModel("cert", [Variable("x", 0.0, 10.0, True, 1.0)],
@@ -544,7 +624,7 @@ class TestWarmStart:
             res = real(c, A, b, lb, ub, exact=exact, start=start)
             if start is not None:
                 full_A = np.concatenate([
-                    A[np.ix_(start.live_rows, start.free_cols)],
+                    A[np.ix_(start.layout.live_rows, start.layout.free_cols)],
                     np.diag(start.sign)], axis=1)
                 fresh = dataclasses.replace(
                     start, B_inv=simplex._inverse(full_A, start.basis))
@@ -584,11 +664,35 @@ class TestWarmStart:
         assert ip.nodes == len(starts) + 1
         assert 2 in collections.Counter(map(id, starts)).values()
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_child_must_hold_the_fixed_values(self, exact):
+        # a child inherits its start's layout, whose fixed values hold under
+        # the bounds it was made for; bounds that exclude one of them make
+        # the child Infeasible without a run
+        form = model_arrays(_forced_fraction_model())
+        root = simplex.solve_arrays(form.c, form.A, form.b, form.lb, form.ub,
+                                    exact=exact)
+        assert 0 in root.basis.layout.fixed
+        for x_lb, x_ub, status in ((0.0, 1.0, "Infeasible"),
+                                   (2.0, 5.0, "Infeasible"),
+                                   (1.0, 2.0, "Optimal")):
+            lb, ub = form.lb.copy(), form.ub.copy()
+            lb[0], ub[0] = x_lb, x_ub
+            warm = simplex.solve_arrays(form.c, form.A, form.b, lb, ub,
+                                        exact=exact, start=root.basis)
+            cold = simplex.solve_arrays(form.c, form.A, form.b, lb, ub,
+                                        exact=exact)
+            assert warm.status == cold.status == status
+            if status == "Optimal":
+                assert warm.objective == cold.objective == root.objective
+            else:
+                assert warm.basis is None and warm.iterations == 0
+
     def test_fixed_nonbasic_column_never_enters(self, monkeypatch):
         children = _record_children(monkeypatch)
         solve_ip(_branching_genbench(20, "hD"))
         for start, lb, ub, warm, _ in children:
-            for k, j in enumerate(start.free_cols):
+            for k, j in enumerate(start.layout.free_cols):
                 if lb[j] == ub[j] and k not in start.basis:
                     assert k not in warm.basis.basis
 
@@ -602,7 +706,7 @@ class TestWarmStart:
         assert ip.status == "Optimal" and ip.objective == pytest.approx(-2.0)
         assert [(lb[0], ub[0]) for _, lb, ub, _, _ in children] == [(0, 0), (1, 1)]
         for start, _, _, warm, _ in children:
-            k = start.free_cols.index(0)
+            k = start.layout.free_cols.index(0)
             assert k in start.basis
             assert warm.status == "Optimal" and k not in warm.basis.basis
 
@@ -844,14 +948,15 @@ class TestCertificate:
         with pytest.raises(NumericalFailure, match=f"certificate: {failure}"):
             solve_lp(m, exact=True)
 
-    def test_layout_must_hold_every_free_column(self, monkeypatch):
-        def drop_first(run):
-            run.free_cols = run.free_cols[1:]
-
-        _hand_basis(monkeypatch, drop_first)
-        with pytest.raises(NumericalFailure, match="certificate: the float "
-                           "run's layout leaves out free column 0"):
-            solve_lp(MilpModel("handed", *_X_GE_3), exact=True)
+    def test_reduced_costs_are_checked_on_the_original_model(self,
+                                                            monkeypatch):
+        # the presolve fixes x by a singleton row; without the postsolve the
+        # row's dual is 0 and x's reduced cost 1 has the wrong sign at its
+        # interior value
+        monkeypatch.setattr(simplex, "_postsolve", lambda layout, cost, y, div: y)
+        with pytest.raises(NumericalFailure, match="certificate: reduced "
+                           "cost 1 of column 0 has the wrong sign"):
+            solve_lp(_forced_fraction_model().relaxed(), exact=True)
 
     def test_compare_reports_a_failed_certificate_per_row(self, two_trip,
                                                            monkeypatch):
