@@ -22,7 +22,8 @@ from fractions import Fraction
 from .composition import CompositionGraph, contract
 from .errors import CutViolated, LimitExceeded, MissingPathBackref
 from .formulation import ModelOptions, assemble
-from .hypergraph import DepotNode, Hypergraph, build, change_index, variant_parts
+from .hypergraph import (DepotNode, Hypergraph, build, change_index, connection_changes,
+                         variant_parts)
 from .instance import Instance
 from .ledger import Ledger, arc_pulls, levels, through_depot
 from .solver import solve_ip, solve_lp
@@ -244,13 +245,14 @@ def extend_C_to_HD(cg: CompositionGraph, values: dict, g_hd: Hypergraph) -> dict
 # ---------------------------------------------------------------------------
 
 def replay_in_full(instance: Instance, g_small: Hypergraph, values: dict,
-                   tol: float = 1e-6) -> tuple[bool, str]:
+                   tol: float = 1e-6, changes: dict | None = None) -> tuple[bool, str]:
     """Check whether a small-variant integer solution lifts to the full model.
 
     The lift assigns a composition to every trip and requires every selected
     merged connection hyperarc to come from a legal composition change
     between the assigned compositions with exactly the same continuing
-    movements. Failure certifies an illegal coupling.
+    movements. Failure certifies an illegal coupling. ``changes`` are those
+    of ``connection_changes``, if the caller has them.
     """
     comps = instance.composition_by_id
     seq_choice: dict[str, tuple[str, ...]] = {}
@@ -270,7 +272,7 @@ def replay_in_full(instance: Instance, g_small: Hypergraph, values: dict,
     candidates = {t: sorted(p for p in instance.trip_by_id[t].allowed_compositions
                             if comps[p].units == seq_choice[t])
                   for t in seq_choice}
-    changes = change_index(instance)
+    changes = change_index(changes or connection_changes(instance))
     trip_ids = sorted(candidates)
     for combo in itertools.product(*(candidates[t] for t in trip_ids)):
         assign = dict(zip(trip_ids, combo))
@@ -358,33 +360,36 @@ def cost_breakdown(instance: Instance, graph, values: dict,
 # solving helpers
 # ---------------------------------------------------------------------------
 
-def build_variant(instance: Instance, variant: str, closure: bool = True):
-    """Graph of a variant; 'C' goes through the HD contraction."""
-    if variant == "C":
-        return contract(build(instance, "HD"))
-    name = variant
-    if variant in ("hA", "HA") and closure:
-        name = variant + "bar"
-    return build(instance, name)
+def build_variant(instance: Instance, variant: str, closure: bool = True,
+                  graphs: dict | None = None, changes: dict | None = None):
+    """Graph of a variant; 'C' contracts the HD graph. A caller that builds
+    several variants of one instance passes one ``graphs`` dict, which gets
+    each graph by name as it is first built, and ``changes`` from
+    ``connection_changes``."""
+    bar = "bar" if variant in ("hA", "HA") and closure else ""
+    name = "HD" if variant == "C" else variant + bar
+    graphs = {} if graphs is None else graphs
+    if name not in graphs:
+        graphs[name] = build(instance, name, changes)
+    return contract(graphs[name]) if variant == "C" else graphs[name]
 
 
 def solve_variant(instance: Instance, variant: str, mp: str,
                   closure: bool = True, connection_constraints: bool = True,
                   exact: bool = False, tol: float = 1e-7,
-                  node_limit: int = 200000):
-    """(value, solution, model, graph) of one variant and mode."""
-    graph = build_variant(instance, variant, closure)
-    opts = ModelOptions(connection_constraints=connection_constraints)
-    if variant == "C":
-        opts = ModelOptions(connection_constraints=True)
-    model = assemble(graph, opts)
+                  node_limit: int = 200000, graph=None):
+    """(value, solution, model, graph) of one variant and mode; ``graph``
+    is the variant's graph if the caller built it already."""
+    if graph is None:
+        graph = build_variant(instance, variant, closure)
+    model = assemble(graph, ModelOptions(connection_constraints=connection_constraints
+                                         or variant == "C"))
     if mp == "LP":
         sol = solve_lp(model.relaxed(), tol=tol, exact=exact)
         value = _lp_value(sol)
     else:
         sol = solve_ip(model, tol=tol, exact=exact, node_limit=node_limit)
-        value = sol.objective if sol.status == "Optimal" else (
-            INFEASIBLE if sol.status == "Infeasible" else sol.objective)
+        value = INFEASIBLE if sol.status == "Infeasible" else sol.objective
     return value, sol, model, graph
 
 
@@ -411,9 +416,7 @@ def _verdict(relation: str, expect: str, lhs, rhs, tol) -> str:
     diff = lhs - rhs
     scale = 1 + abs(lhs) + abs(rhs)
     equal = abs(diff) <= tol * scale if tol else diff == 0
-    if expect == "eq":
-        return "EqualityHolds" if equal else "VIOLATION"
-    if expect == "eq-if-closure":
+    if expect in ("eq", "eq-if-closure"):
         return "EqualityHolds" if equal else "VIOLATION"
     if expect == "ge":  # lhs >= rhs
         if equal:
@@ -472,9 +475,10 @@ def _integer_solution_sets(instance: Instance, trip_limit: int = 8,
     if len(instance.trips) > trip_limit:
         raise LimitExceeded(f"{len(instance.trips)} trips exceeds projection limit")
     comps = instance.composition_by_id
-    changes = change_index(instance)
+    per_conn = connection_changes(instance)
+    changes = change_index(per_conn)
     depots = {(d.station, d.unit_type): d for d in instance.all_depots()}
-    cut_rows = contract(build(instance, "HD")).cuts
+    cut_rows = contract(build(instance, "HD", per_conn)).cuts
 
     sets = {"HAbar": set(), "HD": set(), "C": set()}
     trip_ids = [t.id for t in instance.trips]
@@ -542,22 +546,27 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
             with_timings: bool = True) -> ComparisonReport:
     """Solve the requested variants (LP and IP) and tabulate the outcome.
 
-    Each variant is built, assembled and solved once, by branch and bound;
+    Each connection's changes are enumerated once and each distinct graph
+    is built once, for this call only: C contracts the HD graph that HD
+    solved. Each variant is assembled and solved once, by branch and bound;
     its LP column is the relaxation solved at the root node. Plain
-    ``hA``/``HA`` rows follow the ``closure`` flag; explicit
-    ``hAbar``/``HAbar`` rows always use the closure.
+    ``hA``/``HA`` rows follow the ``closure`` flag (and share the graph of an
+    ``hAbar``/``HAbar`` row under it); explicit ones always use the closure.
     """
     rows = []
     values_lp: dict[str, object] = {}
     values_ip: dict[str, object] = {}
+    graphs, changes = {}, None  # kept for this call only
     for variant in variants:
         row = VariantResult(variant=variant)
         started = _time.perf_counter()
         use_closure = closure or variant.endswith("bar")
         try:
+            changes = changes or connection_changes(instance)  # fails per row, as build does
+            graph = build_variant(instance, variant, use_closure, graphs, changes)
             ip_val, ip_sol, model, graph = solve_variant(
                 instance, variant, "IP", use_closure, connection_constraints,
-                exact, tol, node_limit)
+                exact, tol, node_limit, graph)
             lp_sol = ip_sol.root
             lp_val = _lp_value(lp_sol)
             row.n_vars, row.n_rows = model.stats()
@@ -574,7 +583,8 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
                         if h.kind == "ConnectionChange" and h.tags.get("replace")
                         and ip_sol.values.get(h.id, 0) > 0.5)
                 if isinstance(graph, Hypergraph) and graph.level == "h":
-                    ok, reason = replay_in_full(instance, graph, ip_sol.values)
+                    ok, reason = replay_in_full(instance, graph, ip_sol.values,
+                                                changes=changes)
                     row.replay_ok, row.replay_reason = ok, reason
         except Exception as e:  # report per-variant failures, keep going
             row.error = f"{type(e).__name__}: {e}"

@@ -2,7 +2,8 @@
 
 Commands: validate, build, solve, compare, project, reduce-3sat,
 verify-reduction, gen, export-lp. Exit codes: 0 success, 1 infeasible,
-violations found or a malformed instance, 2 usage errors; an Undecided
+violations found or a malformed instance (every command but validate refuses
+an instance that validate rejects), 2 usage errors; an Undecided
 theorem relation does not fail. Human-readable output on stdout, JSON
 with --json; --deterministic suppresses timing fields.
 """
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import analysis, genbench, instance as inst_mod, reduction
-from .errors import RollstockError
+from .errors import MalformedInstance, RollstockError
 from .formulation import ModelOptions, assemble, export_lp_file
 from .hypergraph import VARIANTS
 from .solver import solve_ip, solve_lp
@@ -22,16 +23,21 @@ from .solver import solve_ip, solve_lp
 ALL = ("hD", "hA", "HD", "HA", "C")
 
 
-def _load_instance(args) -> inst_mod.Instance:
+def _load_instance(args, valid: bool = True) -> inst_mod.Instance:
+    """The instance; with ``valid``, refused with its first violation."""
     if getattr(args, "canonical", None):
-        return inst_mod.canonical(args.canonical)
-    if not args.instance:
+        instance = inst_mod.canonical(args.canonical)
+    elif not args.instance:
         raise SystemExit("either --instance FILE or --canonical NAME is required")
-    return inst_mod.load(args.instance)
+    else:
+        instance = inst_mod.load(args.instance)
+    if valid and (violations := inst_mod.validate(instance)):
+        raise MalformedInstance(f"invalid instance: {violations[0]}")
+    return instance
 
 
 def cmd_validate(args) -> int:
-    instance = _load_instance(args)
+    instance = _load_instance(args, valid=False)
     violations = inst_mod.validate(instance)
     if args.json:
         print(json.dumps([{"code": v.code, "entity": v.entity,

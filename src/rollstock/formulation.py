@@ -68,6 +68,11 @@ def _coeff_tuple(d: dict[str, float]) -> tuple[tuple[str, float], ...]:
     return tuple((k, v) for k, v in d.items() if v != 0)
 
 
+def _signed(plus: list[str], minus: list[str] | tuple = ()) -> tuple[tuple[str, float], ...]:
+    """Coefficients +1 on ``plus`` then -1 on ``minus``, ids that do not repeat."""
+    return tuple([(k, 1.0) for k in plus] + [(k, -1.0) for k in minus])
+
+
 def _ordered_hyperarcs(g: Hypergraph) -> list:
     """Deterministic variable order: trips by departure time then id, then
     connection changes, then depot arcs, then deviations."""
@@ -102,29 +107,25 @@ def _assemble_hypergraph(g: Hypergraph, options: ModelOptions) -> MilpModel:
                                   integer=True, cost=float(h.cost)))
         kinds[h.id] = h.kind
 
+    # the base arcs of a hyperarc are node-disjoint, so it meets a node at
+    # most once and each row's coefficients come straight off the incidence
     rows: list[Row] = []
     outgoing, incoming = g.incident()
     balance_check: dict[str, float] = {}
     for node in g.nodes:
-        coeffs: dict[str, float] = {}
-        for hid in outgoing[node]:
-            coeffs[hid] = coeffs.get(hid, 0.0) + 1.0
-        for hid in incoming[node]:
-            coeffs[hid] = coeffs.get(hid, 0.0) - 1.0
         b = float(g.balances.get(node, 0))
-        rows.append(Row(f"flow.{node_key(node)}", _coeff_tuple(coeffs), "=", b))
+        rows.append(Row(f"flow.{node_key(node)}", _signed(outgoing[node], incoming[node]),
+                        "=", b))
         balance_check[node.unit_type] = balance_check.get(node.unit_type, 0.0) + b
     for r, total in balance_check.items():
         if abs(total) > 1e-9:
             raise AssertionError(f"type {r}: node balances sum to {total}")
 
     for t in sorted(g.trip_arcs):
-        coeffs = {hid: 1.0 for hid in g.trip_arcs[t]}
-        rows.append(Row(f"trip.{t}", _coeff_tuple(coeffs), "=", 1.0))
+        rows.append(Row(f"trip.{t}", _signed(g.trip_arcs[t]), "=", 1.0))
     if options.connection_constraints:
         for c in sorted(g.connection_arcs):
-            coeffs = {hid: 1.0 for hid in g.connection_arcs[c]}
-            rows.append(Row(f"conn.{c}", _coeff_tuple(coeffs), "=", 1.0))
+            rows.append(Row(f"conn.{c}", _signed(g.connection_arcs[c]), "=", 1.0))
 
     return MilpModel(f"{g.instance.name}-{g.variant}", variables, rows, kinds)
 
@@ -153,6 +154,8 @@ def _assemble_composition(cg: CompositionGraph, options: ModelOptions) -> MilpMo
             variables.append(Variable(vid, 0.0, None, integer=True, cost=dev_rate))
             kinds[vid] = "InventoryDeviation"
 
+    # an arc's tails are arrivals and its heads departures (or the reverse
+    # for a trip arc), so no arc meets a node twice
     rows: list[Row] = []
     outgoing, incoming = cg.incident()
     for node in cg.nodes:
@@ -160,39 +163,29 @@ def _assemble_composition(cg: CompositionGraph, options: ModelOptions) -> MilpMo
         outs = outgoing[node]
         if not ins or not outs:
             continue  # no conservation at chain ends
-        coeffs: dict[str, float] = {}
-        for aid in ins:
-            coeffs[aid] = coeffs.get(aid, 0.0) + 1.0
-        for aid in outs:
-            coeffs[aid] = coeffs.get(aid, 0.0) - 1.0
         rows.append(Row(f"flow.{node.trip}.{node.side}.{node.comp}",
-                        _coeff_tuple(coeffs), "=", 0.0))
+                        _signed(ins, outs), "=", 0.0))
 
     for t in sorted(cg.trip_arcs):
-        rows.append(Row(f"trip.{t}",
-                        _coeff_tuple({aid: 1.0 for aid in cg.trip_arcs[t]}), "=", 1.0))
+        rows.append(Row(f"trip.{t}", _signed(cg.trip_arcs[t]), "=", 1.0))
     for c in sorted(cg.connection_arcs):
-        rows.append(Row(f"conn.{c}",
-                        _coeff_tuple({aid: 1.0 for aid in cg.connection_arcs[c]}),
-                        "=", 1.0))
+        rows.append(Row(f"conn.{c}", _signed(cg.connection_arcs[c]), "=", 1.0))
+
+    def net(outs, ins) -> dict[str, float]:
+        """-count per pull-out, +count per pull-in; an arc may do both."""
+        coeffs: dict[str, float] = {}
+        for aid, count in [(aid, -count) for aid, count in outs] + list(ins):
+            coeffs[aid] = coeffs.get(aid, 0.0) + float(count)
+        return coeffs
 
     # depot availability: start - out(<=t) + in(<=t) >= 0
     for cut in cg.cuts:
-        coeffs = {}
-        for aid, count in cut.outs:
-            coeffs[aid] = coeffs.get(aid, 0.0) - float(count)
-        for aid, count in cut.ins:
-            coeffs[aid] = coeffs.get(aid, 0.0) + float(count)
         rows.append(Row(f"cut.{cut.station}.{cut.unit_type}.{cut.time}",
-                        _coeff_tuple(coeffs), ">=", -float(cut.start)))
+                        _coeff_tuple(net(cut.outs, cut.ins)), ">=", -float(cut.start)))
 
     # soft end inventory: start - out_all + in_all - surplus + deficit = target
     for e in cg.end_inventories:
-        coeffs = {}
-        for aid, count in e.outs:
-            coeffs[aid] = coeffs.get(aid, 0.0) - float(count)
-        for aid, count in e.ins:
-            coeffs[aid] = coeffs.get(aid, 0.0) + float(count)
+        coeffs = net(e.outs, e.ins)
         coeffs[f"dev.{e.station}.{e.unit_type}.surplus"] = -1.0
         coeffs[f"dev.{e.station}.{e.unit_type}.deficit"] = 1.0
         rows.append(Row(f"end.{e.station}.{e.unit_type}", _coeff_tuple(coeffs),

@@ -214,10 +214,14 @@ def enumerate_changes(instance: Instance, conn: Connection) -> list[Change]:
     return out
 
 
-def change_index(instance: Instance) -> dict[str, dict[tuple, Change]]:
-    """Changes of every connection keyed by their (pre, post) compositions."""
-    return {c.id: {(ch.pre, ch.post): ch for ch in enumerate_changes(instance, c)}
-            for c in instance.connections}
+def connection_changes(instance: Instance) -> dict[str, list[Change]]:
+    """The changes of every connection by id, to enumerate them only once."""
+    return {c.id: enumerate_changes(instance, c) for c in instance.connections}
+
+
+def change_index(changes: dict[str, list[Change]]) -> dict[str, dict[tuple, Change]]:
+    """``connection_changes`` keyed by their (pre, post) compositions."""
+    return {cid: {(ch.pre, ch.post): ch for ch in chs} for cid, chs in changes.items()}
 
 
 def block_head(positions, shunt_side: str) -> int | None:
@@ -323,7 +327,7 @@ def _trip_type_slots(instance: Instance, trip_id: str) -> list[tuple[int, str]]:
     return sorted(slots)
 
 
-def _small_pull_costs(instance: Instance) -> tuple[dict, dict]:
+def _small_pull_costs(instance: Instance, changes: dict) -> tuple[dict, dict]:
     """Additive coupling costs for the small variants.
 
     The true shunt cost of a change cannot sit on merged change arcs, so it
@@ -335,7 +339,7 @@ def _small_pull_costs(instance: Instance) -> tuple[dict, dict]:
     pin: dict[tuple[str, int, str], float] = {}
     pout: dict[tuple[str, int, str], float] = {}
     for conn in instance.connections:
-        for change in enumerate_changes(instance, conn):
+        for change in changes[conn.id]:
             head_in = block_head(change.uncoupled, instance.shunting.uncouple_side)
             for (t, n, r) in change.uncoupled:
                 cost = rate if n == head_in else 0.0
@@ -362,14 +366,16 @@ def _staging_tags(instance: Instance, trip_id: str, comp: Composition) -> dict:
     return tags
 
 
-def build(instance: Instance, variant: str) -> Hypergraph:
-    """Construct the hypergraph of one model variant."""
+def build(instance: Instance, variant: str, changes: dict | None = None) -> Hypergraph:
+    """Construct the hypergraph of one model variant; ``changes``, from
+    ``connection_changes``, saves enumerating them again."""
     level, transfer, closure = variant_parts(variant)
     comps = instance.composition_by_id
     trips = instance.trip_by_id
     for t in instance.trips:
         if not t.allowed_compositions:
             raise InfeasibleInstance(f"trip {t.id} allows no composition")
+    changes = changes or connection_changes(instance)
 
     full = level == "H"
     hyperarcs: list[Hyperarc] = []
@@ -377,6 +383,7 @@ def build(instance: Instance, variant: str) -> Hypergraph:
     conn_index: dict[str, list[str]] = {c.id: [] for c in instance.connections}
     parking: list[str] = []
 
+    @functools.cache  # one object per node, so equal lookups match by identity
     def ev(trip_id: str, side: str, pos: int, r: str, comp_id: str) -> EventNode:
         return EventNode(trip_id, side, pos, r, comp_id if full else "")
 
@@ -416,9 +423,8 @@ def build(instance: Instance, variant: str) -> Hypergraph:
     # connection change hyperarcs --------------------------------------------
     shunt_rate = instance.costs.shunting_per_action
     for conn in instance.connections:
-        changes = enumerate_changes(instance, conn)
         if full:
-            for change in changes:
+            for change in changes[conn.id]:
                 pre_of = dict(zip(conn.predecessors, change.pre))
                 post_of = dict(zip(conn.successors, change.post))
                 arcs = tuple(
@@ -432,7 +438,7 @@ def build(instance: Instance, variant: str) -> Hypergraph:
                 conn_index[conn.id].append(change.key)
         else:
             merged: dict[tuple, list[Change]] = {}
-            for change in changes:
+            for change in changes[conn.id]:
                 proj = tuple(sorted(
                     (ev(tp, "arr", a, r, ""), ev(ts, "dep", b, r, ""))
                     for (tp, a, ts, b, r) in change.continuing))
@@ -448,7 +454,7 @@ def build(instance: Instance, variant: str) -> Hypergraph:
                 conn_index[conn.id].append(hid)
 
     # depot access ------------------------------------------------------------
-    pin_cost, pout_cost = ({}, {}) if full else _small_pull_costs(instance)
+    pin_cost, pout_cost = ({}, {}) if full else _small_pull_costs(instance, changes)
 
     @functools.cache
     def pull_nodes(t: str, direction: str) -> list[tuple[EventNode, str]]:

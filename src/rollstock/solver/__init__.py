@@ -57,7 +57,8 @@ class IpSolution:
 
 @dataclass
 class ArrayForm:
-    """Dense standard form min c'x, Ax = b, lb <= x <= ub (slacks appended)."""
+    """Dense standard form min c'x, Ax = b, lb <= x <= ub (slacks appended).
+    ``slack`` is each row's slack coefficient: 1 for <=, -1 for >=, 0 for =."""
 
     c: np.ndarray
     A: np.ndarray
@@ -67,6 +68,7 @@ class ArrayForm:
     integer: np.ndarray               # bool mask, structural columns only
     var_ids: list[str]
     row_ids: list[str]
+    slack: np.ndarray
 
     @property
     def n_structural(self) -> int:
@@ -74,58 +76,46 @@ class ArrayForm:
 
 
 def model_arrays(model: MilpModel) -> ArrayForm:
+    """The array form of a model; A is filled by one scatter of every
+    coefficient, so a variable repeated in a row sums."""
     var_ids = [v.id for v in model.variables]
     index = {vid: i for i, vid in enumerate(var_ids)}
-    n = len(var_ids)
-    m = len(model.rows)
-    slack_count = sum(1 for r in model.rows if r.sense != "=")
-    A = np.zeros((m, n + slack_count), dtype=float)
-    b = np.zeros(m, dtype=float)
-    c = np.zeros(n + slack_count, dtype=float)
-    lb = np.zeros(n + slack_count, dtype=float)
-    ub = np.full(n + slack_count, INF, dtype=float)
-    integer = np.zeros(n, dtype=bool)
-    for i, v in enumerate(model.variables):
-        c[i] = v.cost
-        lb[i] = v.lower
-        ub[i] = INF if v.upper is None else v.upper
-        integer[i] = v.integer
-    slack = n
-    row_ids = []
-    for i, row in enumerate(model.rows):
-        row_ids.append(row.id)
-        for vid, coef in row.coeffs:
-            A[i, index[vid]] += coef
-        b[i] = row.rhs
-        if row.sense == "<=":
-            A[i, slack] = 1.0
-            slack += 1
-        elif row.sense == ">=":
-            A[i, slack] = -1.0
-            slack += 1
-    return ArrayForm(c, A, b, lb, ub, integer, var_ids, row_ids)
+    n, m = len(var_ids), len(model.rows)
+    slack = np.array([{"<=": 1.0, ">=": -1.0}.get(r.sense, 0.0) for r in model.rows])
+    has = np.flatnonzero(slack)
+    width = n + len(has)
+    A = np.zeros((m, width))
+    np.add.at(A, (np.repeat(np.arange(m), [len(r.coeffs) for r in model.rows]),
+                  [index[vid] for r in model.rows for vid, _ in r.coeffs]),
+              [coef for r in model.rows for _, coef in r.coeffs])
+    A[has, n + np.arange(len(has))] = slack[has]
+    c, lb, ub = np.zeros(width), np.zeros(width), np.full(width, INF)
+    c[:n] = [v.cost for v in model.variables]
+    lb[:n] = [v.lower for v in model.variables]
+    ub[:n] = [INF if v.upper is None else v.upper for v in model.variables]
+    return ArrayForm(c, A, np.array([r.rhs for r in model.rows], dtype=float), lb, ub,
+                     np.array([v.integer for v in model.variables], dtype=bool),
+                     var_ids, [r.id for r in model.rows], slack)
 
 
-def _lp_solution(model: MilpModel, form: ArrayForm, res: SimplexResult,
-                 tol: float, exact: bool) -> LpSolution:
-    """The ``LpSolution`` of a simplex result on ``model``'s array form.
+def _lp_solution(form: ArrayForm, res: SimplexResult, tol: float,
+                 exact: bool) -> LpSolution:
+    """The ``LpSolution`` of a simplex result on a model's array form.
 
     In float mode an optimum must satisfy the model's rows and bounds to
     ``max(tol, 1e-7)``; otherwise ``NumericalFailure`` names the residual.
     """
     if res.status != "Optimal":
         return LpSolution(res.status, iterations=res.iterations)
-    values = {vid: res.x[i] for i, vid in enumerate(form.var_ids)}
-    duals = {rid: res.y[i] for i, rid in enumerate(form.row_ids)}
     if exact:
-        return LpSolution("Optimal", res.objective, values, duals, res.iterations)
-    values = {k: float(v) for k, v in values.items()}
-    duals = {k: float(v) for k, v in duals.items()}
-    resid = feasibility_residual(model, values)
-    if resid > max(tol, 1e-7):
+        return LpSolution("Optimal", res.objective, dict(zip(form.var_ids, res.x)),
+                          dict(zip(form.row_ids, res.y)), res.iterations)
+    resid = feasibility_residual(form, res.x)
+    if not resid <= max(tol, 1e-7):
         raise NumericalFailure(f"LP residual {resid} exceeds tolerance")
-    return LpSolution("Optimal", float(res.objective), values, duals,
-                      res.iterations)
+    return LpSolution("Optimal", float(res.objective),
+                      dict(zip(form.var_ids, res.x.tolist())),
+                      dict(zip(form.row_ids, res.y.tolist())), res.iterations)
 
 
 def solve_lp(model: MilpModel, tol: float = 1e-7, exact: bool = False) -> LpSolution:
@@ -138,51 +128,43 @@ def solve_lp(model: MilpModel, tol: float = 1e-7, exact: bool = False) -> LpSolu
     """
     form = model_arrays(model)
     res = solve_arrays(form.c, form.A, form.b, form.lb, form.ub, exact=exact)
-    return _lp_solution(model, form, res, tol, exact)
+    return _lp_solution(form, res, tol, exact)
 
 
-def feasibility_residual(model: MilpModel, values: dict[str, object]) -> float:
-    """Largest constraint/bound violation of a value assignment."""
-    worst = 0.0
-    for v in model.variables:
-        x = values.get(v.id, 0)
-        worst = max(worst, float(v.lower - x))
-        if v.upper is not None:
-            worst = max(worst, float(x - v.upper))
-    for row in model.rows:
-        acc = sum(values.get(vid, 0) * coef for vid, coef in row.coeffs)
-        if row.sense == "=":
-            worst = max(worst, abs(float(acc - row.rhs)))
-        elif row.sense == "<=":
-            worst = max(worst, float(acc - row.rhs))
-        else:
-            worst = max(worst, float(row.rhs - acc))
-    return worst
+def _structural(form: ArrayForm | MilpModel, values) -> tuple[ArrayForm, np.ndarray]:
+    """The array form of ``form`` and a point over its structural columns,
+    from a vector (slack entries are ignored) or a dict by id (missing: 0)."""
+    if isinstance(form, MilpModel):
+        form = model_arrays(form)
+    if isinstance(values, dict):
+        return form, np.array([float(values.get(v, 0)) for v in form.var_ids])
+    return form, np.asarray(values, dtype=float)[:form.n_structural]
 
 
-def dual_residual(model: MilpModel, sol: LpSolution) -> float:
-    """Worst dual-feasibility violation of the reported duals."""
-    y = {rid: sol.duals.get(rid, 0) for rid in (r.id for r in model.rows)}
-    reduced: dict[str, float] = {v.id: float(v.cost) for v in model.variables}
-    for row in model.rows:
-        yi = float(y[row.id])
-        if yi == 0:
-            continue
-        for vid, coef in row.coeffs:
-            reduced[vid] -= yi * coef
-    worst = 0.0
-    for v in model.variables:
-        d = reduced[v.id]
-        x = float(sol.values.get(v.id, 0))
-        at_lower = abs(x - v.lower) <= 1e-6
-        at_upper = v.upper is not None and abs(x - v.upper) <= 1e-6
-        if at_lower and not at_upper:
-            worst = max(worst, -d)
-        elif at_upper and not at_lower:
-            worst = max(worst, d)
-        elif not at_lower and not at_upper:
-            worst = max(worst, abs(d))
-    return worst
+def feasibility_residual(form: ArrayForm | MilpModel, values) -> float:
+    """Largest row or bound violation of a point, on the array form: |Ax - b|
+    on an equality row, the excess over the right-hand side on an
+    inequality, the distance outside a bound."""
+    form, x = _structural(form, values)
+    n = form.n_structural
+    r = form.A[:, :n] @ x - form.b
+    return float(np.max(np.concatenate([
+        np.where(form.slack == 0, np.abs(r), form.slack * r),
+        form.lb[:n] - x, x - form.ub[:n]]), initial=0.0))
+
+
+def dual_residual(form: ArrayForm | MilpModel, sol: LpSolution) -> float:
+    """Worst dual-feasibility violation of the reported duals: the reduced
+    cost c - A'y of a column at its lower bound alone must not be negative,
+    at its upper bound alone not positive, and off both bounds zero."""
+    form, x = _structural(form, sol.values)
+    n = form.n_structural
+    d = form.c[:n] - form.A[:, :n].T @ np.array(
+        [float(sol.duals.get(rid, 0)) for rid in form.row_ids])
+    lower = np.abs(x - form.lb[:n]) <= 1e-6
+    upper = np.abs(x - form.ub[:n]) <= 1e-6
+    return float(np.max(np.where(lower, np.where(upper, 0.0, -d),
+                                 np.where(upper, d, np.abs(d))), initial=0.0))
 
 
 from .branch_bound import solve_ip  # noqa: E402

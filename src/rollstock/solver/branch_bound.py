@@ -67,7 +67,7 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
     serial = 0
 
     root = run_lp(form.lb, form.ub)
-    root_lp = _lp_solution(model, form, root, tol, exact)
+    root_lp = _lp_solution(form, root, tol, exact)
     iterations = root.iterations
     if root.status != "Optimal":
         return IpSolution(root.status, nodes=1, root=root_lp,
@@ -117,19 +117,17 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
         j = fractional(x, 0 if exact else INT_TOL)
         if j < 0:
             if exact:  # integral to the last digit: keep the LP point
-                values = dict(zip(form.var_ids, x))
-                obj = res.objective
-            else:
-                values = {vid: float(round(x[i])) if int_mask[i]
-                          else float(x[i])
-                          for i, vid in enumerate(form.var_ids)}
-                obj = float(sum(form.c[i] * values[vid]
-                                for i, vid in enumerate(form.var_ids)))
+                point, obj = x, res.objective
+            else:  # + 0.0 turns a rounded -0.0 into 0.0
+                point = np.where(int_mask, np.round(x[:n]) + 0.0, x[:n])
+                obj = float(sum(form.c[:n] * point))
             if incumbent_obj is not None and obj >= incumbent_obj:
                 continue
-            resid = 0 if exact else feasibility_residual(model, values)
+            resid = 0 if exact else feasibility_residual(form, point)
             if resid <= max(tol, 1e-7):
-                incumbent, incumbent_obj = values, obj
+                incumbent = dict(zip(form.var_ids,
+                                     point if exact else point.tolist()))
+                incumbent_obj = obj
                 continue
             # rounding broke the model: branch on the column that rounded
             # farthest, measured within the node's bounds so that both

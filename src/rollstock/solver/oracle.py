@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..errors import LimitExceeded
-from ..hypergraph import _small_pull_costs, change_index, enumerate_changes, variant_parts
+from ..hypergraph import _small_pull_costs, change_index, connection_changes, variant_parts
 from ..instance import Instance, closure_arcs
 from ..ledger import Ledger, through_depot
 
@@ -38,11 +38,11 @@ class _SmallArc:
     cost: float
 
 
-def _small_groups(instance: Instance, conn) -> list[_SmallArc]:
+def _small_groups(instance: Instance, conn, changes) -> list[_SmallArc]:
     """One merged arc per distinct set of continuing movements."""
     groups = sorted({tuple(sorted(((tp, a, r), (ts, b, r))
                                   for (tp, a, ts, b, r) in ch.continuing))
-                     for ch in enumerate_changes(instance, conn)})
+                     for ch in changes})
     cost = 0.0 if conn.kind == "OneToOne" else instance.costs.shunting_per_action
     return [_SmallArc(frozenset(t for t, _ in pairs), frozenset(h for _, h in pairs), cost)
             for pairs in groups]
@@ -97,9 +97,11 @@ def enumerate_oracle(instance: Instance, variant: str = "HD",
     for t in trips:
         trip_options[t.id].sort(key=lambda o, _t=t: (option_cost(_t, o), o))
 
-    changes = change_index(instance)
-    conn_small = {c.id: _small_groups(instance, c) for c in instance.connections}
-    pin_cost, pout_cost = _small_pull_costs(instance)
+    per_conn = connection_changes(instance)
+    changes = change_index(per_conn)
+    conn_small = {c.id: _small_groups(instance, c, per_conn[c.id])
+                  for c in instance.connections}
+    pin_cost, pout_cost = _small_pull_costs(instance, per_conn)
 
     pairs = None  # direct arcs of the closure: any time-feasible pair
     if transfer == "A" and not closure:

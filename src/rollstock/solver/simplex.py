@@ -122,13 +122,15 @@ def to_fraction(v) -> Fraction:
     Model data is decimal-valued (rates like 0.1); taking the binary float
     verbatim would drag 50-bit denominators through every pivot. The
     nearest rational with a small denominator is the faithful reading and
-    is identical for every model built from the same instance.
+    is identical for every model built from the same instance. A nonzero
+    below that reading's resolution (5e-10) keeps its binary value, so it
+    never lifts to 0.
     """
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) or float(v).is_integer():
         return Fraction(int(v))
-    return Fraction(v).limit_denominator(10 ** 9)
+    return Fraction(v).limit_denominator(10 ** 9) or Fraction(v)
 
 
 def _lift(v: np.ndarray) -> list:

@@ -222,9 +222,9 @@ class TestCompare:
         built, lp_calls = [], []
         real_build, real_solve_lp = analysis.build, analysis.solve_lp
 
-        def counting_build(instance, name):
+        def counting_build(instance, name, *args):
             built.append(name)
-            return real_build(instance, name)
+            return real_build(instance, name, *args)
 
         def counting_solve_lp(*args, **kwargs):
             lp_calls.append(args)
@@ -234,9 +234,48 @@ class TestCompare:
         monkeypatch.setattr(analysis, "solve_lp", counting_solve_lp)
         rep = analysis.compare(two_trip, closure=True)
         assert not any(r.error for r in rep.rows)
-        # C contracts a build of its own HD graph
-        assert built == ["hD", "hAbar", "HD", "HAbar", "HD"]
+        # C contracts the HD graph that the HD row solved
+        assert built == ["hD", "hAbar", "HD", "HAbar"]
         assert lp_calls == []
+        # under the closure, hA and HA share the graphs of hAbar and HAbar
+        built.clear()
+        rep = analysis.compare(two_trip, analysis.SEVEN_VARIANTS, closure=True)
+        assert not any(r.error for r in rep.rows)
+        assert built == ["hD", "hAbar", "HD", "HAbar"]
+
+    def test_composition_alone_builds_hd_once(self, two_trip, monkeypatch):
+        built = []
+        real_build = analysis.build
+
+        def counting_build(instance, name, *args):
+            built.append(name)
+            return real_build(instance, name, *args)
+
+        monkeypatch.setattr(analysis, "build", counting_build)
+        rep = analysis.compare(two_trip, variants=("C",))
+        assert not rep.rows[0].error and rep.rows[0].ip_status == "Optimal"
+        assert built == ["HD"]
+
+    @pytest.mark.parametrize("closure", [False, True])
+    def test_enumerates_each_connections_changes_once(self, monkeypatch,
+                                                      closure):
+        from rollstock import hypergraph
+
+        inst = generate(GenConfig(seed=3, lines=2, trips_per_line=3,
+                                  split_join_fraction=1.0))  # with splits
+        counts = {}
+        real = hypergraph.enumerate_changes
+
+        def counting(instance, conn):
+            counts[conn.id] = counts.get(conn.id, 0) + 1
+            return real(instance, conn)
+
+        monkeypatch.setattr(hypergraph, "enumerate_changes", counting)
+        rep = analysis.compare(inst, analysis.SEVEN_VARIANTS, closure=closure)
+        assert not any(r.error for r in rep.rows)
+        assert any(r.replay_ok is not None for r in rep.rows)  # replay ran
+        assert counts == {c.id: 1 for c in inst.connections}
+        assert len(counts) >= 3
 
 
 class TestSvg:

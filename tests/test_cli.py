@@ -158,6 +158,30 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "trips[0].dep_time" in err
 
+    @pytest.mark.parametrize("command", [
+        "build", "solve", "compare", "project", "export-lp"])
+    @pytest.mark.parametrize("broken", ["negative_cost", "overlap"])
+    def test_invalid_instance_is_refused(self, capsys, tmp_path, command,
+                                         broken):
+        from rollstock.instance import canonical, dumps
+        d = json.loads(dumps(canonical("TwoTrip")))
+        if broken == "negative_cost":
+            d["costs"]["shunting_per_action"] = -10
+            violation = "NegativeValue(costs): cost rates must be nonnegative"
+        else:  # t2 leaves before t1, which feeds it, arrives
+            d["trips"][1]["dep_time"], d["trips"][1]["arr_time"] = 500, 560
+            violation = "TimeOrderViolation(c1): t1 arrives after t2 departs"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        extra = ["--out", str(tmp_path / "model.lp")] if command == "export-lp" else []
+        code, out, err = _capture(capsys, [command, "--instance", str(path),
+                                           *extra])
+        assert code == 1 and out == ""
+        assert err == f"error: invalid instance: {violation}\n"
+        assert not (tmp_path / "model.lp").exists()
+        code, out, _ = _capture(capsys, ["validate", "--instance", str(path)])
+        assert code == 1 and violation in out
+
 
 class TestExactRational:
     @pytest.mark.parametrize("name", sorted(canonical_instances()))

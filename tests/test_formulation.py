@@ -1,5 +1,7 @@
 """MILP assembly and LP file format round-trips."""
 
+import hashlib
+import json
 import pathlib
 
 import pytest
@@ -13,7 +15,9 @@ from rollstock.formulation import (
     parse_lp,
     write_lp,
 )
+from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import build
+from rollstock.instance import canonical_instances
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -132,3 +136,24 @@ class TestLpFormat:
         from rollstock.formulation import MilpModel
         m = MilpModel("empty", [], [])
         assert models_equal(m, parse_lp(write_lp(m)))
+
+
+class TestGoldenHashes:
+    """``write_lp`` and the graph dump of all seven variants, pinned by their
+    SHA-256 digests in golden/model_hashes.json, on the canonical instances
+    and one 4x8 genbench ladder rung."""
+
+    @pytest.mark.parametrize("name", [*sorted(canonical_instances()), "ladder"])
+    def test_lp_text_and_dump_are_byte_identical(self, name):
+        from rollstock.analysis import SEVEN_VARIANTS, build_variant
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        inst = (generate(GenConfig(seed=5, lines=4, trips_per_line=8, stations=4))
+                if name == "ladder" else canonical_instances()[name])
+        pinned = json.loads((GOLDEN / "model_hashes.json").read_text())
+        for variant in SEVEN_VARIANTS:
+            graph = build_variant(inst, variant, closure=False)
+            got = {"lp": digest(write_lp(assemble(graph))), "dump": digest(graph.dump())}
+            assert got == pinned[f"{inst.name}/{variant}"], variant

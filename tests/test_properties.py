@@ -116,3 +116,89 @@ def test_every_optimum_carries_its_residuals(seed, lines, trips_per_line,
         if sol.status == "Optimal":
             assert feasibility_residual(model, sol.values) <= 1e-7
             assert dual_residual(model.relaxed(), sol) <= 1e-6
+
+
+def _dict_feasibility_residual(model, values):
+    """The residual as it was computed over the model's rows, kept here as
+    the reference for the array form."""
+    worst = 0.0
+    for v in model.variables:
+        x = values.get(v.id, 0)
+        worst = max(worst, float(v.lower - x))
+        if v.upper is not None:
+            worst = max(worst, float(x - v.upper))
+    for row in model.rows:
+        acc = sum(values.get(vid, 0) * coef for vid, coef in row.coeffs)
+        if row.sense == "=":
+            worst = max(worst, abs(float(acc - row.rhs)))
+        elif row.sense == "<=":
+            worst = max(worst, float(acc - row.rhs))
+        else:
+            worst = max(worst, float(row.rhs - acc))
+    return worst
+
+
+def _dict_dual_residual(model, sol):
+    """The dual residual as it was computed over the model's rows."""
+    y = {rid: sol.duals.get(rid, 0) for rid in (r.id for r in model.rows)}
+    reduced = {v.id: float(v.cost) for v in model.variables}
+    for row in model.rows:
+        yi = float(y[row.id])
+        if yi == 0:
+            continue
+        for vid, coef in row.coeffs:
+            reduced[vid] -= yi * coef
+    worst = 0.0
+    for v in model.variables:
+        d = reduced[v.id]
+        x = float(sol.values.get(v.id, 0))
+        at_lower = abs(x - v.lower) <= 1e-6
+        at_upper = v.upper is not None and abs(x - v.upper) <= 1e-6
+        if at_lower and not at_upper:
+            worst = max(worst, -d)
+        elif at_upper and not at_lower:
+            worst = max(worst, d)
+        elif not at_lower and not at_upper:
+            worst = max(worst, abs(d))
+    return worst
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(1, 10_000), lines=st.integers(1, 3),
+       trips_per_line=st.integers(1, 3), unit_types=st.integers(1, 2),
+       stations=st.integers(2, 3),
+       variant=st.sampled_from(["hD", "HD", "hAbar", "HAbar", "C"]),
+       point=st.integers(0, 2 ** 32 - 1))
+def test_array_residuals_equal_the_row_walk(seed, lines, trips_per_line,
+                                            unit_types, stations, variant,
+                                            point):
+    # at random points (columns at a bound, at an integer or anywhere near
+    # their range, some left out of the dict) and random duals, the
+    # residuals on the array form equal those of the walk over the rows
+    from rollstock.solver import LpSolution
+    inst = generate(GenConfig(seed=seed, lines=lines,
+                              trips_per_line=trips_per_line,
+                              unit_types=unit_types, stations=stations))
+    graph = build(inst, "HD" if variant == "C" else variant)
+    model = assemble(contract(graph) if variant == "C" else graph).relaxed()
+    rng = np.random.default_rng(point)
+    values = {}
+    for v in model.variables:
+        top = 3.0 if v.upper is None else v.upper
+        pick = rng.integers(5)
+        if pick < 4:
+            values[v.id] = [v.lower, top, float(rng.integers(-1, 4)),
+                            float(rng.uniform(v.lower - 0.5, top + 0.5))][pick]
+    duals = {r.id: float(rng.choice([0.0, rng.uniform(-50, 50)]))
+             for r in model.rows}
+    sol = LpSolution("Optimal", 0.0, values, duals)
+    form = model_arrays(model)
+    x = np.array([values.get(vid, 0.0) for vid in form.var_ids])
+    want = _dict_feasibility_residual(model, values)
+    for got in (feasibility_residual(model, values),
+                feasibility_residual(form, values),
+                feasibility_residual(form, x)):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    want = _dict_dual_residual(model, sol)
+    for got in (dual_residual(model, sol), dual_residual(form, sol)):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

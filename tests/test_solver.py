@@ -273,6 +273,23 @@ class TestLp:
         assert solve_lp(m).status == "Infeasible"
         assert solve_lp(m, exact=True).status == "Infeasible"
 
+    def test_no_nonzero_lifts_to_zero(self):
+        # 2.5e-10 and 3e-10 lie below the resolution of the small-denominator
+        # reading (1e-9); they keep their binary value instead of becoming 0
+        m = MilpModel("dead", [Variable("x", 0.0, 0.0, False, 1.0)],
+                      [Row("r", (("x", 1.0),), "=", 2.5e-10)])
+        assert solve_lp(m).status == "Infeasible"
+        assert solve_lp(m, exact=True).status == "Infeasible"
+        lifted = simplex._lift(np.array([3e-10, -3e-10, 0.1, 0.0]))
+        assert lifted[:2] == [Fraction(3e-10), Fraction(-3e-10)]
+        assert lifted[2:] == [Fraction(1, 10), 0]
+        # the coefficient stays in the matrix that the presolve certifies
+        form = model_arrays(MilpModel("tiny", [Variable("x", 0.0, 1.0, False, 1.0),
+                                               Variable("z", 0.0, 1.0, False, 1.0)],
+                                      [Row("r", (("x", 3e-10), ("z", 1.0)), "=", 1.0)]))
+        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        assert layout.cols[0] == [(0, Fraction(3e-10))]
+
     def test_exact_mode_returns_fractions(self, situation2):
         m = _model(situation2, "hD").relaxed()
         sol = solve_lp(m, exact=True)
