@@ -366,12 +366,17 @@ def build_variant(instance: Instance, variant: str, closure: bool = True,
     several variants of one instance passes one ``graphs`` dict, which gets
     each graph by name as it is first built, and ``changes`` from
     ``connection_changes``."""
-    bar = "bar" if variant in ("hA", "HA") and closure else ""
-    name = "HD" if variant == "C" else variant + bar
+    name = "HD" if variant == "C" else _closed(variant, closure)
     graphs = {} if graphs is None else graphs
     if name not in graphs:
         graphs[name] = build(instance, name, changes)
     return contract(graphs[name]) if variant == "C" else graphs[name]
+
+
+def _closed(variant: str, closure: bool) -> str:
+    """The variant whose graph and model ``variant`` has: hA/HA under the
+    closure are hAbar/HAbar."""
+    return variant + "bar" if variant in ("hA", "HA") and closure else variant
 
 
 def solve_variant(instance: Instance, variant: str, mp: str,
@@ -548,25 +553,29 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
 
     Each connection's changes are enumerated once and each distinct graph
     is built once, for this call only: C contracts the HD graph that HD
-    solved. Each variant is assembled and solved once, by branch and bound;
-    its LP column is the relaxation solved at the root node. Plain
-    ``hA``/``HA`` rows follow the ``closure`` flag (and share the graph of an
-    ``hAbar``/``HAbar`` row under it); explicit ones always use the closure.
+    solved. Each distinct model is assembled and solved once, by branch and
+    bound; its LP column is the relaxation solved at the root node. Plain
+    ``hA``/``HA`` rows follow the ``closure`` flag (and share the model and
+    solution of an ``hAbar``/``HAbar`` row under it); explicit ones always
+    use the closure.
     """
     rows = []
     values_lp: dict[str, object] = {}
     values_ip: dict[str, object] = {}
-    graphs, changes = {}, None  # kept for this call only
+    graphs, solved, changes = {}, {}, None  # kept for this call only
     for variant in variants:
         row = VariantResult(variant=variant)
         started = _time.perf_counter()
         use_closure = closure or variant.endswith("bar")
         try:
             changes = changes or connection_changes(instance)  # fails per row, as build does
-            graph = build_variant(instance, variant, use_closure, graphs, changes)
-            ip_val, ip_sol, model, graph = solve_variant(
-                instance, variant, "IP", use_closure, connection_constraints,
-                exact, tol, node_limit, graph)
+            key = _closed(variant, use_closure)
+            if key not in solved:
+                solved[key] = solve_variant(
+                    instance, variant, "IP", use_closure, connection_constraints,
+                    exact, tol, node_limit,
+                    build_variant(instance, variant, use_closure, graphs, changes))
+            ip_val, ip_sol, model, graph = solved[key]
             lp_sol = ip_sol.root
             lp_val = _lp_value(lp_sol)
             row.n_vars, row.n_rows = model.stats()

@@ -7,7 +7,8 @@ variable via floor/ceil bound splits. The root LP is presolved once, by
 the simplex's exact presolve, and solved by dual simplex from the slack
 basis; children start from the parent's basis by the same dual simplex,
 since they differ from it in one bound, and inherit the root's layout and
-fixed values. An integer column that the presolve forces to a fraction
+fixed values; a bound on a column the presolve substituted out reaches the
+column it was folded into. An integer column that the presolve forces to a fraction
 branches like any other: both children exclude its value and are
 Infeasible.
 """

@@ -3,14 +3,19 @@
 Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). A cold run
 first presolves once, exactly (Andersen and Andersen 1995): it fixes the
 columns that equal bounds, singleton rows, and zero-residual rows of
-positive coefficients over lower bounds 0 force, and drops the rows left
-without a free column; what is left is the run's *layout*. It starts from
-the slack basis: one artificial column per live row, every other column
-at its lower bound. A warm run, as in a branch-and-bound child, starts
-from an earlier run's layout, fixed values, final basis and a copy of its
-final basis inverse under bounds that only tighten; a column the new
-bounds fix never enters. A dual postsolve gives the dropped rows their
-duals, so x and y are an optimum of the original model in either mode.
+positive coefficients over lower bounds 0 force, substitutes a column out
+of each doubleton equation x_j +- x_k = t (up to a common factor), and
+drops the rows left without a free column; what is left is the run's
+*layout*, the reduced problem in exact values and in floats. Each run
+derives its bounds from its own: a column takes those of the columns
+substituted into it. It starts from the slack basis: one artificial
+column per live row, every other column at its lower bound. A warm run,
+as in a branch-and-bound child, starts from an earlier run's layout,
+fixed values, final basis and a copy of its final basis inverse under
+bounds that only tighten; a column the new bounds fix never enters. A
+postsolve gives the substituted columns their values and the dropped rows
+their duals, so x and y are an optimum of the original model in either
+mode.
 
 Every run then takes the same two steps, with the artificial columns held
 at zero. Dual pivots (dual steepest edge picks the leaving row, Forrest and
@@ -84,10 +89,16 @@ class SimplexResult:
 @dataclass
 class _Layout:
     """What the presolve leaves, in the exact values of the data: the free
-    columns and live rows of the reduced problem, the value of every other
-    column, ``rhs`` (b less the fixed columns), the reductions in order,
-    each as (row, [(column, coefficient), ...]) of the columns that row
-    fixed, and the lifted nonzeros (row, coefficient) of each column."""
+    columns and live rows of the reduced problem, the value of every fixed
+    column, ``rhs`` (b less the fixed and substituted columns), the
+    reductions in order, and the lifted nonzeros (row, coefficient) of each
+    column. A reduction is (row, [(column, coefficient), ...]) for a row
+    that fixed columns, or (row, k, s, j, t, column) for a doubleton row
+    that substituted x_k = s x_j + t, with j's column before k was folded
+    into it. ``columns`` holds each column as {row: coefficient} when it
+    left the problem, or at the end; ``A`` is the reduced problem's matrix
+    in floats, and ``merged`` the (position, column) of each free column
+    that others were folded into."""
 
     free_cols: list[int]
     live_rows: list[int]
@@ -95,6 +106,9 @@ class _Layout:
     rhs: list
     records: list[tuple]
     cols: list[list]
+    columns: list[dict]
+    merged: list[tuple]
+    A: np.ndarray
 
 
 @dataclass
@@ -148,11 +162,15 @@ def _presolve(A, b, lb, ub) -> _Layout | None:
     """The layout of a cold run, or None when the data contradict exactly.
 
     Works on the lifted data, so every decision is exact. Fixing a column
-    updates the residual and the count of free columns of each of its rows
-    and puts them on a worklist; a row taken from it that has one free
-    column, or a zero residual and only free columns with positive
-    coefficients and lower bound 0, fixes them. Each row's nonzeros are
-    scanned once when it is reduced, so the pass costs O(nnz).
+    updates the residual of each of its rows and puts them on a worklist; a
+    row taken from it that has one free column, or a zero residual and only
+    free columns with positive coefficients and lower bound 0, fixes them.
+    Once the worklist drains, the lowest live row i with two free columns
+    j < k of equal |coefficient|, k in some other row as well, substitutes
+    x_k = s x_j + t (s = +-1) out: k is folded into j in every other row
+    (and, by ``_costs``, in the cost), j takes the bounds k implies, row i
+    drops, and the rows k held go back on the worklist. A k in no other row
+    is left in place: folding it would only turn row i into bounds on j.
     """
     if (lb == -INF).any():
         raise NumericalFailure("free variables are not supported")
@@ -160,70 +178,146 @@ def _presolve(A, b, lb, ub) -> _Layout | None:
     lo, up, rhs = _lift(lb), _lift(ub), _lift(b)
     if any(lo_j > up_j for lo_j, up_j in zip(lo, up)):
         return None
-    rows, cols = [[] for _ in range(m)], [[] for _ in range(n)]
+    rows, columns = [{} for _ in range(m)], [{} for _ in range(n)]
     nz_rows, nz_cols = np.nonzero(A)
     for i, j, a in zip(nz_rows.tolist(), nz_cols.tolist(),
                        _lift(A[nz_rows, nz_cols])):
         if a:
-            rows[i].append((j, a))
-            cols[j].append((i, a))
-    count = [len(row) for row in rows]  # free columns per row
-    bad = [sum(a < 0 or lo[j] != 0 for j, a in row) for row in rows]
-    fixed, records, work = {}, [], list(range(m - 1, -1, -1))
+            rows[i][j] = columns[j][i] = a
+    cols = [list(col.items()) for col in columns]
+    fixed, records, work, pairs = {}, [], list(range(m - 1, -1, -1)), []
 
     def fix(j, v):
         fixed[j] = v
-        for k, a in cols[j]:
-            rhs[k] -= a * v
-            count[k] -= 1
-            bad[k] -= a < 0 or lo[j] != 0
-            work.append(k)
+        for i, a in columns[j].items():
+            rhs[i] -= a * v
+            del rows[i][j]
+            work.append(i)
+
+    def fold(i, j, k):
+        s = -1 if (rows[i][j] > 0) == (rows[i][k] > 0) else 1
+        t = _div(rhs[i], rows[i][k])
+        records.append((i, k, s, j, t, dict(columns[j])))
+        for r, a in columns[k].items():
+            rhs[r] -= a * t
+            del rows[r][k]
+            if v := rows[r].get(j, 0) + s * a:
+                rows[r][j] = columns[j][r] = v
+            else:
+                del rows[r][j], columns[j][r]
+            work.append(r)
+        return _narrow(lo, up, k, s, j, t)
 
     for j in range(n):
         if lo[j] == up[j]:
             fix(j, lo[j])
-    while work:
-        i = work.pop()
-        if count[i] == 0:
+    while work or pairs:
+        if not work:
+            if len(rows[i := heapq.heappop(pairs)]) == 2:
+                (j, a), (k, a_k) = sorted(rows[i].items())
+                if abs(a) == abs(a_k) and len(columns[k]) > 1 and \
+                        not fold(i, j, k):
+                    return None
+            continue
+        row = rows[i := work.pop()]
+        if not row:
             if rhs[i]:
                 return None
             continue
-        if count[i] == 1:
-            j, a = next((j, a) for j, a in rows[i] if j not in fixed)
+        if len(row) == 1:
+            (j, a), = row.items()
             v, pinned = _div(rhs[i], a), [(j, a)]
             if not lo[j] <= v <= up[j]:
                 return None
-        elif rhs[i] == 0 and not bad[i]:
-            v, pinned = 0, [(j, a) for j, a in rows[i] if j not in fixed]
+        elif rhs[i] == 0 and all(a > 0 and lo[j] == 0 for j, a in row.items()):
+            v, pinned = 0, list(row.items())
         else:
+            if len(row) == 2:  # a doubleton once the worklist drains
+                heapq.heappush(pairs, i)
             continue
         records.append((i, pinned))
         for j, _ in pinned:
             fix(j, v)
-    return _Layout([j for j in range(n) if j not in fixed],
-                   [i for i in range(m) if count[i]], fixed, rhs, records, cols)
+    gone = fixed.keys() | {rec[1] for rec in records if len(rec) > 2}
+    free = [j for j in range(n) if j not in gone]
+    live = [i for i in range(m) if rows[i]]
+    folded = {rec[3] for rec in records if len(rec) > 2}
+    merged = [(p, j) for p, j in enumerate(free) if j in folded]
+    A_r, at = A[np.ix_(live, free)], {i: p for p, i in enumerate(live)}
+    for p, j in merged:
+        A_r[:, p] = 0.0
+        for i, a in columns[j].items():
+            A_r[at[i], p] = float(a)
+    return _Layout(free, live, fixed, rhs, records, cols, columns, merged, A_r)
 
 
-def _admits(layout: _Layout, lb, ub) -> bool:
-    """Whether bounds tighter than those ``layout`` was made under hold its
-    fixed values; a run started on that layout is Infeasible otherwise."""
-    at = list(layout.fixed)
-    return not (lb > ub).any() and all(
-        lo <= v <= up for lo, v, up in zip(_lift(lb[at]), layout.fixed.values(),
-                                           _lift(ub[at])))
+def _costs(layout: _Layout, cost: list) -> list:
+    """The reduced problem's costs: ``cost`` (floats or exact values, per
+    column) with each substituted column's cost folded into the column it
+    was substituted by, in place."""
+    for rec in layout.records:
+        if len(rec) > 2:
+            cost[rec[3]] += rec[2] * cost[rec[1]]
+    return cost
 
 
-def _postsolve(layout: _Layout, cost, y: list, div) -> list:
-    """Duals for the rows the presolve dropped, walking its reductions
-    backwards: the row of each gets min_j d_j / a_ij over the columns it
-    fixed, so d_j is zero for a singleton's column and nonnegative for
-    columns pinned at lower bound 0; an earlier reduction's row holds none
-    of a later one's columns. ``cost`` and ``y`` (the live rows' duals, 0
-    elsewhere) are floats or exact values, ``div`` their quotient."""
-    for i, pinned in reversed(layout.records):
-        y[i] = min(div(cost[j] - sum(y[k] * a for k, a in layout.cols[j]),
-                       a_ij) for j, a_ij in pinned)
-    return y
+def _narrow(lo, up, k, s, j, t) -> bool:
+    """Intersect j's bounds with those x_k = s x_j + t and k's bounds
+    imply; whether they still meet."""
+    a, z = (lo[k] - t, up[k] - t) if s == 1 else (t - up[k], t - lo[k])
+    lo[j], up[j] = max(lo[j], a), min(up[j], z)
+    return lo[j] <= up[j]
+
+
+def _bounds(layout: _Layout, lb, ub):
+    """The exact bounds (lo, up) a run on ``layout`` holds each column to: its
+    own, intersected, for a column others were folded into, with the bounds
+    each implies through its substitution. None when an interval is empty
+    or leaves out a fixed value; a run is Infeasible then, with no pivots."""
+    lo, up = _lift(lb), _lift(ub)
+    for rec in layout.records:
+        if len(rec) > 2 and not _narrow(lo, up, *rec[1:5]):
+            return None
+    if (lb > ub).any() or not all(lo[j] <= v <= up[j]
+                                  for j, v in layout.fixed.items()):
+        return None
+    return lo, up
+
+
+def _postsolve(layout: _Layout, costs: list, x: list, y: list, bounds,
+               exact: bool):
+    """The values of the substituted columns and the duals of the rows the
+    presolve dropped, walking its reductions backwards over each column as
+    it stood then (so d_j below is a reduced cost of that stage; ``costs``,
+    from ``_costs``, are unfolded on the way). A row that fixed columns
+    gets min_j d_j / a_ij over them, so d_j is zero for a singleton's
+    column and nonnegative for columns pinned at lower bound 0. A doubleton
+    row sets x_k = s x_j + t and makes d_k zero, or d_j when x_j rests at a
+    bound k implies (Andersen and Andersen 1995). ``x`` and ``y`` (the live
+    rows' duals, 0 elsewhere) are floats or exact values."""
+    div, tol = (_div, 0) if exact else (operator.truediv, TOL)
+    lo, up = bounds
+    columns = layout.columns
+
+    def reduced(column, cost):
+        return cost - sum(y[r] * a for r, a in column.items())
+
+    for rec in reversed(layout.records):
+        i = rec[0]
+        if len(rec) == 2:
+            y[i] = min(div(reduced(columns[j], costs[j]), a) for j, a in rec[1])
+            continue
+        _, k, s, j, t, column_j = rec
+        x[k] = s * x[j] + t
+        costs[j] -= s * costs[k]
+        d_k, d_j = reduced(columns[k], costs[k]), reduced(column_j, costs[j])
+        d = d_j + s * d_k  # j's reduced cost with k folded in
+        bound = lo[k] if s * d > 0 else up[k]
+        if d and abs(x[k] - bound) <= tol * max(1, abs(x[k])):
+            y[i] = div(d_j, column_j[i])  # d_k = s d
+        else:
+            y[i] = div(d_k, columns[k][i])  # d_j = d
+    return x, y
 
 
 def _inverse(A, basis):
@@ -462,24 +556,26 @@ def _dual(p: _Pivots, costs) -> int:
             p.d[entering] = 0.0
 
 
-def _solve_float(c, A, lb, ub, max_iter: int | None, layout: _Layout,
+def _solve_float(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
                  start=None):
-    """The float run on ``layout``, from ``start``'s basis or else from the
-    slack basis: one artificial column per live row, every other column at
-    its lower bound. The artificial columns are held at zero; the dual loop
-    runs first (on the costs clipped at zero from the slack basis, whose
-    duals are zero), then one primal pass on the true costs. An optimum
-    gets the layout's fixed values as floats and the postsolved duals.
+    """The float run on ``layout`` under ``bounds``, from ``start``'s basis
+    or else from the slack basis: one artificial column per live row, every
+    other column at its lower bound. The artificial columns are held at
+    zero; the dual loop runs first (on the costs clipped at zero from the
+    slack basis, whose duals are zero), then one primal pass on the true
+    costs. An optimum gets the layout's fixed values as floats and the
+    postsolved substituted values and duals.
     """
-    free_cols, live_rows = layout.free_cols, layout.live_rows
-    A_r = A[np.ix_(live_rows, free_cols)]
+    free_cols, live_rows, A_r = layout.free_cols, layout.live_rows, layout.A
     m, n = len(live_rows), len(free_cols)
     if max_iter is None:
         max_iter = 5000 + 60 * (m + n)
-    lb_r = lb[free_cols]
-    ub_r = ub[free_cols]
     b_r = np.array([float(layout.rhs[i]) for i in live_rows])
+    lb_r, ub_r, cost = lb[free_cols], ub[free_cols], _costs(layout, c.tolist())
     costs = np.concatenate([c[free_cols], np.zeros(m)])
+    for p, j in layout.merged:
+        lb_r[p], ub_r[p] = float(bounds[0][j]), float(bounds[1][j])
+        costs[p] = cost[j]
     if start is None:
         sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0)
         basis = list(range(n, n + m))
@@ -523,9 +619,10 @@ def _solve_float(c, A, lb, ub, max_iter: int | None, layout: _Layout,
     x = np.empty(len(c))
     x[list(layout.fixed)] = [float(v) for v in layout.fixed.values()]
     x[free_cols] = x_r[:n]
-    y = np.zeros(A.shape[0])
+    y = np.zeros(len(layout.rhs))
     y[live_rows] = y_r
-    y = np.array(_postsolve(layout, c, y.tolist(), operator.truediv))
+    x, y = map(np.array, _postsolve(layout, cost, x.tolist(), y.tolist(),
+                                    bounds, False))
     obj = sum((c[j] * x[j] for j in range(len(c))), 0.0)
     return SimplexResult("Optimal", objective=obj, x=x, y=y,
                          iterations=iterations, basis=run)
@@ -596,12 +693,12 @@ def _rational_solve(rows: list[dict], rhs: list[list]):
     return z
 
 
-def _certify(c, A, lb, ub, max_iter: int | None, layout: _Layout,
+def _certify(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
              start) -> SimplexResult:
     """The exact answer: the float run, then a rational certificate of the
     basis that run ends on, over the presolve's exact reduced problem."""
     try:
-        approx = _solve_float(c, A, lb, ub, max_iter, layout, start)
+        approx = _solve_float(c, lb, ub, max_iter, layout, bounds, start)
     except NumericalFailure as e:
         raise NumericalFailure(f"certificate: float run failed: {e}") from e
     run = approx.basis
@@ -610,12 +707,13 @@ def _certify(c, A, lb, ub, max_iter: int | None, layout: _Layout,
     free_cols, live_rows = layout.free_cols, layout.live_rows
     m, n = len(live_rows), len(free_cols)
     at = {i: k for k, i in enumerate(live_rows)}
-    column = [[(at[i], a) for i, a in layout.cols[j]] for j in free_cols] + \
-        [[(k, int(s))] for k, s in enumerate(run.sign)]
-    lo_all, up_all, cost = _lift(lb), _lift(ub), _lift(c)
-    lo = [lo_all[j] for j in free_cols] + [0] * m
-    up = [up_all[j] for j in free_cols] + [0] * m
-    costs = [cost[j] for j in free_cols] + [0] * m
+    column = [[(at[i], a) for i, a in layout.columns[j].items()]
+              for j in free_cols] + [[(k, int(s))] for k, s in enumerate(run.sign)]
+    lo = [bounds[0][j] for j in free_cols] + [0] * m
+    up = [bounds[1][j] for j in free_cols] + [0] * m
+    cost = _lift(c)
+    folded = _costs(layout, list(cost))
+    costs = [folded[j] for j in free_cols] + [0] * m
     basis, status = run.basis, run.status
 
     # x_B from B x_B = b - N x_N
@@ -690,10 +788,11 @@ def _certify(c, A, lb, ub, max_iter: int | None, layout: _Layout,
     y_r = _rational_solve([dict(column[j]) for j in basis],
                           [[costs[j] for j in basis]])[0]
     values = {**layout.fixed, **dict(zip(free_cols, x_r))}
-    x = [values[j] for j in range(len(c))]
+    x = [values.get(j) for j in range(len(c))]
     duals = dict(zip(live_rows, y_r))
-    y = [duals.get(i, 0) for i in range(A.shape[0])]
-    _postsolve(layout, cost, y, _div)
+    y = [duals.get(i, 0) for i in range(len(layout.rhs))]
+    _postsolve(layout, folded, x, y, bounds, True)
+    lo_all, up_all = _lift(lb), _lift(ub)
     for j, x_j in enumerate(x):
         d = cost[j] - sum(y[i] * a for i, a in layout.cols[j])
         if (d < 0 and x_j != up_all[j]) or (d > 0 and x_j != lo_all[j]):
@@ -725,12 +824,10 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     ``NumericalFailure``; there is no rational pivoting.
     """
     c, A, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, A, b, lb, ub))
-    if start is None:
-        layout = _presolve(A, b, lb, ub)
-    else:
-        layout = start.layout if _admits(start.layout, lb, ub) else None
-    if layout is None:
+    layout = _presolve(A, b, lb, ub) if start is None else start.layout
+    bounds = layout and _bounds(layout, lb, ub)
+    if bounds is None:
         return SimplexResult("Infeasible")
     if exact:
-        return _certify(c, A, lb, ub, max_iter, layout, start)
-    return _solve_float(c, A, lb, ub, max_iter, layout, start)
+        return _certify(c, lb, ub, max_iter, layout, bounds, start)
+    return _solve_float(c, lb, ub, max_iter, layout, bounds, start)

@@ -243,6 +243,27 @@ class TestCompare:
         assert not any(r.error for r in rep.rows)
         assert built == ["hD", "hAbar", "HD", "HAbar"]
 
+    def test_solves_each_distinct_model_once(self, situation2, monkeypatch):
+        # under the closure hA is hAbar and HA is HAbar: five models for
+        # seven rows, and each plain row reports its bar row's answer
+        solved = []
+        real = analysis.solve_ip
+
+        def counting_solve_ip(model, *args, **kwargs):
+            solved.append(model.name)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_ip", counting_solve_ip)
+        rep = analysis.compare(situation2, analysis.SEVEN_VARIANTS, closure=True)
+        assert not any(r.error for r in rep.rows)
+        assert len(solved) == 5 and len(set(solved)) == 5
+        by = {r.variant: r for r in rep.rows}
+        for plain in ("hA", "HA"):
+            bar = by[plain + "bar"]
+            assert (by[plain].lp_value, by[plain].ip_value, by[plain].breakdown,
+                    by[plain].n_rows) == (bar.lp_value, bar.ip_value,
+                                          bar.breakdown, bar.n_rows)
+
     def test_composition_alone_builds_hd_once(self, two_trip, monkeypatch):
         built = []
         real_build = analysis.build

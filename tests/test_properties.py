@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+linprog = pytest.importorskip("scipy.optimize").linprog
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rollstock.composition import contract  # noqa: E402
-from rollstock.formulation import assemble  # noqa: E402
+from rollstock.formulation import MilpModel, Row, Variable, assemble  # noqa: E402
 from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
 from rollstock.solver import (  # noqa: E402
@@ -202,3 +203,62 @@ def test_array_residuals_equal_the_row_walk(seed, lines, trips_per_line,
     want = _dict_dual_residual(model, sol)
     for got in (dual_residual(model, sol), dual_residual(form, sol)):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def _doubleton_lps(draw):
+    """A small LP whose rows mix x_a +- x_b = t (|coefficient| 1 or 2, so
+    t may be a fraction) with rows over every column, each right-hand side
+    met by an integer point within the bounds, or missed by one in one row
+    in ten; a column with a negative cost has an upper bound, so the LP is
+    never unbounded."""
+    n = draw(st.integers(3, 6))
+    variables, point = [], []
+    for i in range(n):
+        cost = draw(st.integers(-3, 3))
+        lower = draw(st.integers(0, 1))
+        width = draw(st.sampled_from([1, 2, 4, None] if cost >= 0 else [1, 2, 4]))
+        variables.append(Variable(f"x{i}", float(lower),
+                                  None if width is None else float(lower + width),
+                                  False, float(cost)))
+        point.append(lower + draw(st.integers(0, width or 3)))
+
+    def rhs(coeffs, miss):
+        return float(sum(c * point[int(v[1:])] for v, c in coeffs) + miss)
+
+    rows = []
+    for r in range(draw(st.integers(1, 4))):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        coef = draw(st.sampled_from([1.0, 2.0]))
+        coeffs = ((f"x{a}", coef), (f"x{b}", draw(st.sampled_from([1, -1])) * coef))
+        miss = draw(st.sampled_from([0] * 9 + [1]))
+        rows.append(Row(f"d{r}", coeffs, "=", rhs(coeffs, miss)))
+    for r in range(draw(st.integers(1, 3))):
+        coeffs = tuple((f"x{i}", float(c)) for i in range(n)
+                       if (c := draw(st.integers(-2, 2))))
+        sense = draw(st.sampled_from(["<=", ">=", "="]))
+        slack = draw(st.integers(0, 2)) * {"<=": 1, ">=": -1, "=": 0}[sense]
+        if coeffs:
+            rows.append(Row(f"g{r}", coeffs, sense, rhs(coeffs, slack)))
+    return MilpModel("doubletons", variables, rows)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(model=_doubleton_lps())
+def test_doubleton_substitution_keeps_the_optimum(model):
+    # float: HiGHS's status and value, duals that price the original model;
+    # exact: the certificate, which checks every original column's reduced
+    # cost, passes on the same answer
+    form = model_arrays(model)
+    ub = [None if u == math.inf else u for u in form.ub]
+    ref = linprog(form.c, A_eq=form.A, b_eq=form.b, bounds=list(zip(form.lb, ub)),
+                  method="highs")
+    assert ref.status in (0, 2)
+    status = {0: "Optimal", 2: "Infeasible"}[ref.status]
+    sol, exact = solve_lp(model), solve_lp(model, exact=True)
+    assert sol.status == exact.status == status
+    if status == "Optimal":
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert dual_residual(model, sol) <= 1e-7
+        assert exact.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)

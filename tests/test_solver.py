@@ -15,7 +15,7 @@ from rollstock.formulation import MilpModel, Row, Variable, assemble
 from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import build
 from rollstock.instance import canonical_instances
-from rollstock.reduction import parse_dimacs, reduce_3sat
+from rollstock.reduction import parse_dimacs, reduce_3sat, verify_reduction
 from rollstock.solver import (
     branch_bound,
     dual_residual,
@@ -97,6 +97,75 @@ class TestPresolve:
         assert [i for i, _ in layout.records] == [k - 1, *range(k - 1)]
         sol = solve_lp(m, exact=True)
         assert sol.objective == 3 * k and dual_residual(m, sol) == 0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_an_unanchored_chain_of_equal_columns(self, exact):
+        # x_i - x_(i+1) = 0 with no row fixing any x: each row folds its
+        # higher column into x0, which takes x3's bound 1.5; cap keeps x4 in
+        # a second row, and is left as 2 x0 + slack = 10
+        m = MilpModel("equal", [
+            Variable(f"x{i}", 0.0, 1.5 if i == 3 else 5.0, False, -1.0)
+            for i in range(5)],
+            [Row(f"e{i}", ((f"x{i}", 1.0), (f"x{i + 1}", -1.0)), "=", 0.0)
+             for i in range(4)] + [Row("cap", (("x0", 1.0), ("x4", 1.0)),
+                                       "<=", 10.0)])
+        form = model_arrays(m)
+        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        assert [rec[:5] for rec in layout.records] == [
+            (i, i + 1, 1, 0, 0) for i in range(4)]
+        assert layout.live_rows == [4] and layout.free_cols == [0, 5]
+        assert layout.columns[0] == {4: 2}
+        assert simplex._costs(layout, form.c.tolist())[0] == -5
+        lo, up = simplex._bounds(layout, form.lb, form.ub)
+        assert (lo[0], up[0]) == (0, Fraction(3, 2))
+        sol = solve_lp(m, exact=exact)
+        assert sol.status == "Optimal" and sol.objective == -7.5
+        assert sol.values == {f"x{i}": 1.5 for i in range(5)}
+        # x0 rests at the bound x3 implies, so e2 zeroes x0's reduced cost
+        # and x3's is -5 at its upper bound; the other rows zero their k's
+        assert sol.duals == {"e0": -1, "e1": -2, "e2": -3, "e3": 1, "cap": 0}
+        assert dual_residual(m, sol) == 0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_chain_of_complementary_columns(self, exact):
+        # x_i + x_(i+1) = 1: x1 = 1 - x0, x2 = x0, x3 = 1 - x0 and x4 = x0,
+        # so cap is 2 x0 + slack = 3/2 and binds at x0 = 3/4
+        m = MilpModel("pairs", [
+            Variable(f"x{i}", 0.0, 1.0, False, 0.0 if i % 2 else -1.0)
+            for i in range(5)],
+            [Row(f"e{i}", ((f"x{i}", 1.0), (f"x{i + 1}", 1.0)), "=", 1.0)
+             for i in range(4)] + [Row("cap", (("x0", 1.0), ("x4", 1.0)),
+                                       "<=", 1.5)])
+        form = model_arrays(m)
+        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        assert [rec[:5] for rec in layout.records] == [
+            (0, 1, -1, 0, 1), (1, 2, 1, 0, 0), (2, 3, -1, 0, 1), (3, 4, 1, 0, 0)]
+        assert layout.live_rows == [4] and layout.free_cols == [0, 5]
+        assert layout.columns[0] == {4: 2}
+        assert simplex._costs(layout, form.c.tolist())[0] == -3
+        assert layout.rhs[4] == Fraction(3, 2)
+        sol = solve_lp(m, exact=exact)
+        assert sol.status == "Optimal" and sol.objective == -2.25
+        assert sol.values == {"x0": 0.75, "x1": 0.25, "x2": 0.75, "x3": 0.25,
+                              "x4": 0.75}
+        # every x is interior, so every reduced cost is zero: cap's dual
+        # is -3/2, x0's then gives e0's, x1's e1's, and so on
+        assert sol.duals == {"e0": 0.5, "e1": -0.5, "e2": -0.5, "e3": 0.5,
+                             "cap": -1.5}
+        assert dual_residual(m, sol) == 0
+
+    def test_the_unsatisfiable_reduction_keeps_at_most_half_its_rows(self):
+        # the all-sign-pairs 2-variable, 4-clause formula: of the C model's
+        # 267 rows the fixing rules alone leave 222 live; the doubleton
+        # substitutions leave at most half of those
+        form = model_arrays(_unsat_c_model())
+        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        assert form.A.shape[0] == 267
+        assert 2 * len(layout.live_rows) <= 222
+        f = parse_dimacs("p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n"
+                         "-1 -2 -2 0\n")
+        verdict = verify_reduction(f)
+        assert verdict.agrees and not verdict.sat and not verdict.feasible
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_a_column_left_in_no_row(self, exact):
@@ -640,9 +709,8 @@ class TestWarmStart:
         def recording(c, A, b, lb, ub, exact=False, start=None):
             res = real(c, A, b, lb, ub, exact=exact, start=start)
             if start is not None:
-                full_A = np.concatenate([
-                    A[np.ix_(start.layout.live_rows, start.layout.free_cols)],
-                    np.diag(start.sign)], axis=1)
+                full_A = np.concatenate([start.layout.A, np.diag(start.sign)],
+                                        axis=1)
                 fresh = dataclasses.replace(
                     start, B_inv=simplex._inverse(full_A, start.basis))
                 assert np.array_equal(fresh.B_inv, start.B_inv)
@@ -705,12 +773,53 @@ class TestWarmStart:
             else:
                 assert warm.basis is None and warm.iterations == 0
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_child_bound_on_a_substituted_column_reaches_its_representative(
+            self, exact):
+        # d folds y into x, so k reads 4x + 3z <= 7: the root LP has
+        # x = y = 7/4, and the IP x = y = z = 1
+        m = MilpModel("fold", [Variable(v, 0.0, 3.0, True, -1.0) for v in "xyz"],
+                      [Row("d", (("x", 1.0), ("y", -1.0)), "=", 0.0),
+                       Row("k", (("x", 2.0), ("y", 2.0), ("z", 3.0)), "<=", 7.0)])
+        form = model_arrays(m)
+        root = simplex.solve_arrays(form.c, form.A, form.b, form.lb, form.ub,
+                                    exact=exact)
+        layout = root.basis.layout
+        assert [rec[:5] for rec in layout.records] == [(0, 1, 1, 0, 0)]
+        assert root.objective == -3.5 and root.x[1] == 1.75
+        for y_ub, x_lb, status in ((1.0, 0.0, "Optimal"),
+                                   (1.0, 2.0, "Infeasible")):
+            lb, ub = form.lb.copy(), form.ub.copy()
+            lb[0], ub[1] = x_lb, y_ub
+            bounds = simplex._bounds(layout, lb, ub)
+            warm = simplex.solve_arrays(form.c, form.A, form.b, lb, ub,
+                                        exact=exact, start=root.basis)
+            cold = simplex.solve_arrays(form.c, form.A, form.b, lb, ub,
+                                        exact=exact)
+            assert warm.status == cold.status == status
+            if status == "Optimal":
+                # y <= 1 bounds x; only z moves up
+                assert bounds[1][0] == 1 and warm.basis.layout is layout
+                assert warm.objective == cold.objective == -3
+                assert list(warm.x[:3]) == [1, 1, 1]
+            else:  # x >= 2 meets x = y <= 1: an empty interval, no run
+                assert bounds is None
+                assert warm.basis is None and warm.iterations == 0
+        ip = solve_ip(m, exact=exact)
+        res = scipy_opt.milp(
+            c=form.c, constraints=scipy_opt.LinearConstraint(form.A, form.b, form.b),
+            bounds=scipy_opt.Bounds(form.lb, form.ub),
+            integrality=np.r_[np.ones(3), np.zeros(1)])
+        assert ip.status == "Optimal" and ip.objective == res.fun == -3
+        assert ip.values == {"x": 1, "y": 1, "z": 1} and ip.nodes > 1
+
     def test_fixed_nonbasic_column_never_enters(self, monkeypatch):
         children = _record_children(monkeypatch)
         solve_ip(_branching_genbench(20, "hD"))
         for start, lb, ub, warm, _ in children:
+            lo, up = simplex._bounds(start.layout, lb, ub)
             for k, j in enumerate(start.layout.free_cols):
-                if lb[j] == ub[j] and k not in start.basis:
+                if lo[j] == up[j] and k not in start.basis:
                     assert k not in warm.basis.basis
 
     def test_branching_fixed_basic_column_leaves_the_basis(self, monkeypatch):
@@ -906,10 +1015,11 @@ _P_GE_0 = ([Variable("p", 0.0, None, False, 1.0)],
            [Row("r", (("p", 1.0),), ">=", 0.0)])       # optimum 0 at p = 0
 _P_GE_3 = ([Variable("p", 0.0, None, False, 1.0)],
            [Row("r", (("p", 1.0),), ">=", 3.0)])       # optimum 3 at p = 3
+# y's coefficient 2 keeps the twin rows out of the doubleton substitution
 _TWIN_ROWS = ([Variable("x", 0.0, 5.0, False, 1.0),
                Variable("y", 0.0, 5.0, False, 1.0)],
-              [Row("r1", (("x", 1.0), ("y", 1.0)), "=", 2.0),
-               Row("r2", (("x", 1.0), ("y", 1.0)), "=", 2.0)])  # optimum 2
+              [Row("r1", (("x", 1.0), ("y", 2.0)), "=", 2.0),
+               Row("r2", (("x", 1.0), ("y", 2.0)), "=", 2.0)])  # optimum 1
 
 
 class TestCertificate:
@@ -970,7 +1080,8 @@ class TestCertificate:
         # the presolve fixes x by a singleton row; without the postsolve the
         # row's dual is 0 and x's reduced cost 1 has the wrong sign at its
         # interior value
-        monkeypatch.setattr(simplex, "_postsolve", lambda layout, cost, y, div: y)
+        monkeypatch.setattr(simplex, "_postsolve",
+                            lambda layout, costs, x, y, bounds, exact: (x, y))
         with pytest.raises(NumericalFailure, match="certificate: reduced "
                            "cost 1 of column 0 has the wrong sign"):
             solve_lp(_forced_fraction_model().relaxed(), exact=True)
