@@ -20,7 +20,7 @@ from .formulation import ModelOptions, assemble, export_lp_file
 from .hypergraph import VARIANTS
 from .solver import solve_ip, solve_lp
 
-ALL = ("hD", "hA", "HD", "HA", "C")
+ALL = analysis.ALL_VARIANTS
 
 
 def _load_instance(args, valid: bool = True) -> inst_mod.Instance:

@@ -6,8 +6,8 @@ columns that equal bounds, singleton rows, and zero-residual rows of
 positive coefficients over lower bounds 0 force, substitutes a column out
 of each doubleton equation x_j +- x_k = t (up to a common factor), and
 drops the rows left without a free column; what is left is the run's
-*layout*, the reduced problem in exact values and in floats. Each run
-derives its bounds from its own: a column takes those of the columns
+*layout*, the reduced problem in exact values and its float nonzeros. Each
+run derives its bounds from its own: a column takes those of the columns
 substituted into it. It starts from the slack basis: one artificial
 column per live row, every other column at its lower bound. A warm run,
 as in a branch-and-bound child, starts from an earlier run's layout,
@@ -30,29 +30,31 @@ instance, those are the true costs and the primal pass only confirms.
 
 Pivoting is deterministic: Dantzig pricing in the primal loop, lowest-index
 tie-breaking, and a permanent fall back to Bland's rule once a run of
-degenerate pivots suggests cycling. The basis inverse is kept explicitly
-and refactorized every 256 iterations. In between, a pass works in
-proportion to what its pivot changes (Hall and McKinnon 2005): the eta step
-(one routine for both loops) updates the rows of B^-1 where B^-1 A_q is
-nonzero and their steepest-edge norms, and the dual loop carries its
+degenerate pivots suggests cycling. A run appends its artificial columns
+to the layout's nonzeros, and every product with A runs over them: y'A
+(reduced costs, pivot row), A x (basic values) and B^-1 A_q. B^-1 is kept
+explicitly and refactorized every 256 iterations. In between, a pass works
+in proportion to what its pivot changes (Hall and McKinnon 2005): the eta
+step (one routine for both loops) updates the rows of B^-1 where B^-1 A_q
+is nonzero and their steepest-edge norms, and the dual loop carries its
 reduced costs along the pivot row, d -= (d_q / alpha_rq) alpha_r.
 
 The rational mode backs the optimal-value *equality* assertions between
 models. It does not pivot over ``Fraction``s: it runs the float simplex on
 the presolve's layout and then certifies the basis that run ends on (the
 approach of QSopt_ex, Applegate, Cook, Dash and Espinoza 2007), over the
-reduced problem built from the presolve's exact data. One sparse rational
-elimination solves B x_B = b - N x_N and B'y = c_B. An optimum needs its
-primal bounds and, after the postsolve, the reduced-cost sign of every
-column of the original model; an infeasibility needs the dual loop's row
-r, with B'u = e_r, whose basic value u.b - sum_j (u.A_j) x_j cannot reach
-its bounds for any nonbasic x_j within theirs; an unboundedness needs a
-feasible basis and an improving column that no basic variable blocks. A
-basis that fails, or a float run that fails, raises ``NumericalFailure``
-naming the check. The certificate computes in Python ints wherever a value
-is integral, as model data mostly is; a ``Fraction`` appears only where an
-exact quotient is not an integer, and in the answer, converted once at the
-end.
+reduced problem built from the presolve's exact data. Sparse rational
+elimination solves B x_B = b - N x_N, then B' afresh: B'y = c_B for an
+optimum, B'u = e_r for an infeasibility. An optimum needs its primal bounds
+and, after the postsolve, the reduced-cost sign of every column of the
+original model; an infeasibility needs the dual loop's row r, whose basic
+value u.b - sum_j (u.A_j) x_j cannot reach its bounds for any nonbasic x_j
+within theirs; an unboundedness needs a feasible basis and an improving
+column that no basic variable blocks. A basis that fails, or a float run
+that fails, raises ``NumericalFailure`` naming the check. The certificate
+computes in Python ints wherever a value is integral, as model data mostly
+is; a ``Fraction`` appears only where an exact quotient is not an integer,
+and in the answer, converted once at the end.
 """
 
 from __future__ import annotations
@@ -96,9 +98,10 @@ class _Layout:
     that fixed columns, or (row, k, s, j, t, column) for a doubleton row
     that substituted x_k = s x_j + t, with j's column before k was folded
     into it. ``columns`` holds each column as {row: coefficient} when it
-    left the problem, or at the end; ``A`` is the reduced problem's matrix
-    in floats, and ``merged`` the (position, column) of each free column
-    that others were folded into."""
+    left the problem, or at the end. ``nz``, the only matrix a run uses,
+    holds the reduced problem's nonzeros as arrays (column, row, float
+    value) over ``free_cols`` and ``live_rows``, in the order of
+    ``np.nonzero(A.T)``: column by column, rows ascending."""
 
     free_cols: list[int]
     live_rows: list[int]
@@ -107,8 +110,7 @@ class _Layout:
     records: list[tuple]
     cols: list[list]
     columns: list[dict]
-    merged: list[tuple]
-    A: np.ndarray
+    nz: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -241,14 +243,11 @@ def _presolve(A, b, lb, ub) -> _Layout | None:
     gone = fixed.keys() | {rec[1] for rec in records if len(rec) > 2}
     free = [j for j in range(n) if j not in gone]
     live = [i for i in range(m) if rows[i]]
-    folded = {rec[3] for rec in records if len(rec) > 2}
-    merged = [(p, j) for p, j in enumerate(free) if j in folded]
-    A_r, at = A[np.ix_(live, free)], {i: p for p, i in enumerate(live)}
-    for p, j in merged:
-        A_r[:, p] = 0.0
-        for i, a in columns[j].items():
-            A_r[at[i], p] = float(a)
-    return _Layout(free, live, fixed, rhs, records, cols, columns, merged, A_r)
+    at = {i: p for p, i in enumerate(live)}
+    nz = np.array([(p, at[i], a) for p, j in enumerate(free)
+                   for i, a in sorted(columns[j].items())], float).reshape(-1, 3)
+    return _Layout(free, live, fixed, rhs, records, cols, columns,
+                   (nz[:, 0].astype(int), nz[:, 1].astype(int), nz[:, 2]))
 
 
 def _costs(layout: _Layout, cost: list) -> list:
@@ -310,31 +309,39 @@ def _postsolve(layout: _Layout, costs: list, x: list, y: list, bounds,
         _, k, s, j, t, column_j = rec
         x[k] = s * x[j] + t
         costs[j] -= s * costs[k]
-        d_k, d_j = reduced(columns[k], costs[k]), reduced(column_j, costs[j])
-        d = d_j + s * d_k  # j's reduced cost with k folded in
-        bound = lo[k] if s * d > 0 else up[k]
-        if d and abs(x[k] - bound) <= tol * max(1, abs(x[k])):
-            y[i] = div(d_j, column_j[i])  # d_k = s d
-        else:
-            y[i] = div(d_k, columns[k][i])  # d_j = d
+        d_k, gap = reduced(columns[k], costs[k]), tol * max(1, abs(x[k]))
+        if abs(x[k] - lo[k]) <= gap or abs(x[k] - up[k]) <= gap:
+            d_j = reduced(column_j, costs[j])
+            d = d_j + s * d_k  # j's reduced cost with k folded in
+            if d and abs(x[k] - (lo[k] if s * d > 0 else up[k])) <= gap:
+                y[i] = div(d_j, column_j[i])  # d_k = s d
+                continue
+        y[i] = div(d_k, columns[k][i])  # d_j = d
     return x, y
 
 
-def _inverse(A, basis):
+def _times(nz, x, m):
+    """A x for the m-row matrix A whose nonzeros are ``nz``."""
+    cols, rows, vals = nz
+    return np.bincount(rows, vals * x[cols], minlength=m)
+
+
+def _inverse(nz, basis, n):
+    """B^-1 for B the columns ``basis`` of the nonzeros ``nz`` of n columns."""
+    cols, rows, vals = nz
+    where = np.full(n, -1)
+    where[basis] = np.arange(len(basis))
+    keep = where[cols] >= 0
+    B = np.zeros((len(basis), len(basis)))
+    B[rows[keep], where[cols[keep]]] = vals[keep]
     try:
-        return np.linalg.inv(A[:, basis])
+        return np.linalg.inv(B)
     except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"singular basis: {e}") from e
 
 
 def _nonbasic_values(lb, ub, status):
-    vals = np.where(status == AT_UPPER, ub, lb)
-    vals[status == BASIC] = 0.0
-    return vals
-
-
-def _basic_values(A, b, lb, ub, status, B_inv):
-    return B_inv @ (b - A @ _nonbasic_values(lb, ub, status))
+    return np.where(status == BASIC, 0.0, np.where(status == AT_UPPER, ub, lb))
 
 
 def _pick_entering(status, d, fixed, bland: bool) -> int:
@@ -379,19 +386,18 @@ def _ratio_test(lb, ub, basis_arr, x_B, col, direction, cap):
 
 class _Pivots:
     """A basis of the reduced problem as the pivot loops move it: B^-1, its
-    squared row ``norms``, the basic values ``x_B`` and the column statuses.
-    ``basis`` and ``status`` are the caller's and are updated in place;
-    ``d`` holds the reduced costs that the dual loop carries."""
+    squared row ``norms``, the basic values ``x_B`` and the column statuses,
+    over ``nz``, the nonzeros of A as in ``_Layout``. ``basis`` and ``status``
+    are the caller's and are updated in place; ``d`` holds the reduced costs
+    that the dual loop carries."""
 
-    def __init__(self, A, b, lb, ub, basis: list[int], status: np.ndarray,
+    def __init__(self, nz, b, lb, ub, basis: list[int], status: np.ndarray,
                  B_inv, max_iter: int):
-        self.A, self.b, self.lb, self.ub = A, b, lb, ub
+        self.nz, self.b, self.lb, self.ub = nz, b, lb, ub
         self.basis, self.status, self.B_inv = basis, status, B_inv
         self.max_iter = max_iter
-        # the nonzeros of A column by column; ``at[j]:at[j + 1]`` is column j
-        self.nz_cols, self.nz_rows = np.nonzero(A.T)
-        self.nz_vals = A[self.nz_rows, self.nz_cols]
-        self.at = np.searchsorted(self.nz_cols, np.arange(A.shape[1] + 1))
+        # ``at[j]:at[j + 1]`` are the nonzeros of column j
+        self.at = np.searchsorted(nz[0], np.arange(len(lb) + 1))
 
     def start(self):
         """Begin a loop: norms and basic values from B^-1 and the bounds."""
@@ -407,28 +413,29 @@ class _Pivots:
         self.iters += 1
 
     def refactor(self):
-        self.B_inv = _inverse(self.A, self.basis)
+        self.B_inv = _inverse(self.nz, self.basis, len(self.lb))
         self._derive()
 
     def _derive(self):
         self.norms = np.einsum("ij,ij->i", self.B_inv, self.B_inv)
-        self.x_B = _basic_values(self.A, self.b, self.lb, self.ub, self.status,
-                                 self.B_inv)
+        x_N = _nonbasic_values(self.lb, self.ub, self.status)
+        self.x_B = self.B_inv @ (self.b - _times(self.nz, x_N, len(self.b)))
         self.basis_arr = np.array(self.basis, dtype=int)
+
+    def priced(self, y):
+        """y'A, over the nonzeros of A; the pivot row for y = e_r'B^-1."""
+        cols, rows, vals = self.nz
+        return np.bincount(cols, y[rows] * vals, minlength=len(self.lb))
 
     def reduced_costs(self, costs):
         """c - (c_B B^-1) A, priced afresh."""
-        return costs - (costs[self.basis] @ self.B_inv) @ self.A
+        return costs - self.priced(costs[self.basis] @ self.B_inv)
 
     def column(self, j):
         """B^-1 A_j, over the nonzeros of A_j."""
-        nz = slice(self.at[j], self.at[j + 1])
-        return self.B_inv[:, self.nz_rows[nz]] @ self.nz_vals[nz]
-
-    def row(self, r):
-        """e_r' B^-1 A, over the nonzeros of A."""
-        weights = self.B_inv[r, self.nz_rows] * self.nz_vals
-        return np.bincount(self.nz_cols, weights, minlength=self.A.shape[1])
+        _, rows, vals = self.nz
+        span = slice(self.at[j], self.at[j + 1])
+        return self.B_inv[:, rows[span]] @ vals[span]
 
     def pivot(self, entering: int, col, delta, leaving: int,
               leave_to: int) -> bool:
@@ -465,7 +472,7 @@ class _Pivots:
 
 
 def _cycling(degenerate_run: int, p: _Pivots) -> bool:
-    return degenerate_run > 40 + 2 * sum(p.A.shape)
+    return degenerate_run > 40 + 2 * (len(p.b) + len(p.lb))
 
 
 def _simplex(p: _Pivots, costs):
@@ -534,7 +541,7 @@ def _dual(p: _Pivots, costs) -> int:
         direction = np.where(p.status == AT_LOWER, 1.0, -1.0)
         # a unit step of nonbasic column j moves x_B[r] by -alpha_rj
         # * direction_j; ``push`` is that move toward the violated bound
-        alpha = p.row(r)
+        alpha = p.priced(p.B_inv[r])
         push = alpha * direction * (-1.0 if to_lower else 1.0)
         eligible = np.flatnonzero((push > TOL) & (p.status != BASIC) & ~p.fixed)
         if eligible.size == 0:
@@ -556,28 +563,25 @@ def _dual(p: _Pivots, costs) -> int:
             p.d[entering] = 0.0
 
 
-def _solve_float(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
-                 start=None):
+def _solve_float(c, layout: _Layout, bounds, start=None):
     """The float run on ``layout`` under ``bounds``, from ``start``'s basis
     or else from the slack basis: one artificial column per live row, every
-    other column at its lower bound. The artificial columns are held at
-    zero; the dual loop runs first (on the costs clipped at zero from the
+    other column at its lower bound. Each free column takes the floats of
+    its exact bounds and its folded cost; the artificial columns are held at
+    zero. The dual loop runs first (on the costs clipped at zero from the
     slack basis, whose duals are zero), then one primal pass on the true
     costs. An optimum gets the layout's fixed values as floats and the
     postsolved substituted values and duals.
     """
-    free_cols, live_rows, A_r = layout.free_cols, layout.live_rows, layout.A
+    free_cols, live_rows = layout.free_cols, layout.live_rows
     m, n = len(live_rows), len(free_cols)
-    if max_iter is None:
-        max_iter = 5000 + 60 * (m + n)
     b_r = np.array([float(layout.rhs[i]) for i in live_rows])
-    lb_r, ub_r, cost = lb[free_cols], ub[free_cols], _costs(layout, c.tolist())
-    costs = np.concatenate([c[free_cols], np.zeros(m)])
-    for p, j in layout.merged:
-        lb_r[p], ub_r[p] = float(bounds[0][j]), float(bounds[1][j])
-        costs[p] = cost[j]
+    lb, ub = (np.array([float(v[j]) for j in free_cols] + [0.0] * m)
+              for v in bounds)
+    cost = _costs(layout, c.tolist())
+    costs = np.array([cost[j] for j in free_cols] + [0.0] * m)
     if start is None:
-        sign = np.where(b_r - A_r @ lb_r >= 0, 1.0, -1.0)
+        sign = np.where(b_r - _times(layout.nz, lb, m) >= 0, 1.0, -1.0)
         basis = list(range(n, n + m))
         status = np.full(n + m, AT_LOWER, dtype=int)
         status[n:] = BASIC
@@ -588,9 +592,8 @@ def _solve_float(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
         sign, basis, status = start.sign, list(start.basis), start.status.copy()
         dual_costs = costs
 
-    full_A = np.concatenate([A_r, np.diag(sign)], axis=1)
-    full_lb = np.concatenate([lb_r, np.zeros(m)])
-    full_ub = np.concatenate([ub_r, np.zeros(m)])  # artificials held at zero
+    k = np.arange(m)  # the artificial column sign[k] e_k is column n + k
+    nz = [np.concatenate(v) for v in zip(layout.nz, (n + k, k, sign))]
     run = _Basis(layout, sign, basis, status)
 
     iterations = 0
@@ -598,8 +601,7 @@ def _solve_float(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
     if n:
         # the artificial diagonal is its own inverse
         B_inv = np.diag(sign) if start is None else start.B_inv.copy()
-        p = _Pivots(full_A, b_r, full_lb, full_ub, basis, status, B_inv,
-                    max_iter)
+        p = _Pivots(nz, b_r, lb, ub, basis, status, B_inv, 5000 + 60 * (m + n))
         run.row = _dual(p, dual_costs)
         iterations = p.iters
         if run.row >= 0:
@@ -612,7 +614,7 @@ def _solve_float(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
                                  basis=run)
         p.refactor()  # wash out eta-update drift before reporting
         run.B_inv = p.B_inv
-        x_r = _nonbasic_values(full_lb, full_ub, status)
+        x_r = _nonbasic_values(lb, ub, status)
         x_r[basis] = p.x_B
         y_r = costs[basis] @ p.B_inv
 
@@ -693,12 +695,11 @@ def _rational_solve(rows: list[dict], rhs: list[list]):
     return z
 
 
-def _certify(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
-             start) -> SimplexResult:
+def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
     """The exact answer: the float run, then a rational certificate of the
     basis that run ends on, over the presolve's exact reduced problem."""
     try:
-        approx = _solve_float(c, lb, ub, max_iter, layout, bounds, start)
+        approx = _solve_float(c, layout, bounds, start)
     except NumericalFailure as e:
         raise NumericalFailure(f"certificate: float run failed: {e}") from e
     run = approx.basis
@@ -709,8 +710,7 @@ def _certify(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
     at = {i: k for k, i in enumerate(live_rows)}
     column = [[(at[i], a) for i, a in layout.columns[j].items()]
               for j in free_cols] + [[(k, int(s))] for k, s in enumerate(run.sign)]
-    lo = [bounds[0][j] for j in free_cols] + [0] * m
-    up = [bounds[1][j] for j in free_cols] + [0] * m
+    lo, up = ([v[j] for j in free_cols] + [0] * m for v in bounds)
     cost = _lift(c)
     folded = _costs(layout, list(cost))
     costs = [folded[j] for j in free_cols] + [0] * m
@@ -807,7 +807,6 @@ def _certify(c, lb, ub, max_iter: int | None, layout: _Layout, bounds,
 
 
 def solve_arrays(c, A, b, lb, ub, exact: bool = False,
-                 max_iter: int | None = None,
                  start: _Basis | None = None) -> SimplexResult:
     """Bounded simplex on dense data.
 
@@ -829,5 +828,5 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     if bounds is None:
         return SimplexResult("Infeasible")
     if exact:
-        return _certify(c, lb, ub, max_iter, layout, bounds, start)
-    return _solve_float(c, lb, ub, max_iter, layout, bounds, start)
+        return _certify(c, lb, ub, layout, bounds, start)
+    return _solve_float(c, layout, bounds, start)

@@ -52,6 +52,21 @@ def _solve_arrays(model, exact):
                                 exact=exact)
 
 
+def _nonzeros(A):
+    """A's nonzeros as the simplex holds them: (columns, rows, values),
+    column by column."""
+    cols, rows = np.nonzero(A.T)
+    return cols, rows, A[rows, cols]
+
+
+def _dense(nz, m, n):
+    """The m x n matrix whose nonzeros are ``nz``."""
+    A = np.zeros((m, n))
+    cols, rows, vals = nz
+    A[rows, cols] = vals
+    return A
+
+
 def _scipy_lp_value(model):
     form = model_arrays(model)
     ub = np.where(np.isinf(form.ub), None, form.ub)
@@ -176,6 +191,35 @@ class TestPresolve:
         sol = solve_lp(m, exact=exact)
         assert sol.status == "Optimal" and sol.objective == 2
         assert sol.values == {"x": 0, "z": 2} and sol.duals == {"d": 1}
+
+    def test_nonzeros_are_the_reduced_matrix(self):
+        # layout.nz against the reduced matrix built densely: the original
+        # entries of the live rows and free columns, with each column that
+        # others were folded into written from its exact column
+        folds = 0
+        models = [_model(inst, variant)
+                  for inst in canonical_instances().values()
+                  for variant in VARIANTS7] + [_unsat_c_model()]
+        for model in models:
+            form = model_arrays(model)
+            layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+            live, free = layout.live_rows, layout.free_cols
+            A_r = form.A[np.ix_(live, free)]
+            folded = {rec[3] for rec in layout.records if len(rec) > 2}
+            at = {i: p for p, i in enumerate(live)}
+            for p, j in enumerate(free):
+                if j in folded:
+                    folds += 1
+                    A_r[:, p] = 0.0
+                    for i, a in layout.columns[j].items():
+                        A_r[at[i], p] = float(a)
+            cols, rows, vals = layout.nz
+            ref_cols, ref_rows, ref_vals = _nonzeros(A_r)
+            assert np.array_equal(cols, ref_cols), model.name
+            assert np.array_equal(rows, ref_rows), model.name
+            assert np.array_equal(vals, ref_vals), model.name
+            assert np.array_equal(_dense(layout.nz, *A_r.shape), A_r)
+        assert folds > 0
 
 
 class TestLp:
@@ -319,13 +363,21 @@ class TestLp:
         b = np.array([-0.75, -2.0])
         lb, ub = np.zeros(4), np.full(4, simplex.INF)
         status = np.array([BASIC, BASIC, AT_LOWER, AT_LOWER])
-        p = simplex._Pivots(A, b, lb, ub, [0, 1], status,
+        p = simplex._Pivots(_nonzeros(A), b, lb, ub, [0, 1], status,
                             np.diag([4.0, 1.0]), 100)
         leaving = []
         real = p.pivot
         p.pivot = lambda *a: leaving.append(a[3]) or real(*a)
         assert simplex._dual(p, np.array([0.0, 0.0, 1.0, 1.0])) == -1
         assert leaving == [1, 0] and p.basis == [2, 3]
+        # the same two pivots under a limit of one pass
+        status = np.array([BASIC, BASIC, AT_LOWER, AT_LOWER])
+        p = simplex._Pivots(_nonzeros(A), b, lb, ub, [0, 1], status,
+                            np.diag([4.0, 1.0]), 1)
+        with pytest.raises(NumericalFailure,
+                           match="^simplex iteration limit 1 reached$"):
+            simplex._dual(p, np.array([0.0, 0.0, 1.0, 1.0]))
+        assert p.iters == 1
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_unbounded_negative_cost_parking(self, exact):
@@ -578,15 +630,17 @@ def _check_every_pivot(monkeypatch):
     """Check every pivot of the dual (``_dual``) and the primal
     (``_simplex``) loop against dense recomputation: B^-1 against the dense
     rank-one update, bit for bit; the kept row norms against B^-1, bit for
-    bit; and, in the dual loop, the carried reduced costs against
-    c - (c_B B^-1) A on the nonbasic columns that are not fixed, and bit for
-    bit at the start of the loop and after a refactorization. Returns the
-    loop of each checked pivot, in order."""
-    running = []  # (loop, costs) of each loop as it starts
+    bit; and, in the dual loop, the carried reduced costs against freshly
+    priced ones on the nonbasic columns that are not fixed, and bit for bit
+    at the start of the loop and after a refactorization. Fresh pricing
+    over the nonzeros stays within 1e-9 of the dense c - (c_B B^-1) A,
+    which sums in another order. Returns the loop of each checked pivot, in
+    order."""
+    running = []  # (loop, costs, dense A) of each loop as it starts
     priced = [True]  # d was priced afresh and not carried since
     for name in ("_dual", "_simplex"):
         def loop(p, costs, real=getattr(simplex, name), name=name):
-            running.append((name, costs))
+            running.append((name, costs, _dense(p.nz, len(p.b), len(p.lb))))
             priced[0] = True
             return real(p, costs)
         monkeypatch.setattr(simplex, name, loop)
@@ -599,10 +653,13 @@ def _check_every_pivot(monkeypatch):
     checked = []
 
     def pivot(p, entering, col, delta, leaving, leave_to):
-        name, costs = running[-1]
+        name, costs, A = running[-1]
         assert norms_match(p)
         if name == "_dual":
-            fresh = costs - (costs[p.basis] @ p.B_inv) @ p.A
+            fresh = p.reduced_costs(costs)
+            np.testing.assert_allclose(
+                fresh, costs - (costs[p.basis] @ p.B_inv) @ A, rtol=1e-9,
+                atol=1e-9)
             free = (p.status != BASIC) & ~p.fixed
             np.testing.assert_allclose(p.d[free], fresh[free], rtol=1e-9,
                                        atol=1e-9)
@@ -709,10 +766,11 @@ class TestWarmStart:
         def recording(c, A, b, lb, ub, exact=False, start=None):
             res = real(c, A, b, lb, ub, exact=exact, start=start)
             if start is not None:
-                full_A = np.concatenate([start.layout.A, np.diag(start.sign)],
-                                        axis=1)
-                fresh = dataclasses.replace(
-                    start, B_inv=simplex._inverse(full_A, start.basis))
+                m, n = len(start.sign), len(start.layout.free_cols)
+                full_A = np.concatenate([
+                    _dense(start.layout.nz, m, n), np.diag(start.sign)], axis=1)
+                fresh = dataclasses.replace(start, B_inv=simplex._inverse(
+                    _nonzeros(full_A), start.basis, n + m))
                 assert np.array_equal(fresh.B_inv, start.B_inv)
                 pairs.append((res, real(c, A, b, lb, ub, exact=exact,
                                         start=fresh)))
