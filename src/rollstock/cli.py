@@ -2,10 +2,10 @@
 
 Commands: validate, build, solve, compare, project, reduce-3sat,
 verify-reduction, gen, export-lp. Exit codes: 0 success, 1 infeasible,
-violations found or a malformed instance (every command but validate refuses
-an instance that validate rejects), 2 usage errors; an Undecided
-theorem relation does not fail. Human-readable output on stdout, JSON
-with --json; --deterministic suppresses timing fields.
+violations found, a malformed instance (every command but validate refuses
+an instance that validate rejects) or a malformed DIMACS formula, 2 usage
+errors; an Undecided theorem relation does not fail. Human-readable output
+on stdout, JSON with --json; --deterministic suppresses timing fields.
 """
 
 from __future__ import annotations

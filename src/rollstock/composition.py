@@ -143,15 +143,12 @@ def contract(g_hd: Hypergraph) -> CompositionGraph:
 
     # parallel contracted arcs must agree on cost (they never arise from the
     # canonical change enumeration, but the contraction relies on it)
-    by_span: dict[tuple, str] = {}
+    by_span: dict[tuple, CompArc] = {}
     for a in arcs:
-        span = tuple(sorted(a.arcs))
-        if span in by_span:
-            other = next(x for x in arcs if x.id == by_span[span])
-            if abs(other.cost - a.cost) > 1e-12:
-                raise AssertionError(
-                    f"parallel arcs {a.id} / {other.id} with different costs")
-        by_span.setdefault(span, a.id)
+        other = by_span.setdefault(tuple(sorted(a.arcs)), a)
+        if abs(other.cost - a.cost) > 1e-12:
+            raise AssertionError(
+                f"parallel arcs {a.id} / {other.id} with different costs")
 
     nodes: dict[CompNode, None] = {}
     for a in arcs:

@@ -8,7 +8,8 @@ class RollstockError(Exception):
 
 
 class MalformedInstance(RollstockError):
-    """Instance text that is not JSON or does not have the instance shape."""
+    """Instance text that is not JSON or does not have the instance shape,
+    or a DIMACS formula with a line that does not parse."""
 
 
 class NotFound(RollstockError):

@@ -42,8 +42,6 @@ from .ledger import IN, OUT, place, staging
 
 VARIANTS = ("hD", "hA", "HD", "HA", "hAbar", "HAbar")
 
-BOUNDED_KINDS = ("TripService", "ConnectionChange", "PullIn", "PullOut", "DirectConnection")
-
 
 def variant_parts(variant: str) -> tuple[str, str, bool]:
     """Split a variant name into (level, transfer, closure)."""

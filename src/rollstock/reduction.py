@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .composition import contract
-from .errors import LimitExceeded
+from .errors import LimitExceeded, MalformedInstance
 from .formulation import assemble
 from .hypergraph import build
 from .instance import (
@@ -73,21 +73,35 @@ class ReductionCertificate:
 
 
 def parse_dimacs(text: str) -> Cnf3:
+    """The formula in DIMACS CNF ``text``: a ``p cnf <variables> <clauses>``
+    line, then clauses of three literals, each ended by 0; lines starting
+    with c or % are comments. A line that fits none of these raises
+    ``MalformedInstance`` naming it."""
     n_vars = 0
     clauses: list[tuple[int, ...]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith(("c", "%")):
+    for number, line in enumerate(text.splitlines(), 1):
+        words = line.split()
+        if not words or words[0].startswith(("c", "%")):
             continue
-        if line.startswith("p"):
-            n_vars = int(line.split()[2])
-            continue
-        lits = [int(x) for x in line.split()]
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
+        try:
+            if words[0] == "p":
+                if len(words) != 4 or words[1] != "cnf":
+                    raise ValueError("expected p cnf <variables> <clauses>")
+                n_vars, _ = (int(w) for w in words[2:])
+                continue
+            lits = [int(w) for w in words]
+            if lits[-1] == 0:
+                lits.pop()
+            if lits and len(lits) != 3:
+                raise ValueError(f"a clause has 3 literals, not {len(lits)}")
+            for lit in lits:
+                if not 0 < abs(lit) <= n_vars:
+                    raise ValueError(f"literal {lit} is not a variable "
+                                     f"1..{n_vars} or its negation")
+        except ValueError as e:
+            raise MalformedInstance(f"malformed formula, line {number} "
+                                    f"({line.strip()}): {e}") from None
         if lits:
-            if len(lits) != 3:
-                raise ValueError(f"clause {lits} does not have 3 literals")
             clauses.append(tuple(lits))
     return Cnf3(n_vars, tuple(clauses))
 

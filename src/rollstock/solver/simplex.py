@@ -43,18 +43,18 @@ The rational mode backs the optimal-value *equality* assertions between
 models. It does not pivot over ``Fraction``s: it runs the float simplex on
 the presolve's layout and then certifies the basis that run ends on (the
 approach of QSopt_ex, Applegate, Cook, Dash and Espinoza 2007), over the
-reduced problem built from the presolve's exact data. Sparse rational
-elimination solves B x_B = b - N x_N, then B' afresh: B'y = c_B for an
-optimum, B'u = e_r for an infeasibility. An optimum needs its primal bounds
-and, after the postsolve, the reduced-cost sign of every column of the
-original model; an infeasibility needs the dual loop's row r, whose basic
-value u.b - sum_j (u.A_j) x_j cannot reach its bounds for any nonbasic x_j
-within theirs; an unboundedness needs a feasible basis and an improving
-column that no basic variable blocks. A basis that fails, or a float run
-that fails, raises ``NumericalFailure`` naming the check. The certificate
-computes in Python ints wherever a value is integral, as model data mostly
-is; a ``Fraction`` appears only where an exact quotient is not an integer,
-and in the answer, converted once at the end.
+reduced problem built from the presolve's exact data. One sparse rational
+elimination of the basis solves B x_B = b - N x_N and then B'y = c_B for an
+optimum, B'u = e_r for an infeasibility or B w = A_e for an unboundedness.
+An optimum needs its primal bounds and, after the postsolve, the
+reduced-cost sign of every column of the original model; an infeasibility
+needs the dual loop's row r, whose basic value u.b - sum_j (u.A_j) x_j
+cannot reach its bounds for any nonbasic x_j within theirs; an
+unboundedness needs a feasible basis and an improving column that no basic
+variable blocks. A basis that fails, or a float run that fails, raises
+``NumericalFailure`` naming the check. The certificate computes in Python
+ints wherever a value is integral, as model data mostly is; a ``Fraction``
+appears only where an exact quotient is not an integer, and in the answer.
 """
 
 from __future__ import annotations
@@ -639,28 +639,24 @@ def _div(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
-def _rational_solve(rows: list[dict], rhs: list[list]):
-    """Solve M z = r exactly for each r in ``rhs``.
-
-    M is square and given as sparse rows ``{column: value}``, values ints
-    or Fractions; every quotient goes through ``_div``, so integral data
-    stay ints. Gaussian elimination pivots on the sparsest remaining row,
-    the lowest index on ties, from a heap of ``(len(row), i)`` that gets a
-    new entry when fill-in changes a row's length (an entry whose row is
-    gone or has another length is stale), and within it on the column held
-    by the fewest remaining rows; back substitution follows. Returns one
-    solution per right-hand side, or None if M is singular.
-    """
-    m = len(rows)
+def _factor(rows: list):
+    """Eliminate the square matrix M, given as sparse rows of ints or Fractions
+    (dicts ``{column: value}`` or (column, value) pairs); every quotient goes
+    through ``_div``, so integral data stay ints. The pivot is the sparsest
+    remaining row, the lowest index on ties, from a heap of ``(len(row), i)``
+    that gets a new entry when fill-in changes a row's length (an entry whose
+    row is gone or has another length is stale), and in it the column held by
+    the fewest remaining rows. Returns the pivots (p, q) in order, the rows
+    U = E M and the steps (i, p, f), row i less f times row p, whose product
+    is E; or None if M is singular."""
     rows = [dict(r) for r in rows]
-    vals = [[r[i] for r in rhs] for i in range(m)]
     holders: dict[int, set] = {}
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
-    remaining = set(range(m))
+    remaining = set(range(len(rows)))
     heap = sorted((len(row), i) for i, row in enumerate(rows))
-    order = []
+    order, steps = [], []
     while remaining:
         size, p = heapq.heappop(heap)
         if p not in remaining or size != len(rows[p]):
@@ -684,20 +680,38 @@ def _rational_solve(rows: list[dict], rhs: list[list]):
                     holders[j].discard(i)
             if len(row) != size:
                 heapq.heappush(heap, (len(row), i))
-            vals[i] = [u - f * w for u, w in zip(vals[i], vals[p])]
+            steps.append((i, p, f))
         order.append((p, q))
-    z = [[0] * m for _ in rhs]
-    for p, q in reversed(order):
-        row = rows[p]
-        for k, zk in enumerate(z):
-            acc = vals[p][k] - sum(a * zk[j] for j, a in row.items() if j != q)
-            zk[q] = _div(acc, row[q])
+    return order, rows, steps
+
+
+def _solve(factor, r: list, transposed: bool = False) -> list:
+    """z with M z = r, or with ``transposed`` M'z = r, for the M that
+    ``factor`` eliminated: the steps replayed on r and back substitution
+    through U in reverse pivot order, or forward substitution through U' in
+    pivot order and the steps replayed transposed, in reverse: M' = U'E^-T."""
+    order, rows, steps = factor
+    r, z = list(r), [0] * len(r)
+    if transposed:
+        for p, q in order:
+            z[p] = v = _div(r[q], rows[p][q])
+            for j, a in rows[p].items():  # r[q] is not read again
+                r[j] -= a * v
+        for i, p, f in reversed(steps):
+            z[p] -= f * z[i] if z[i] else 0
+        return z
+    for i, p, f in steps:
+        r[i] -= f * r[p] if r[p] else 0
+    for p, q in reversed(order):  # z[q] is still 0 in the sum
+        z[q] = _div(r[p] - sum(a * z[j] for j, a in rows[p].items()),
+                    rows[p][q])
     return z
 
 
 def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
     """The exact answer: the float run, then a rational certificate of the
-    basis that run ends on, over the presolve's exact reduced problem."""
+    basis that run ends on, over the presolve's exact reduced problem. One
+    elimination of that basis serves every system the certificate solves."""
     try:
         approx = _solve_float(c, layout, bounds, start)
     except NumericalFailure as e:
@@ -716,7 +730,6 @@ def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
     costs = [folded[j] for j in free_cols] + [0] * m
     basis, status = run.basis, run.status
 
-    # x_B from B x_B = b - N x_N
     b_r = [layout.rhs[i] for i in live_rows]
     x_r = [0] * (n + m)
     for j in range(n + m):
@@ -727,27 +740,19 @@ def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
                                        "an infinite bound")
             for k, a in column[j]:
                 b_r[k] -= a * x_r[j]
-    B_rows = [{} for _ in range(m)]
-    for pos, j in enumerate(basis):
-        for k, a in column[j]:
-            B_rows[k][pos] = a
-    wanted = [b_r]
-    if approx.status == "Unbounded":  # and the entering column's B^-1 A_e
-        entering = dict(column[run.entering])
-        wanted.append([entering.get(k, 0) for k in range(m)])
-    solved = _rational_solve(B_rows, wanted)
-    if solved is None:
+    # x_B from B x_B = b - N x_N; B' has the basic columns as its rows
+    factor = _factor([column[j] for j in basis])
+    if factor is None:
         raise NumericalFailure("certificate: singular basis")
-    for pos, j in enumerate(basis):
-        x_r[j] = solved[0][pos]
+    for j, v in zip(basis, _solve(factor, b_r, transposed=True)):
+        x_r[j] = v
 
     if run.row >= 0:
         # x_r = u.b - sum over nonbasic j of (u.A_j) x_j with B'u = e_row:
         # no choice of nonbasic values within their bounds lets it reach
         # the bound it violates
         r, j_r = run.row, basis[run.row]
-        u = _rational_solve([dict(column[j]) for j in basis],
-                            [[int(pos == r) for pos in range(m)]])[0]
+        u = _solve(factor, [int(pos == r) for pos in range(m)])
         below = x_r[j_r] < lo[j_r]
         reach = x_r[j_r]
         for j in range(n + m):
@@ -771,7 +776,8 @@ def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
                                    f"{x_r[j]} is outside its bounds")
 
     if approx.status == "Unbounded":
-        e, w = run.entering, solved[1]
+        e, a_e = run.entering, dict(column[run.entering])
+        w = _solve(factor, [a_e.get(k, 0) for k in range(m)], transposed=True)
         direction = 1 if status[e] == AT_LOWER else -1
         gain = costs[e] - sum(costs[j] * w[pos] for pos, j in enumerate(basis))
         blocked = up[e] != INF or any(
@@ -785,8 +791,7 @@ def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
 
     # y from B'y = c_B, the dropped rows' duals from the postsolve, and the
     # reduced cost of every column of the original model of the right sign
-    y_r = _rational_solve([dict(column[j]) for j in basis],
-                          [[costs[j] for j in basis]])[0]
+    y_r = _solve(factor, [costs[j] for j in basis])
     values = {**layout.fixed, **dict(zip(free_cols, x_r))}
     x = [values.get(j) for j in range(len(c))]
     duals = dict(zip(live_rows, y_r))

@@ -147,6 +147,23 @@ class TestCommands:
         assert code == 1
         assert err.startswith("error: ") and needle in err
 
+    @pytest.mark.parametrize("command", ["reduce-3sat", "verify-reduction"])
+    @pytest.mark.parametrize("text,needle", [
+        ("p cnf 2 1\n1 2 0\n", "line 2 (1 2 0): a clause has 3 literals"),
+        ("p cnf\n1 2 2 0\n", "line 1 (p cnf): expected p cnf"),
+        ("p cnf 2 1\nx 1 2 0\n", "line 2 (x 1 2 0): invalid literal"),
+        ("p cnf 2 1\n1 5 2 0\n", "line 2 (1 5 2 0): literal 5 is not")],
+        ids=["two-literals", "no-counts", "token", "literal-out-of-range"])
+    def test_malformed_formula_exits_one(self, capsys, tmp_path, command,
+                                         text, needle):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text(text)
+        out_path = tmp_path / "inst.json"
+        extra = ["--out", str(out_path)] if command == "reduce-3sat" else []
+        code, out, err = _capture(capsys, [command, str(cnf), *extra])
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error: malformed formula, ") and needle in err
+
     @pytest.mark.parametrize("command", ["validate", "compare"])
     def test_wrong_typed_instance_exits_one(self, capsys, tmp_path, command):
         from rollstock.instance import canonical, dumps

@@ -929,8 +929,8 @@ class TestOracle:
 
 def _reference_solve(rows, rhs):
     """Dense Gaussian elimination in Fractions with the pivot rule that
-    ``_rational_solve`` documents, the sparsest remaining row and in it the
-    column held by the fewest remaining rows, each found by a scan.
+    ``_factor`` documents, the sparsest remaining row and in it the column
+    held by the fewest remaining rows, each found by a scan.
     Returns (z, the pivot values in order), or None if singular."""
     m = len(rows)
     M = [[Fraction(row.get(j, 0)) for j in range(m)] for row in rows]
@@ -953,6 +953,15 @@ def _reference_solve(rows, rhs):
         z[q] = (r[p] - sum(M[p][j] * z[j] for j in range(m) if j != q)) \
             / M[p][q]
     return z, [M[p][q] for p, q in order]
+
+
+def _transpose(rows):
+    """The sparse rows of M' for M given as sparse rows."""
+    out = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[j][i] = a
+    return out
 
 
 def _sparse_rows(rng, m, density, values):
@@ -979,28 +988,25 @@ class TestRationalSolve:
         for _ in range(40):
             rows, rhs = _sparse_rows(rng, 9, 0.3, (-4, -3, -2, 2, 3, 5))
             ref = _reference_solve(rows, rhs)
-            divisors.clear()
-            z = simplex._rational_solve(rows, [rhs])
+            factor = simplex._factor(rows)
             if ref is None:
-                assert z is None
+                assert factor is None
+                assert _reference_solve(_transpose(rows), rhs) is None
                 continue
-            assert z[0] == ref[0]
-            assert divisors[-9:][::-1] == ref[1]
+            divisors.clear()
+            z = simplex._solve(factor, rhs)
+            assert z == ref[0]
+            assert divisors[::-1] == ref[1]
+            w = simplex._solve(factor, rhs, transposed=True)
+            assert w == _reference_solve(_transpose(rows), rhs)[0]
             checked += 1
-            fractions += any(type(v) is Fraction for v in z[0])
+            fractions += any(type(v) is Fraction for v in z + w)
         assert checked >= 30 and fractions >= 20
-
-    def test_several_right_hand_sides(self):
-        rng = random.Random(8)
-        rows, rhs = _sparse_rows(rng, 6, 0.4, (-2, 3, 7))
-        other = [Fraction(k, 3) for k in range(6)]
-        z = simplex._rational_solve(rows, [rhs, other])
-        assert z == [_reference_solve(rows, rhs)[0],
-                     _reference_solve(rows, other)[0]]
 
     def test_unimodular_matrix_stays_in_ints(self):
         # the incidence matrix of a tree less its root row is a basis of a
-        # network matrix: every pivot is +-1 and every value an int
+        # network matrix: every pivot is +-1 and every value an int, in
+        # either direction
         rng = random.Random(3)
         for m in (5, 12, 30):
             rows = [{} for _ in range(m)]
@@ -1012,14 +1018,50 @@ class TestRationalSolve:
                     if at:
                         rows[at - 1][edge] = sign
             rhs = [rng.randint(-5, 5) for _ in range(m)]
-            z = simplex._rational_solve(rows, [rhs])[0]
-            assert all(type(v) is int for v in z)
-            assert z == _reference_solve(rows, rhs)[0]
+            factor = simplex._factor(rows)
+            for transposed, matrix in ((False, rows),
+                                       (True, _transpose(rows))):
+                z = simplex._solve(factor, rhs, transposed)
+                assert all(type(v) is int for v in z)
+                assert z == _reference_solve(matrix, rhs)[0]
 
     def test_singular_matrix(self):
-        rows = [{0: 2, 1: 3}, {1: 1, 2: -1}, {0: 4, 1: 7, 2: -1}]
-        assert simplex._rational_solve(rows, [[1, 2, 3]]) is None
-        assert simplex._rational_solve([{0: 1}, {0: 5}], [[1, 5]]) is None
+        for rows in ([{0: 2, 1: 3}, {1: 1, 2: -1}, {0: 4, 1: 7, 2: -1}],
+                     [{0: 1}, {0: 5}]):
+            assert simplex._factor(rows) is None
+            assert simplex._factor(_transpose(rows)) is None
+
+    def test_one_elimination_per_certificate(self, monkeypatch, two_trip):
+        # an Optimal root, the unsatisfiable reduction's children that the
+        # dual loop's row proves Infeasible, and an Unbounded LP: each
+        # certificate eliminates its basis once and solves every system
+        # from that
+        factors, certified = [], []
+        real_factor, real_certify = simplex._factor, simplex._certify
+
+        def factor(rows):
+            factors[-1] += 1
+            return real_factor(rows)
+
+        def certify(*args):
+            factors.append(0)
+            certified.append(real_certify(*args))
+            return certified[-1]
+
+        monkeypatch.setattr(simplex, "_factor", factor)
+        monkeypatch.setattr(simplex, "_certify", certify)
+        ray = MilpModel("ray", [Variable("p", 0.0, None, False, -1.0)],
+                        [Row("r", (("p", 1.0),), ">=", 0.0)])
+        assert _solve_arrays(_model(two_trip, "HD").relaxed(),
+                             exact=True).status == "Optimal"
+        assert solve_ip(_unsat_c_model(), exact=True).status == "Infeasible"
+        assert solve_lp(ray, exact=True).status == "Unbounded"
+        assert factors == [1] * len(certified)
+        seen = collections.Counter(
+            (res.status, res.basis.row >= 0) for res in certified)
+        assert seen[("Optimal", False)] >= 2
+        assert seen[("Infeasible", True)] >= 2
+        assert seen[("Unbounded", False)] == 1
 
     def test_division_keeps_ints_where_integral(self):
         assert simplex._div(6, -1) == -6 and type(simplex._div(6, -1)) is int
