@@ -317,6 +317,8 @@ def validate(instance: Instance) -> list[Violation]:
         for p in t.allowed_compositions:
             if p not in comps:
                 add(Violation("UnknownReference", t.id, f"unknown composition {p}"))
+        if len(set(t.allowed_compositions)) < len(t.allowed_compositions):
+            add(Violation("DuplicateId", t.id, "allowed composition listed twice"))
 
     # NS axiom iv: splits and joins are disjoint; every trip is the
     # predecessor of at most one connection and the successor of at most one.

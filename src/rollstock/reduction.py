@@ -75,9 +75,10 @@ class ReductionCertificate:
 def parse_dimacs(text: str) -> Cnf3:
     """The formula in DIMACS CNF ``text``: a ``p cnf <variables> <clauses>``
     line, then clauses of three literals, each ended by 0; lines starting
-    with c or % are comments. A line that fits none of these raises
+    with c or % are comments. A line that fits none of these, or a ``p``
+    line whose clause count is not the number of clauses, raises
     ``MalformedInstance`` naming it."""
-    n_vars = 0
+    n_vars, n_clauses, p_line = 0, None, ""
     clauses: list[tuple[int, ...]] = []
     for number, line in enumerate(text.splitlines(), 1):
         words = line.split()
@@ -87,7 +88,8 @@ def parse_dimacs(text: str) -> Cnf3:
             if words[0] == "p":
                 if len(words) != 4 or words[1] != "cnf":
                     raise ValueError("expected p cnf <variables> <clauses>")
-                n_vars, _ = (int(w) for w in words[2:])
+                n_vars, n_clauses = (int(w) for w in words[2:])
+                p_line = f"line {number} ({line.strip()})"
                 continue
             lits = [int(w) for w in words]
             if lits[-1] == 0:
@@ -103,6 +105,9 @@ def parse_dimacs(text: str) -> Cnf3:
                                     f"({line.strip()}): {e}") from None
         if lits:
             clauses.append(tuple(lits))
+    if n_clauses is not None and n_clauses != len(clauses):
+        raise MalformedInstance(f"malformed formula, {p_line}: clause count "
+                                f"{n_clauses}, but {len(clauses)} clauses follow")
     return Cnf3(n_vars, tuple(clauses))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import NumericalFailure
 from ..formulation import MilpModel
-from .simplex import INF, SimplexResult, solve_arrays
+from .simplex import INF, SimplexResult, _priced, _times, solve_arrays
 
 __all__ = [
     "LpSolution", "IpSolution", "solve_lp", "solve_ip", "enumerate_oracle",
@@ -57,11 +57,12 @@ class IpSolution:
 
 @dataclass
 class ArrayForm:
-    """Dense standard form min c'x, Ax = b, lb <= x <= ub (slacks appended).
-    ``slack`` is each row's slack coefficient: 1 for <=, -1 for >=, 0 for =."""
+    """Standard form min c'x, Ax = b, lb <= x <= ub, slacks appended; ``nz``
+    holds A's nonzeros (column, row, value) by column, rows ascending, and
+    ``slack`` each row's slack coefficient: 1 for <=, -1 for >=, 0 for =."""
 
     c: np.ndarray
-    A: np.ndarray
+    nz: tuple[np.ndarray, np.ndarray, np.ndarray]
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -74,26 +75,36 @@ class ArrayForm:
     def n_structural(self) -> int:
         return len(self.var_ids)
 
+    @property
+    def A(self) -> np.ndarray:
+        """A as a dense matrix, built on each read for a caller that hands it
+        to another solver (the benchmark's HiGHS, tests against scipy)."""
+        A = np.zeros((len(self.b), len(self.c)))
+        A[self.nz[1], self.nz[0]] = self.nz[2]
+        return A
+
 
 def model_arrays(model: MilpModel) -> ArrayForm:
-    """The array form of a model; A is filled by one scatter of every
-    coefficient, so a variable repeated in a row sums."""
+    """The array form of a model; a variable repeated in a row sums, in the
+    row's order, and an entry that sums to 0 is left out."""
     var_ids = [v.id for v in model.variables]
     index = {vid: i for i, vid in enumerate(var_ids)}
     n, m = len(var_ids), len(model.rows)
     slack = np.array([{"<=": 1.0, ">=": -1.0}.get(r.sense, 0.0) for r in model.rows])
     has = np.flatnonzero(slack)
     width = n + len(has)
-    A = np.zeros((m, width))
-    np.add.at(A, (np.repeat(np.arange(m), [len(r.coeffs) for r in model.rows]),
-                  [index[vid] for r in model.rows for vid, _ in r.coeffs]),
-              [coef for r in model.rows for _, coef in r.coeffs])
-    A[has, n + np.arange(len(has))] = slack[has]
+    cols = [index[vid] for r in model.rows for vid, _ in r.coeffs] + [*range(n, width)]
+    rows = np.r_[np.repeat(np.arange(m), [len(r.coeffs) for r in model.rows]), has]
+    vals = [a for r in model.rows for _, a in r.coeffs] + slack[has].tolist()
+    # one key per entry, in column order; bincount sums repeats in the order given
+    keys, at = np.unique(np.array(cols, int) * m + rows, return_inverse=True)
+    vals = np.bincount(at, vals)
+    nz = (*np.divmod(keys[vals != 0], m), vals[vals != 0])
     c, lb, ub = np.zeros(width), np.zeros(width), np.full(width, INF)
     c[:n] = [v.cost for v in model.variables]
     lb[:n] = [v.lower for v in model.variables]
     ub[:n] = [INF if v.upper is None else v.upper for v in model.variables]
-    return ArrayForm(c, A, np.array([r.rhs for r in model.rows], dtype=float), lb, ub,
+    return ArrayForm(c, nz, np.array([r.rhs for r in model.rows], dtype=float), lb, ub,
                      np.array([v.integer for v in model.variables], dtype=bool),
                      var_ids, [r.id for r in model.rows], slack)
 
@@ -127,7 +138,7 @@ def solve_lp(model: MilpModel, tol: float = 1e-7, exact: bool = False) -> LpSolu
     ``NumericalFailure`` naming the failed check.
     """
     form = model_arrays(model)
-    res = solve_arrays(form.c, form.A, form.b, form.lb, form.ub, exact=exact)
+    res = solve_arrays(form.c, form.nz, form.b, form.lb, form.ub, exact=exact)
     return _lp_solution(form, res, tol, exact)
 
 
@@ -147,7 +158,7 @@ def feasibility_residual(form: ArrayForm | MilpModel, values) -> float:
     inequality, the distance outside a bound."""
     form, x = _structural(form, values)
     n = form.n_structural
-    r = form.A[:, :n] @ x - form.b
+    r = _times(form.nz, np.append(x, np.zeros(len(form.c) - n)), len(form.b)) - form.b
     return float(np.max(np.concatenate([
         np.where(form.slack == 0, np.abs(r), form.slack * r),
         form.lb[:n] - x, x - form.ub[:n]]), initial=0.0))
@@ -159,8 +170,8 @@ def dual_residual(form: ArrayForm | MilpModel, sol: LpSolution) -> float:
     at its upper bound alone not positive, and off both bounds zero."""
     form, x = _structural(form, sol.values)
     n = form.n_structural
-    d = form.c[:n] - form.A[:, :n].T @ np.array(
-        [float(sol.duals.get(rid, 0)) for rid in form.row_ids])
+    d = form.c[:n] - _priced(form.nz, np.array(
+        [float(sol.duals.get(rid, 0)) for rid in form.row_ids]), len(form.c))[:n]
     lower = np.abs(x - form.lb[:n]) <= 1e-6
     upper = np.abs(x - form.ub[:n]) <= 1e-6
     return float(np.max(np.where(lower, np.where(upper, 0.0, -d),

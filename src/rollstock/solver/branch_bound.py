@@ -59,7 +59,7 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
     prune_tol = 0 if exact else 1e-9
 
     def run_lp(lb, ub, start=None):
-        return solve_arrays(form.c, form.A, form.b, lb, ub, exact=exact,
+        return solve_arrays(form.c, form.nz, form.b, lb, ub, exact=exact,
                             start=start)
 
     incumbent = None

@@ -1,21 +1,21 @@
 """Bounded-variable revised simplex in floats, with a rational certificate.
 
-Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf). A cold run
-first presolves once, exactly (Andersen and Andersen 1995): it fixes the
-columns that equal bounds, singleton rows, and zero-residual rows of
-positive coefficients over lower bounds 0 force, substitutes a column out
-of each doubleton equation x_j +- x_k = t (up to a common factor), and
-drops the rows left without a free column; what is left is the run's
-*layout*, the reduced problem in exact values and its float nonzeros. Each
-run derives its bounds from its own: a column takes those of the columns
-substituted into it. It starts from the slack basis: one artificial
-column per live row, every other column at its lower bound. A warm run,
-as in a branch-and-bound child, starts from an earlier run's layout,
-fixed values, final basis and a copy of its final basis inverse under
-bounds that only tighten; a column the new bounds fix never enters. A
-postsolve gives the substituted columns their values and the dropped rows
-their duals, so x and y are an optimum of the original model in either
-mode.
+Solves min c'x s.t. Ax = b, 0 <= l <= x <= u (u may be +inf), A given by
+its nonzeros (column, row, value) and never made dense. A cold run first
+presolves once, exactly (Andersen and Andersen 1995): it fixes the columns
+that equal bounds, singleton rows, and zero-residual rows of positive
+coefficients over lower bounds 0 force, substitutes a column out of each
+doubleton equation x_j +- x_k = t (up to a common factor), and drops the
+rows left without a free column; what is left is the run's *layout*, the
+reduced problem in exact values and its float nonzeros. Each run derives
+its bounds from its own: a column takes those of the columns substituted
+into it. It starts from the slack basis: one artificial column per live
+row, every other column at its lower bound. A warm run, as in a
+branch-and-bound child, starts from an earlier run's layout, fixed values,
+final basis and a copy of its final basis inverse under bounds that only
+tighten; a column the new bounds fix never enters. A postsolve gives the
+substituted columns their values and the dropped rows their duals, so x and
+y are an optimum of the original model in either mode.
 
 Every run then takes the same two steps, with the artificial columns held
 at zero. Dual pivots (dual steepest edge picks the leaving row, Forrest and
@@ -100,8 +100,8 @@ class _Layout:
     into it. ``columns`` holds each column as {row: coefficient} when it
     left the problem, or at the end. ``nz``, the only matrix a run uses,
     holds the reduced problem's nonzeros as arrays (column, row, float
-    value) over ``free_cols`` and ``live_rows``, in the order of
-    ``np.nonzero(A.T)``: column by column, rows ascending."""
+    value) over ``free_cols`` and ``live_rows``: column by column, rows
+    ascending, the form a model's matrix reaches ``solve_arrays`` in."""
 
     free_cols: list[int]
     live_rows: list[int]
@@ -160,7 +160,7 @@ def _lift(v: np.ndarray) -> list:
     return out
 
 
-def _presolve(A, b, lb, ub) -> _Layout | None:
+def _presolve(nz, b, lb, ub) -> _Layout | None:
     """The layout of a cold run, or None when the data contradict exactly.
 
     Works on the lifted data, so every decision is exact. Fixing a column
@@ -176,16 +176,13 @@ def _presolve(A, b, lb, ub) -> _Layout | None:
     """
     if (lb == -INF).any():
         raise NumericalFailure("free variables are not supported")
-    m, n = A.shape
+    m, n = len(b), len(lb)
     lo, up, rhs = _lift(lb), _lift(ub), _lift(b)
     if any(lo_j > up_j for lo_j, up_j in zip(lo, up)):
         return None
     rows, columns = [{} for _ in range(m)], [{} for _ in range(n)]
-    nz_rows, nz_cols = np.nonzero(A)
-    for i, j, a in zip(nz_rows.tolist(), nz_cols.tolist(),
-                       _lift(A[nz_rows, nz_cols])):
-        if a:
-            rows[i][j] = columns[j][i] = a
+    for j, i, a in zip(nz[0].tolist(), nz[1].tolist(), _lift(nz[2])):
+        rows[i][j] = columns[j][i] = a
     cols = [list(col.items()) for col in columns]
     fixed, records, work, pairs = {}, [], list(range(m - 1, -1, -1)), []
 
@@ -326,6 +323,12 @@ def _times(nz, x, m):
     return np.bincount(rows, vals * x[cols], minlength=m)
 
 
+def _priced(nz, y, n):
+    """y'A for the n-column matrix A whose nonzeros are ``nz``."""
+    cols, rows, vals = nz
+    return np.bincount(cols, y[rows] * vals, minlength=n)
+
+
 def _inverse(nz, basis, n):
     """B^-1 for B the columns ``basis`` of the nonzeros ``nz`` of n columns."""
     cols, rows, vals = nz
@@ -422,14 +425,9 @@ class _Pivots:
         self.x_B = self.B_inv @ (self.b - _times(self.nz, x_N, len(self.b)))
         self.basis_arr = np.array(self.basis, dtype=int)
 
-    def priced(self, y):
-        """y'A, over the nonzeros of A; the pivot row for y = e_r'B^-1."""
-        cols, rows, vals = self.nz
-        return np.bincount(cols, y[rows] * vals, minlength=len(self.lb))
-
     def reduced_costs(self, costs):
         """c - (c_B B^-1) A, priced afresh."""
-        return costs - self.priced(costs[self.basis] @ self.B_inv)
+        return costs - _priced(self.nz, costs[self.basis] @ self.B_inv, len(self.lb))
 
     def column(self, j):
         """B^-1 A_j, over the nonzeros of A_j."""
@@ -541,7 +539,7 @@ def _dual(p: _Pivots, costs) -> int:
         direction = np.where(p.status == AT_LOWER, 1.0, -1.0)
         # a unit step of nonbasic column j moves x_B[r] by -alpha_rj
         # * direction_j; ``push`` is that move toward the violated bound
-        alpha = p.priced(p.B_inv[r])
+        alpha = _priced(p.nz, p.B_inv[r], len(p.lb))  # the pivot row
         push = alpha * direction * (-1.0 if to_lower else 1.0)
         eligible = np.flatnonzero((push > TOL) & (p.status != BASIC) & ~p.fixed)
         if eligible.size == 0:
@@ -811,11 +809,11 @@ def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
                          iterations=approx.iterations, basis=run)
 
 
-def solve_arrays(c, A, b, lb, ub, exact: bool = False,
+def solve_arrays(c, nz, b, lb, ub, exact: bool = False,
                  start: _Basis | None = None) -> SimplexResult:
-    """Bounded simplex on dense data.
+    """Bounded simplex on A's nonzeros.
 
-    ``A`` is (m x n); bounds may use ``float('inf')`` for no upper bound.
+    ``nz`` is as ``ArrayForm.nz``; bounds may use ``float('inf')`` for no upper bound.
     A cold run presolves, then reaches the answer by dual pivots from the
     slack basis and one primal pass; a row the dual pivots cannot repair
     makes it Infeasible. With ``start``, the ``basis`` of an earlier result
@@ -827,8 +825,8 @@ def solve_arrays(c, A, b, lb, ub, exact: bool = False,
     passes either way. A basis that fails its certificate raises
     ``NumericalFailure``; there is no rational pivoting.
     """
-    c, A, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, A, b, lb, ub))
-    layout = _presolve(A, b, lb, ub) if start is None else start.layout
+    c, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, b, lb, ub))
+    layout = _presolve(nz, b, lb, ub) if start is None else start.layout
     bounds = layout and _bounds(layout, lb, ub)
     if bounds is None:
         return SimplexResult("Infeasible")

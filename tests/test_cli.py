@@ -152,8 +152,13 @@ class TestCommands:
         ("p cnf 2 1\n1 2 0\n", "line 2 (1 2 0): a clause has 3 literals"),
         ("p cnf\n1 2 2 0\n", "line 1 (p cnf): expected p cnf"),
         ("p cnf 2 1\nx 1 2 0\n", "line 2 (x 1 2 0): invalid literal"),
-        ("p cnf 2 1\n1 5 2 0\n", "line 2 (1 5 2 0): literal 5 is not")],
-        ids=["two-literals", "no-counts", "token", "literal-out-of-range"])
+        ("p cnf 2 1\n1 5 2 0\n", "line 2 (1 5 2 0): literal 5 is not"),
+        ("p cnf 2 1\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n",
+         "line 1 (p cnf 2 1): clause count 1, but 3 clauses follow"),
+        ("c truncated\np cnf 2 4\n1 1 2 0\n",
+         "line 2 (p cnf 2 4): clause count 4, but 1 clauses follow")],
+        ids=["two-literals", "no-counts", "token", "literal-out-of-range",
+             "more-clauses", "fewer-clauses"])
     def test_malformed_formula_exits_one(self, capsys, tmp_path, command,
                                          text, needle):
         cnf = tmp_path / "bad.cnf"
@@ -177,7 +182,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", [
         "build", "solve", "compare", "project", "export-lp"])
-    @pytest.mark.parametrize("broken", ["negative_cost", "overlap"])
+    @pytest.mark.parametrize("broken", ["negative_cost", "overlap",
+                                        "composition_twice"])
     def test_invalid_instance_is_refused(self, capsys, tmp_path, command,
                                          broken):
         from rollstock.instance import canonical, dumps
@@ -185,9 +191,12 @@ class TestCommands:
         if broken == "negative_cost":
             d["costs"]["shunting_per_action"] = -10
             violation = "NegativeValue(costs): cost rates must be nonnegative"
-        else:  # t2 leaves before t1, which feeds it, arrives
+        elif broken == "overlap":  # t2 leaves before t1, which feeds it, arrives
             d["trips"][1]["dep_time"], d["trips"][1]["arr_time"] = 500, 560
             violation = "TimeOrderViolation(c1): t1 arrives after t2 departs"
+        else:  # build would make two hyperarcs with one id
+            d["trips"][0]["allowed_compositions"].append("b1")
+            violation = "DuplicateId(t1): allowed composition listed twice"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
         extra = ["--out", str(tmp_path / "model.lp")] if command == "export-lp" else []

@@ -63,6 +63,16 @@ class TestValidate:
         bad = dataclasses.replace(two_trip, trips=trips)
         assert "UnknownReference" in _codes(validate(bad))
 
+    def test_composition_allowed_twice(self, two_trip):
+        # build would meet two hyperarcs with one id
+        trips = tuple(
+            dataclasses.replace(t, allowed_compositions=(*t.allowed_compositions,
+                                                         t.allowed_compositions[0]))
+            if t.id == "t1" else t for t in two_trip.trips)
+        bad = dataclasses.replace(two_trip, trips=trips)
+        assert [str(v) for v in validate(bad)] == [
+            "DuplicateId(t1): allowed composition listed twice"]
+
     def test_station_mismatch(self, two_trip):
         trips = tuple(
             dataclasses.replace(t, dep_station="C") if t.id == "t2" else t

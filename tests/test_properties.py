@@ -1,5 +1,7 @@
 """Property tests over small generated instances."""
 
+import copy
+import json
 import math
 from fractions import Fraction
 
@@ -8,12 +10,14 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 linprog = pytest.importorskip("scipy.optimize").linprog
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from rollstock.composition import contract  # noqa: E402
+from rollstock.errors import RollstockError  # noqa: E402
 from rollstock.formulation import MilpModel, Row, Variable, assemble  # noqa: E402
 from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
+from rollstock.instance import canonical, dumps, loads, validate  # noqa: E402
 from rollstock.solver import (  # noqa: E402
     dual_residual, feasibility_residual, model_arrays, solve_ip, solve_lp)
 from rollstock.solver.simplex import solve_arrays, to_fraction  # noqa: E402
@@ -34,7 +38,7 @@ def test_warm_child_equals_its_cold_resolve(seed, lines, trips_per_line,
                               unit_types=unit_types, stations=stations))
     graph = build(inst, "HD" if variant == "C" else variant)
     form = model_arrays(assemble(contract(graph) if variant == "C" else graph))
-    root = solve_arrays(form.c, form.A, form.b, form.lb, form.ub)
+    root = solve_arrays(form.c, form.nz, form.b, form.lb, form.ub)
     assert root.status == "Optimal"
     j = data.draw(st.integers(0, len(form.c) - 1), label="column")
     lb, ub = form.lb.copy(), form.ub.copy()
@@ -42,8 +46,8 @@ def test_warm_child_equals_its_cold_resolve(seed, lines, trips_per_line,
         lb[j] = math.floor(root.x[j]) + 1.0
     else:
         ub[j] = max(lb[j], math.ceil(root.x[j]) - 1.0)
-    warm = solve_arrays(form.c, form.A, form.b, lb, ub, start=root.basis)
-    cold = solve_arrays(form.c, form.A, form.b, lb, ub)
+    warm = solve_arrays(form.c, form.nz, form.b, lb, ub, start=root.basis)
+    cold = solve_arrays(form.c, form.nz, form.b, lb, ub)
     assert warm.status == cold.status
     if warm.status == "Optimal":
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
@@ -66,8 +70,8 @@ def test_exact_root_is_an_optimum_checked_from_scratch(seed, lines,
                               unit_types=unit_types, stations=stations))
     graph = build(inst, "HD" if variant == "C" else variant)
     form = model_arrays(assemble(contract(graph) if variant == "C" else graph))
-    approx = solve_arrays(form.c, form.A, form.b, form.lb, form.ub)
-    exact = solve_arrays(form.c, form.A, form.b, form.lb, form.ub, exact=True)
+    approx = solve_arrays(form.c, form.nz, form.b, form.lb, form.ub)
+    exact = solve_arrays(form.c, form.nz, form.b, form.lb, form.ub, exact=True)
     assert exact.status == approx.status
     if exact.status != "Optimal":
         return
@@ -80,8 +84,8 @@ def test_exact_root_is_an_optimum_checked_from_scratch(seed, lines,
     ub = [None if v == float("inf") else to_fraction(v) for v in form.ub]
     lhs = [Fraction(0)] * len(y)
     d = list(c)
-    for i, j in zip(*np.nonzero(form.A)):
-        a = to_fraction(form.A[i, j])
+    for j, i, a in zip(*form.nz):
+        a = to_fraction(a)
         lhs[i] += a * x[j]
         d[j] -= a * y[i]
     assert lhs == [to_fraction(v) for v in form.b]
@@ -262,3 +266,82 @@ def test_doubleton_substitution_keeps_the_optimum(model):
         assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
         assert dual_residual(model, sol) <= 1e-7
         assert exact.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+
+
+def _entries(node, path=()):
+    """(path, value) of every list entry and field value in a JSON document,
+    the path a tuple of keys and indexes."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _entries(value, path + (key,))
+
+
+def _field(path):
+    """The name a value is held under: its path's last key."""
+    return next(k for k in reversed(path) if isinstance(k, str))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A small genbench instance's JSON with one to three edits: a list entry
+    deleted, duplicated or replaced by another of its list, or a field value
+    replaced by another value the document holds under that name (or by 0,
+    -1 or one more, for a number)."""
+    doc = json.loads(dumps(generate(GenConfig(
+        seed=draw(st.integers(1, 10_000)), lines=draw(st.integers(1, 2)),
+        trips_per_line=draw(st.integers(1, 3)),
+        unit_types=draw(st.integers(1, 2)), stations=draw(st.integers(2, 3))))))
+    for _ in range(draw(st.integers(1, 3))):
+        entries = list(_entries(doc))
+        path, value = draw(st.sampled_from(entries))
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        key = path[-1]
+        edit = draw(st.sampled_from(["delete", "duplicate", "replace"])
+                    if isinstance(holder, list) else st.just("field"))
+        if edit == "delete":
+            del holder[key]
+        elif edit == "duplicate":
+            holder.insert(key, copy.deepcopy(value))
+        elif edit == "replace":
+            holder[key] = copy.deepcopy(draw(st.sampled_from(holder)))
+        else:
+            pool = [v for p, v in entries if _field(p) == key]
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                pool += [0, -1, value + 1]
+            holder[key] = copy.deepcopy(draw(st.sampled_from(pool)))
+    return doc
+
+
+def _composition_twice():
+    """TwoTrip with its first trip allowing one composition twice."""
+    doc = json.loads(dumps(canonical("TwoTrip")))
+    doc["trips"][0]["allowed_compositions"].append(
+        doc["trips"][0]["allowed_compositions"][0])
+    return doc
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(doc=_mutated_documents())
+@example(doc=_composition_twice())
+def test_a_mutated_instance_is_refused_with_a_typed_error(doc):
+    # loading raises only a RollstockError, validate never raises, and an
+    # instance validate accepts builds, contracts and assembles or raises a
+    # RollstockError
+    try:
+        inst = loads(json.dumps(doc))
+    except RollstockError:
+        return
+    if validate(inst):
+        return
+    for variant in ("HD", "hAbar"):
+        try:
+            graph = build(inst, variant)
+            assemble(graph)
+            if variant == "HD":
+                assemble(contract(graph))
+        except RollstockError:
+            pass

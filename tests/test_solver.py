@@ -17,6 +17,7 @@ from rollstock.hypergraph import build
 from rollstock.instance import canonical_instances
 from rollstock.reduction import parse_dimacs, reduce_3sat, verify_reduction
 from rollstock.solver import (
+    ArrayForm,
     branch_bound,
     dual_residual,
     enumerate_oracle,
@@ -48,7 +49,7 @@ def _unsat_c_model():
 def _solve_arrays(model, exact):
     """The simplex result, basis included, of ``model``'s LP."""
     form = model_arrays(model)
-    return simplex.solve_arrays(form.c, form.A, form.b, form.lb, form.ub,
+    return simplex.solve_arrays(form.c, form.nz, form.b, form.lb, form.ub,
                                 exact=exact)
 
 
@@ -90,7 +91,7 @@ def _forced_fraction_model(cap="="):
 class TestPresolve:
     def test_reductions_are_exact_and_in_order(self):
         form = model_arrays(_forced_fraction_model(cap="<="))
-        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        layout = simplex._presolve(form.nz, form.b, form.lb, form.ub)
         # columns x, s, y, then the slacks of cap and g; cap pins s and its
         # slack to 0, then r is a singleton row in x
         assert layout.records == [(1, [(1, 1), (3, 1)]), (0, [(0, 10000000)])]
@@ -106,7 +107,7 @@ class TestPresolve:
         m = MilpModel("chain", [Variable(f"x{i}", 0.0, 5.0, False, 1.0)
                                 for i in range(k)], rows)
         form = model_arrays(m)
-        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        layout = simplex._presolve(form.nz, form.b, form.lb, form.ub)
         assert layout.fixed == {j: 3 for j in range(k)}
         assert layout.free_cols == [] and layout.live_rows == []
         assert [i for i, _ in layout.records] == [k - 1, *range(k - 1)]
@@ -125,7 +126,7 @@ class TestPresolve:
              for i in range(4)] + [Row("cap", (("x0", 1.0), ("x4", 1.0)),
                                        "<=", 10.0)])
         form = model_arrays(m)
-        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        layout = simplex._presolve(form.nz, form.b, form.lb, form.ub)
         assert [rec[:5] for rec in layout.records] == [
             (i, i + 1, 1, 0, 0) for i in range(4)]
         assert layout.live_rows == [4] and layout.free_cols == [0, 5]
@@ -152,7 +153,7 @@ class TestPresolve:
              for i in range(4)] + [Row("cap", (("x0", 1.0), ("x4", 1.0)),
                                        "<=", 1.5)])
         form = model_arrays(m)
-        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        layout = simplex._presolve(form.nz, form.b, form.lb, form.ub)
         assert [rec[:5] for rec in layout.records] == [
             (0, 1, -1, 0, 1), (1, 2, 1, 0, 0), (2, 3, -1, 0, 1), (3, 4, 1, 0, 0)]
         assert layout.live_rows == [4] and layout.free_cols == [0, 5]
@@ -174,8 +175,8 @@ class TestPresolve:
         # 267 rows the fixing rules alone leave 222 live; the doubleton
         # substitutions leave at most half of those
         form = model_arrays(_unsat_c_model())
-        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
-        assert form.A.shape[0] == 267
+        layout = simplex._presolve(form.nz, form.b, form.lb, form.ub)
+        assert len(form.b) == 267
         assert 2 * len(layout.live_rows) <= 222
         f = parse_dimacs("p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n"
                          "-1 -2 -2 0\n")
@@ -202,7 +203,7 @@ class TestPresolve:
                   for variant in VARIANTS7] + [_unsat_c_model()]
         for model in models:
             form = model_arrays(model)
-            layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+            layout = simplex._presolve(form.nz, form.b, form.lb, form.ub)
             live, free = layout.live_rows, layout.free_cols
             A_r = form.A[np.ix_(live, free)]
             folded = {rec[3] for rec in layout.records if len(rec) > 2}
@@ -220,6 +221,51 @@ class TestPresolve:
             assert np.array_equal(vals, ref_vals), model.name
             assert np.array_equal(_dense(layout.nz, *A_r.shape), A_r)
         assert folds > 0
+
+
+class TestArrayForm:
+    def test_a_repeated_variable_sums_and_a_cancelled_pair_is_no_nonzero(self):
+        # r lists x three times, summed in the row's order, and y twice,
+        # cancelling; y's only nonzero is in g, before g's slack column
+        m = MilpModel("sums", [Variable("x", 0.0, 5.0, False, 0.5),
+                               Variable("y", 0.0, 5.0, False, 1.0),
+                               Variable("z", 0.0, 5.0, False, 1.0)],
+                      [Row("r", (("x", 0.1), ("y", 1.0), ("x", 0.2), ("z", 1.0),
+                                 ("y", -1.0), ("x", 0.3)), "=", 0.6),
+                       Row("g", (("y", 1.0),), "<=", 4.0)])
+        form = model_arrays(m)
+        cols, rows, vals = form.nz
+        assert cols.tolist() == [0, 1, 2, 3] and rows.tolist() == [0, 1, 0, 1]
+        assert vals.tolist() == [(0.1 + 0.2) + 0.3, 1.0, 1.0, 1.0]
+        assert np.array_equal(form.A, _dense(form.nz, 2, 4))
+        layout = simplex._presolve(form.nz, form.b, form.lb, form.ub)
+        assert layout.cols[0] == [(0, Fraction(3, 5))] and layout.cols[1] == [(1, 1)]
+        # 3/5 x + z = 3/5: x = 1 costs 1/2, z = 3/5 costs 3/5
+        for exact in (False, True):
+            sol = solve_lp(m, exact=exact)
+            assert sol.status == "Optimal" and sol.objective == 0.5
+            assert sol.values == {"x": 1, "y": 0, "z": 0}
+
+    def test_no_solver_path_reads_the_dense_matrix(self, monkeypatch):
+        # ArrayForm.A is a view for other solvers; the LP, branch and bound,
+        # the certificate and both residuals run on the nonzeros
+        def dense(form):
+            raise AssertionError("the dense matrix was read")
+
+        monkeypatch.setattr(ArrayForm, "A", property(dense))
+        models = [_model(inst, variant)
+                  for inst in canonical_instances().values()
+                  for variant in VARIANTS7] + [_unsat_c_model()]
+        for model in models:
+            for exact in (False, True):
+                lp = solve_lp(model.relaxed(), exact=exact)
+                ip = solve_ip(model, exact=exact)
+                assert lp.status == ip.root.status
+                if lp.status == "Optimal":
+                    assert feasibility_residual(model, lp.values) <= 1e-7
+                    assert dual_residual(model.relaxed(), lp) <= 1e-6
+        with pytest.raises(AssertionError, match="dense matrix was read"):
+            model_arrays(models[0]).A
 
 
 class TestLp:
@@ -335,14 +381,14 @@ class TestLp:
                                     bounded, form.ub, None))))
         assert ref.status == 0
         for exact in (False, True):
-            res = simplex.solve_arrays(c, form.A, form.b, form.lb, form.ub,
+            res = simplex.solve_arrays(c, form.nz, form.b, form.lb, form.ub,
                                        exact=exact)
             assert res.status == "Optimal"
             assert float(res.objective) == pytest.approx(ref.fun, rel=1e-6)
         # and a negative cost on every unbounded column is a ray
         c = np.where(bounded, form.c, -1.0)
         for exact in (False, True):
-            assert simplex.solve_arrays(c, form.A, form.b, form.lb, form.ub,
+            assert simplex.solve_arrays(c, form.nz, form.b, form.lb, form.ub,
                                         exact=exact).status == "Unbounded"
 
     @pytest.mark.parametrize("name", sorted(canonical_instances()))
@@ -408,7 +454,7 @@ class TestLp:
         form = model_arrays(MilpModel("tiny", [Variable("x", 0.0, 1.0, False, 1.0),
                                                Variable("z", 0.0, 1.0, False, 1.0)],
                                       [Row("r", (("x", 3e-10), ("z", 1.0)), "=", 1.0)]))
-        layout = simplex._presolve(form.A, form.b, form.lb, form.ub)
+        layout = simplex._presolve(form.nz, form.b, form.lb, form.ub)
         assert layout.cols[0] == [(0, Fraction(3e-10))]
 
     def test_exact_mode_returns_fractions(self, situation2):
@@ -529,12 +575,12 @@ class TestIp:
         real = branch_bound.solve_arrays
         calls = []
 
-        def integral_but_infeasible(c, A, b, lb, ub, exact=False, start=None):
+        def integral_but_infeasible(c, nz, b, lb, ub, exact=False, start=None):
             calls.append(1)
             if len(calls) == 1:  # the true root, x = 0.5
-                return real(c, A, b, lb, ub, exact=exact)
-            return SimplexResult("Optimal", 0.0, np.zeros(A.shape[1]),
-                                 np.zeros(A.shape[0]), 1)
+                return real(c, nz, b, lb, ub, exact=exact)
+            return SimplexResult("Optimal", 0.0, np.zeros(len(c)),
+                                 np.zeros(len(b)), 1)
 
         monkeypatch.setattr(branch_bound, "solve_arrays", integral_but_infeasible)
         with pytest.raises(NumericalFailure, match="incumbent residual 1.0"):
@@ -560,7 +606,7 @@ class TestIp:
                 m = _model(inst, variant)
                 form = model_arrays(m)
                 n = len(form.var_ids)
-                integrality = np.zeros(form.A.shape[1])
+                integrality = np.zeros(len(form.c))
                 integrality[:n] = form.integer.astype(float)
                 res = scipy_opt.milp(
                     c=form.c,
@@ -597,10 +643,10 @@ def _record_children(monkeypatch):
     real = branch_bound.solve_arrays
     children = []
 
-    def recording(c, A, b, lb, ub, exact=False, start=None):
-        res = real(c, A, b, lb, ub, exact=exact, start=start)
+    def recording(c, nz, b, lb, ub, exact=False, start=None):
+        res = real(c, nz, b, lb, ub, exact=exact, start=start)
         if start is not None:
-            cold = real(c, A, b, lb, ub, exact=exact)
+            cold = real(c, nz, b, lb, ub, exact=exact)
             children.append((start, lb, ub, res, cold))
         return res
 
@@ -698,7 +744,7 @@ class TestSparsePass:
         bounded = np.isfinite(form.ub)
         c = np.where(bounded, -form.c - 1.0, form.c)
         checked = _check_every_pivot(monkeypatch)
-        assert simplex.solve_arrays(c, form.A, form.b, form.lb,
+        assert simplex.solve_arrays(c, form.nz, form.b, form.lb,
                                     form.ub).status == "Optimal"
         assert "_dual" in checked and "_simplex" in checked
 
@@ -763,8 +809,8 @@ class TestWarmStart:
         real = branch_bound.solve_arrays
         pairs = []
 
-        def recording(c, A, b, lb, ub, exact=False, start=None):
-            res = real(c, A, b, lb, ub, exact=exact, start=start)
+        def recording(c, nz, b, lb, ub, exact=False, start=None):
+            res = real(c, nz, b, lb, ub, exact=exact, start=start)
             if start is not None:
                 m, n = len(start.sign), len(start.layout.free_cols)
                 full_A = np.concatenate([
@@ -772,7 +818,7 @@ class TestWarmStart:
                 fresh = dataclasses.replace(start, B_inv=simplex._inverse(
                     _nonzeros(full_A), start.basis, n + m))
                 assert np.array_equal(fresh.B_inv, start.B_inv)
-                pairs.append((res, real(c, A, b, lb, ub, exact=exact,
+                pairs.append((res, real(c, nz, b, lb, ub, exact=exact,
                                         start=fresh)))
             return res
 
@@ -793,11 +839,11 @@ class TestWarmStart:
         real = branch_bound.solve_arrays
         starts = []
 
-        def recording(c, A, b, lb, ub, exact=False, start=None):
+        def recording(c, nz, b, lb, ub, exact=False, start=None):
             if start is None:
-                return real(c, A, b, lb, ub, exact=exact)
+                return real(c, nz, b, lb, ub, exact=exact)
             before = start.B_inv.copy()
-            res = real(c, A, b, lb, ub, exact=exact, start=start)
+            res = real(c, nz, b, lb, ub, exact=exact, start=start)
             assert np.array_equal(start.B_inv, before)
             starts.append(start)
             return res
@@ -813,7 +859,7 @@ class TestWarmStart:
         # the bounds it was made for; bounds that exclude one of them make
         # the child Infeasible without a run
         form = model_arrays(_forced_fraction_model())
-        root = simplex.solve_arrays(form.c, form.A, form.b, form.lb, form.ub,
+        root = simplex.solve_arrays(form.c, form.nz, form.b, form.lb, form.ub,
                                     exact=exact)
         assert 0 in root.basis.layout.fixed
         for x_lb, x_ub, status in ((0.0, 1.0, "Infeasible"),
@@ -821,9 +867,9 @@ class TestWarmStart:
                                    (1.0, 2.0, "Optimal")):
             lb, ub = form.lb.copy(), form.ub.copy()
             lb[0], ub[0] = x_lb, x_ub
-            warm = simplex.solve_arrays(form.c, form.A, form.b, lb, ub,
+            warm = simplex.solve_arrays(form.c, form.nz, form.b, lb, ub,
                                         exact=exact, start=root.basis)
-            cold = simplex.solve_arrays(form.c, form.A, form.b, lb, ub,
+            cold = simplex.solve_arrays(form.c, form.nz, form.b, lb, ub,
                                         exact=exact)
             assert warm.status == cold.status == status
             if status == "Optimal":
@@ -840,7 +886,7 @@ class TestWarmStart:
                       [Row("d", (("x", 1.0), ("y", -1.0)), "=", 0.0),
                        Row("k", (("x", 2.0), ("y", 2.0), ("z", 3.0)), "<=", 7.0)])
         form = model_arrays(m)
-        root = simplex.solve_arrays(form.c, form.A, form.b, form.lb, form.ub,
+        root = simplex.solve_arrays(form.c, form.nz, form.b, form.lb, form.ub,
                                     exact=exact)
         layout = root.basis.layout
         assert [rec[:5] for rec in layout.records] == [(0, 1, 1, 0, 0)]
@@ -850,9 +896,9 @@ class TestWarmStart:
             lb, ub = form.lb.copy(), form.ub.copy()
             lb[0], ub[1] = x_lb, y_ub
             bounds = simplex._bounds(layout, lb, ub)
-            warm = simplex.solve_arrays(form.c, form.A, form.b, lb, ub,
+            warm = simplex.solve_arrays(form.c, form.nz, form.b, lb, ub,
                                         exact=exact, start=root.basis)
-            cold = simplex.solve_arrays(form.c, form.A, form.b, lb, ub,
+            cold = simplex.solve_arrays(form.c, form.nz, form.b, lb, ub,
                                         exact=exact)
             assert warm.status == cold.status == status
             if status == "Optimal":
