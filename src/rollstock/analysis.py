@@ -16,14 +16,14 @@ from __future__ import annotations
 import itertools
 import json
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .composition import CompositionGraph, contract
 from .errors import CutViolated, LimitExceeded, MissingPathBackref
 from .formulation import ModelOptions, assemble
-from .hypergraph import (DepotNode, Hypergraph, build, change_index, connection_changes,
-                         variant_parts)
+from .hypergraph import (DepotNode, EventNode, Hypergraph, build, change_index,
+                         connection_changes, decompose_paths, variant_parts)
 from .instance import Instance
 from .ledger import Ledger, arc_pulls, levels, through_depot
 from .solver import solve_ip, solve_lp
@@ -151,43 +151,23 @@ def map_HA_to_HD(g_ha: Hypergraph, values: dict, g_hd: Hypergraph) -> dict:
 
 
 def map_H_to_h(g_full: Hypergraph, values: dict, g_small: Hypergraph) -> dict:
-    """Aggregate flow over all composition-labeled copies."""
-    comps = g_full.instance.composition_by_id
-    small_chg_by_arcs = {}
-    for cid, hids in g_small.connection_arcs.items():
-        for hid in hids:
-            h = g_small.by_id[hid]
-            small_chg_by_arcs[(cid, frozenset(h.base_arcs))] = hid
-
+    """Aggregate flow over all composition-labeled copies: each full hyperarc's
+    flow goes to the small hyperarc of the same connection (if any) whose base
+    arcs it has once the composition labels are dropped."""
     def strip(node):
-        if isinstance(node, DepotNode):
-            return node
-        return type(node)(node.trip, node.side, node.position, node.unit_type, "")
+        return replace(node, comp="") if isinstance(node, EventNode) else node
 
+    def key(h) -> tuple:
+        return (h.tags.get("connection"),
+                frozenset((strip(a), strip(b)) for a, b in h.base_arcs))
+
+    target = {key(h): h.id for h in g_small.hyperarcs}
     x: dict = {}
     for h in g_full.hyperarcs:
         v = values.get(h.id, 0)
-        if not v:
-            continue
-        if h.kind == "TripService":
-            seq = comps[h.tags["comp"]].units
-            target = f"trip.{h.tags['trip']}." + "_".join(seq)
-        elif h.kind == "ConnectionChange":
-            arcs = frozenset((strip(a), strip(b)) for a, b in h.base_arcs)
-            target = small_chg_by_arcs[(h.tags["connection"], arcs)]
-        elif h.kind == "PullIn":
-            node = h.base_arcs[0][0]
-            target = f"pin.{node.trip}.{node.position}.{node.unit_type}"
-        elif h.kind == "PullOut":
-            node = h.base_arcs[0][1]
-            target = f"pout.{node.trip}.{node.position}.{node.unit_type}"
-        elif h.kind == "DirectConnection":
-            src, dst = h.base_arcs[0]
-            target = (f"dca.{src.unit_type}.{src.trip}.{src.position}"
-                      f".{dst.trip}.{dst.position}")
-        else:
-            target = h.id  # parking and deviation arcs coincide
-        x[target] = x.get(target, 0) + v
+        if v:
+            hid = target[key(h)]
+            x[hid] = x.get(hid, 0) + v
     return x
 
 
@@ -705,8 +685,6 @@ def render_json(report: ComparisonReport, with_timings: bool = True) -> str:
 
 def rotation_svg(instance: Instance, graph: Hypergraph, values: dict) -> str:
     """Static time-space diagram of the decomposed unit rotations."""
-    from .hypergraph import decompose_paths, EventNode
-
     int_values = {k: int(round(v)) for k, v in values.items()}
     paths = decompose_paths(graph, int_values)
     stations = instance.stations

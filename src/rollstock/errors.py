@@ -9,7 +9,8 @@ class RollstockError(Exception):
 
 class MalformedInstance(RollstockError):
     """Instance text that is not JSON or does not have the instance shape,
-    or a DIMACS formula with a line that does not parse."""
+    a DIMACS formula with a line that does not parse, or LP text with a line
+    that ``write_lp`` would not write."""
 
 
 class NotFound(RollstockError):

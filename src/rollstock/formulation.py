@@ -14,13 +14,15 @@ coefficient-for-coefficient.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 from .composition import CompositionGraph
-from .errors import InvalidOptions
+from .errors import InvalidOptions, MalformedInstance
 from .hypergraph import Hypergraph, node_key
 
 _FMT = "%.17g"
+_HEADER = "\\ rollstock model "
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,7 @@ def _assemble_hypergraph(g: Hypergraph, options: ModelOptions) -> MilpModel:
     variables: list[Variable] = []
     kinds: dict[str, str] = {}
     for h in _ordered_hyperarcs(g):
-        unbounded = h.kind in ("Parking", "InventoryDeviation")
-        variables.append(Variable(h.id, 0.0, None if unbounded else float(h.upper),
+        variables.append(Variable(h.id, 0.0, None if h.upper is None else float(h.upper),
                                   integer=True, cost=float(h.cost)))
         kinds[h.id] = h.kind
 
@@ -111,15 +112,9 @@ def _assemble_hypergraph(g: Hypergraph, options: ModelOptions) -> MilpModel:
     # most once and each row's coefficients come straight off the incidence
     rows: list[Row] = []
     outgoing, incoming = g.incident()
-    balance_check: dict[str, float] = {}
     for node in g.nodes:
-        b = float(g.balances.get(node, 0))
         rows.append(Row(f"flow.{node_key(node)}", _signed(outgoing[node], incoming[node]),
-                        "=", b))
-        balance_check[node.unit_type] = balance_check.get(node.unit_type, 0.0) + b
-    for r, total in balance_check.items():
-        if abs(total) > 1e-9:
-            raise AssertionError(f"type {r}: node balances sum to {total}")
+                        "=", float(g.balances.get(node, 0))))
 
     for t in sorted(g.trip_arcs):
         rows.append(Row(f"trip.{t}", _signed(g.trip_arcs[t]), "=", 1.0))
@@ -200,7 +195,7 @@ def _assemble_composition(cg: CompositionGraph, options: ModelOptions) -> MilpMo
 
 def write_lp(model: MilpModel) -> str:
     """Render the model in CPLEX LP text format."""
-    out = [f"\\ rollstock model {model.name}", "Minimize"]
+    out = [_HEADER + model.name, "Minimize"]
     terms = [f"{_FMT % v.cost} {v.id}" for v in model.variables if v.cost != 0]
     out.append(" obj: " + (" + ".join(terms) if terms else "0 " + model.variables[0].id
                            if model.variables else "0 zero"))
@@ -232,88 +227,80 @@ def export_lp_file(model: MilpModel, path) -> None:
         fh.write(write_lp(model))
 
 
-def _parse_terms(text: str) -> dict[str, float]:
-    """Parse `coef var + coef var + ...` as emitted by :func:`write_lp`.
-
-    Coefficients always precede their variable and carry their own sign, so
-    scientific notation survives; the only separator is ` + `.
-    """
-    coeffs: dict[str, float] = {}
-    for term in text.split(" + "):
-        parts = term.split()
-        if not parts:
-            continue
-        if len(parts) == 1:
-            coeffs[parts[0]] = coeffs.get(parts[0], 0.0) + 1.0
-        else:
-            value = float(parts[0])
-            if value != 0:
-                coeffs[parts[1]] = coeffs.get(parts[1], 0.0) + value
-    return coeffs
+_TERMS = r"(\S+ \S+(?: \+ \S+ \S+)*)"
+_SHAPES = {  # the one line shape of each section
+    "Minimize": re.compile(rf" obj: {_TERMS}"),
+    "Subject To": re.compile(rf" (\S+): {_TERMS} (=|<=|>=) (\S+)"),
+    "Bounds": re.compile(r" (\S+) <= (\S+)(?: <= (\S+))?"),
+    "Generals": re.compile(r" (\S+)"),
+}
+_NEXT = {"": ("Minimize",), "Minimize": ("Subject To",), "Subject To": ("Bounds",),
+         "Bounds": ("Generals", "End"), "Generals": ("End",), "End": ()}
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse the subset of the LP format produced by :func:`write_lp`."""
-    section = None
-    objective: dict[str, float] = {}
-    rows: list[Row] = []
+    """Read back the LP text that :func:`write_lp` writes, and nothing else:
+    the header comment, then ``Minimize`` with one `` obj:`` line, ``Subject
+    To`` with `` <id>: <terms> <sense> <rhs>`` rows, ``Bounds`` with
+    `` <lo> <= <id>`` or `` <lo> <= <id> <= <up>``, an optional ``Generals``
+    with one id a line, and ``End``. Variables come in ``Bounds`` order, the
+    model's order. Any other line raises :class:`MalformedInstance`."""
+    lines = text.splitlines() or [""]
+    section, costs, rows = "", None, []
     bounds: dict[str, tuple[float, float | None]] = {}
     generals: set[str] = set()
-    var_order: list[str] = []
-    seen: set[str] = set()
+    named: dict[str, str] = {}  # one string per variable id, for rows and Bounds alike
 
-    def note_vars(ids):
-        for vid in ids:
-            if vid not in seen:
-                seen.add(vid)
-                var_order.append(vid)
+    def terms(body: str) -> dict[str, float]:
+        coeffs: dict[str, float] = {}
+        for term in body.split(" + "):
+            value, _, vid = term.partition(" ")
+            c = float(value)
+            if c != 0:
+                vid = named.setdefault(vid, vid)
+                coeffs[vid] = coeffs.get(vid, 0.0) + c
+        return coeffs
 
-    for raw in text.splitlines():
-        line = raw.split("\\")[0].rstrip()
-        if not line.strip():
-            continue
-        word = line.strip().lower()
-        if word in ("minimize", "maximize", "subject to", "st", "bounds",
-                    "generals", "binaries", "end"):
-            section = word
-            continue
-        body = line.strip()
-        if section == "minimize":
-            if ":" in body:
-                body = body.split(":", 1)[1]
-            objective.update(_parse_terms(body))
-            note_vars(objective)
-        elif section in ("subject to", "st"):
-            name, rest = body.split(":", 1)
-            for sense in ("<=", ">=", "="):
-                if f" {sense} " in rest:
-                    lhs, rhs = rest.rsplit(f" {sense} ", 1)
-                    coeffs = _parse_terms(lhs)
-                    note_vars(coeffs)
-                    rows.append(Row(name.strip(), _coeff_tuple(coeffs),
-                                    sense, float(rhs)))
-                    break
-        elif section == "bounds":
-            parts = body.split("<=")
-            if len(parts) == 3:
-                vid = parts[1].strip()
-                bounds[vid] = (float(parts[0]), float(parts[2]))
-            elif len(parts) == 2:
-                vid = parts[1].strip()
-                bounds[vid] = (float(parts[0]), None)
-            else:
+    k, line = 1, lines[0]
+    try:  # a ValueError names the line being read
+        if not line.startswith(_HEADER):
+            raise ValueError(line)
+        for k, line in enumerate(lines[1:], start=2):
+            if line in _NEXT[section]:
+                section = line
                 continue
-            note_vars([vid])
-        elif section in ("generals", "binaries"):
-            generals.add(body)
-            note_vars([body])
-
-    variables = []
-    for vid in var_order:
-        lo, up = bounds.get(vid, (0.0, None))
-        variables.append(Variable(vid, lo, up, vid in generals,
-                                  objective.get(vid, 0.0)))
-    return MilpModel("parsed", variables, rows)
+            m = _SHAPES[section].fullmatch(line) if section in _SHAPES else None
+            if m is None or section == "Minimize" and costs is not None:
+                raise ValueError(line)
+            if section == "Bounds":
+                lo, vid, up = m.groups()
+                vid = named.get(vid, vid)
+                if vid in bounds:
+                    raise ValueError(vid)
+                bounds[vid] = (float(lo), None if up is None else float(up))
+            elif section == "Generals":
+                if m[1] not in bounds:
+                    raise ValueError(m[1])
+                generals.add(m[1])
+            elif section == "Minimize":
+                costs = terms(m[1])
+            else:
+                rid, body, sense, rhs = m.groups()
+                rows.append(Row(rid, _coeff_tuple(terms(body)), sense, float(rhs)))
+        if section != "End" or costs is None:
+            raise MalformedInstance("LP text lacks its obj line or its End")
+        if not named.keys() <= bounds.keys():  # a variable that Bounds does not declare
+            # is refused unless its coefficients cancel; obj is line 3 and row i line 5 + i
+            for k, coeffs in zip((3, *range(5, 5 + len(rows))),
+                                 (costs.items(), *(r.coeffs for r in rows))):
+                if any(c != 0 and vid not in bounds for vid, c in coeffs):
+                    line = lines[k - 1]
+                    raise ValueError(line)
+    except ValueError:
+        raise MalformedInstance(f"LP line {k}: {line!r}") from None
+    return MilpModel(lines[0][len(_HEADER):],
+                     [Variable(vid, lo, up, vid in generals, costs.get(vid, 0.0))
+                      for vid, (lo, up) in bounds.items()], rows)
 
 
 def parse_lp_file(path) -> MilpModel:

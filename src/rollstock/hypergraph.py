@@ -12,11 +12,16 @@ and lets costs and feasibility be controlled per change. Each hyperarc is a
 set of node-disjoint base arcs; a hyperflow assigns one value per hyperarc
 and induces a base flow by summation.
 
-Composition changes are enumerated per connection from the instance's
-single-side shunting rules: a change keeps a contiguous block of units (at
-the configured ends) and uncouples/couples the complementary blocks, each
-block being one shunt action. A connection may restrict the reachable
-transitions further via ``allowed_changes``. Depot access itself is liberal:
+Composition changes follow one rule for every connection kind: a change
+picks one allowed composition for each trip of the connection. At a 1-to-1
+connection the longest block of units at the configured shunting ends
+continues and the complementary blocks are uncoupled and coupled, each
+nonempty block being one shunt action; at a split or a join every unit
+continues, in order, and the change is one action. A connection may restrict
+the reachable transitions further via ``allowed_changes``. Every depot has
+one timeline of parking arcs through the times of its pull moves; under
+direct transfers it has no such times, so one parking arc spans the day, and
+direct arcs stand in for the pull moves. Depot access itself is liberal:
 any arriving unit may pull in and any departing position may be fed by a
 pull-out; in the full variants the composition-labeled nodes and the
 connection partition make illegal transfers unusable, in the small variants
@@ -26,6 +31,7 @@ they are the documented over-relaxation.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import DecompositionFailure, InfeasibleInstance, NonConservingInput
@@ -34,7 +40,6 @@ from .instance import (
     TERMINAL,
     Composition,
     Connection,
-    DirectArcSpec,
     Instance,
     closure_arcs,
 )
@@ -122,94 +127,67 @@ class Change:
         return bool(self.uncoupled) and bool(self.coupled)
 
 
-def _match_one_to_one(p1: Composition, p2: Composition, unc_side: str,
-                      cpl_side: str) -> tuple[int, list, list, list] | None:
-    """Maximal continuing block between two compositions, or None."""
-    k, m = len(p1), len(p2)
+def _match_one_to_one(before: tuple[str, ...], after: tuple[str, ...], unc_side: str,
+                      cpl_side: str) -> tuple[int, int, int] | None:
+    """Longest block of units that continues from ``before`` into ``after``,
+    as (offset in ``before``, offset in ``after``, length), or None."""
+    k, m = len(before), len(after)
     for j in range(min(k, m), 0, -1):
-        cont1 = p1.units[:j] if unc_side == "rear" else p1.units[k - j:]
-        cont2 = p2.units[:j] if cpl_side == "rear" else p2.units[m - j:]
-        if cont1 != cont2:
-            continue
-        pred_pos = list(range(1, j + 1)) if unc_side == "rear" else list(range(k - j + 1, k + 1))
-        succ_pos = list(range(1, j + 1)) if cpl_side == "rear" else list(range(m - j + 1, m + 1))
-        uncoupled = [n for n in range(1, k + 1) if n not in pred_pos]
-        coupled = [n for n in range(1, m + 1) if n not in succ_pos]
-        pairs = list(zip(pred_pos, succ_pos))
-        return j, pairs, uncoupled, coupled
+        a = 0 if unc_side == "rear" else k - j
+        b = 0 if cpl_side == "rear" else m - j
+        if before[a:a + j] == after[b:b + j]:
+            return a, b, j
     return None
 
 
 def enumerate_changes(instance: Instance, conn: Connection) -> list[Change]:
-    """All composition transitions of a connection, in deterministic order."""
-    comps = instance.composition_by_id
-    out: list[Change] = []
+    """All composition changes of a connection, sorted by key.
 
-    def allowed(pre: tuple[str, ...], post: tuple[str, ...]) -> bool:
-        if conn.allowed_changes is None:
-            return True
-        return (*pre, *post) in conn.allowed_changes
-
-    if conn.kind == "OneToOne":
-        tp, ts = conn.predecessors[0], conn.successors[0]
-        for pid1 in instance.trip_by_id[tp].allowed_compositions:
-            for pid2 in instance.trip_by_id[ts].allowed_compositions:
-                if not allowed((pid1,), (pid2,)):
-                    continue
-                m = _match_one_to_one(comps[pid1], comps[pid2],
-                                      instance.shunting.uncouple_side,
-                                      instance.shunting.couple_side)
-                if m is None:
-                    continue
-                _, pairs, unc, cpl = m
-                p1, p2 = comps[pid1], comps[pid2]
-                out.append(Change(
-                    connection=conn.id, kind=conn.kind,
-                    pre=(pid1,), post=(pid2,),
-                    continuing=tuple((tp, a, ts, b, p1.units[a - 1]) for a, b in pairs),
-                    uncoupled=tuple((tp, n, p1.units[n - 1]) for n in unc),
-                    coupled=tuple((ts, n, p2.units[n - 1]) for n in cpl),
-                    actions=(1 if unc else 0) + (1 if cpl else 0),
-                ))
-    elif conn.kind == "OneToTwo":
-        tp = conn.predecessors[0]
-        s0, s1 = conn.successors
-        for pid in instance.trip_by_id[tp].allowed_compositions:
-            p = comps[pid]
-            for q0 in instance.trip_by_id[s0].allowed_compositions:
-                for q1 in instance.trip_by_id[s1].allowed_compositions:
-                    if comps[q0].units + comps[q1].units != p.units:
-                        continue
-                    if not allowed((pid,), (q0, q1)):
-                        continue
-                    s = len(comps[q0])
-                    cont = [(tp, n, s0, n, p.units[n - 1]) for n in range(1, s + 1)]
-                    cont += [(tp, n, s1, n - s, p.units[n - 1])
-                             for n in range(s + 1, len(p) + 1)]
-                    out.append(Change(conn.id, conn.kind, (pid,), (q0, q1),
-                                      tuple(cont), (), (), actions=1))
-    elif conn.kind == "TwoToOne":
-        t0, t1 = conn.predecessors
-        ts = conn.successors[0]
-        for p0 in instance.trip_by_id[t0].allowed_compositions:
-            for p1 in instance.trip_by_id[t1].allowed_compositions:
-                for q in instance.trip_by_id[ts].allowed_compositions:
-                    if comps[p0].units + comps[p1].units != comps[q].units:
-                        continue
-                    if not allowed((p0, p1), (q,)):
-                        continue
-                    s = len(comps[p0])
-                    cont = [(t0, n, ts, n, comps[p0].units[n - 1])
-                            for n in range(1, s + 1)]
-                    cont += [(t1, n, ts, s + n, comps[p1].units[n - 1])
-                             for n in range(1, len(comps[p1]) + 1)]
-                    out.append(Change(conn.id, conn.kind, (p0, p1), (q,),
-                                      tuple(cont), (), (), actions=1))
-    else:
+    A change picks one allowed composition for each trip of the connection,
+    predecessors first, and ``allowed_changes`` may exclude the pick. At a
+    1-to-1 connection the longest block at the shunting ends continues, the
+    rest of each composition is uncoupled or coupled, and each nonempty block
+    costs one action. At a split or a join every unit continues: both sides
+    run the same unit sequence, position i of one side meets position i of
+    the other, and the change costs one action.
+    """
+    if conn.kind not in ("OneToOne", "OneToTwo", "TwoToOne"):
         raise ValueError(f"unknown connection kind {conn.kind}")
+    comps = instance.composition_by_id
 
-    out.sort(key=lambda ch: ch.key)
-    return out
+    def ways(side: tuple[str, ...]) -> list[tuple[tuple[str, ...], tuple, tuple]]:
+        """(composition per trip, unit sequence, (trip, position, type) slots)
+        of each way to run one side, front to rear."""
+        out = []
+        for pick in itertools.product(*(instance.trip_by_id[t].allowed_compositions
+                                        for t in side)):
+            slots = tuple((t, n, r) for t, pid in zip(side, pick)
+                          for n, r in enumerate(comps[pid].units, start=1))
+            out.append((pick, tuple(r for _, _, r in slots), slots))
+        return out
+
+    changes: list[Change] = []
+    for (pre, before, tails), (post, after, heads) in itertools.product(
+            ways(conn.predecessors), ways(conn.successors)):
+        if conn.allowed_changes is not None and pre + post not in conn.allowed_changes:
+            continue
+        if conn.kind == "OneToOne":
+            block = _match_one_to_one(before, after, instance.shunting.uncouple_side,
+                                      instance.shunting.couple_side)
+        else:
+            block = (0, 0, len(before)) if before == after else None
+        if block is None:
+            continue
+        a, b, j = block
+        uncoupled, coupled = tails[:a] + tails[a + j:], heads[:b] + heads[b + j:]
+        changes.append(Change(
+            conn.id, conn.kind, pre, post,
+            continuing=tuple((tp, na, ts, nb, r) for (tp, na, r), (ts, nb, _)
+                             in zip(tails[a:a + j], heads[b:b + j])),
+            uncoupled=uncoupled, coupled=coupled,
+            actions=bool(uncoupled) + bool(coupled) if conn.kind == "OneToOne" else 1))
+    changes.sort(key=lambda ch: ch.key)
+    return changes
 
 
 def connection_changes(instance: Instance) -> dict[str, list[Change]]:
@@ -266,7 +244,6 @@ class Hypergraph:
     balances: dict[Node, int]
     trip_arcs: dict[str, list[str]]        # H_t
     connection_arcs: dict[str, list[str]]  # H_c
-    parking_arcs: list[str]                # H_D
     by_id: dict[str, Hyperarc] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -379,44 +356,28 @@ def build(instance: Instance, variant: str, changes: dict | None = None) -> Hype
     hyperarcs: list[Hyperarc] = []
     trip_index: dict[str, list[str]] = {t.id: [] for t in instance.trips}
     conn_index: dict[str, list[str]] = {c.id: [] for c in instance.connections}
-    parking: list[str] = []
 
     @functools.cache  # one object per node, so equal lookups match by identity
     def ev(trip_id: str, side: str, pos: int, r: str, comp_id: str) -> EventNode:
         return EventNode(trip_id, side, pos, r, comp_id if full else "")
 
-    # trip service hyperarcs -------------------------------------------------
-    trip_sources: dict[str, list[str]] = {}
+    # trip service hyperarcs: one per allowed composition in the full
+    # variants, one per distinct unit sequence in the small ones
     for t in instance.trips:
-        if full:
-            for pid in t.allowed_compositions:
-                p = comps[pid]
-                arcs = tuple((ev(t.id, "dep", n, p.units[n - 1], pid),
-                              ev(t.id, "arr", n, p.units[n - 1], pid))
-                             for n in range(1, len(p) + 1))
-                tags = {"trip": t.id, "comp": pid, "seq": p.units}
-                tags.update(_staging_tags(instance, t.id, p))
-                hid = f"trip.{t.id}.{pid}"
-                hyperarcs.append(Hyperarc(hid, "TripService", arcs,
-                                          instance.trip_cost(t, p), 1, tags))
-                trip_index[t.id].append(hid)
-        else:
-            by_seq: dict[tuple[str, ...], list[str]] = {}
-            for pid in t.allowed_compositions:
-                by_seq.setdefault(comps[pid].units, []).append(pid)
-            for seq in sorted(by_seq):
-                pids = sorted(by_seq[seq])
-                p = comps[pids[0]]
-                arcs = tuple((ev(t.id, "dep", n, seq[n - 1], ""),
-                              ev(t.id, "arr", n, seq[n - 1], ""))
-                             for n in range(1, len(seq) + 1))
-                tags = {"trip": t.id, "sources": tuple(pids), "seq": seq}
-                tags.update(_staging_tags(instance, t.id, p))
-                hid = f"trip.{t.id}." + "_".join(seq)
-                hyperarcs.append(Hyperarc(hid, "TripService", arcs,
-                                          instance.trip_cost(t, p), 1, tags))
-                trip_index[t.id].append(hid)
-                trip_sources[hid] = pids
+        groups: dict = {}
+        for pid in t.allowed_compositions:
+            groups.setdefault(pid if full else comps[pid].units, []).append(pid)
+        for key in (groups if full else sorted(groups)):
+            pids = sorted(groups[key])
+            p = comps[pids[0]]
+            arcs = tuple((ev(t.id, "dep", n, r, p.id), ev(t.id, "arr", n, r, p.id))
+                         for n, r in enumerate(p.units, start=1))
+            tags = {"trip": t.id, **({"comp": p.id} if full else {"sources": tuple(pids)}),
+                    "seq": p.units, **_staging_tags(instance, t.id, p)}
+            hid = f"trip.{t.id}." + (p.id if full else "_".join(p.units))
+            hyperarcs.append(Hyperarc(hid, "TripService", arcs,
+                                      instance.trip_cost(t, p), 1, tags))
+            trip_index[t.id].append(hid)
 
     # connection change hyperarcs --------------------------------------------
     shunt_rate = instance.costs.shunting_per_action
@@ -472,104 +433,84 @@ def build(instance: Instance, variant: str, changes: dict | None = None) -> Hype
             return 0.0
         return costs.get((node.trip, node.position, node.unit_type), 0.0)
 
-    balances: dict[Node, int] = {}
-    depots = instance.all_depots()
-    per_type_delta: dict[str, int] = {u.id: 0 for u in instance.unit_types}
-    for d in depots:
-        per_type_delta[d.unit_type] += d.target_end_inventory - d.start_inventory
-
-    hubs: dict[str, DepotNode] = {}
-    for u in instance.unit_types:
-        hub = DepotNode("", u.id, "hub")
-        hubs[u.id] = hub
-        balances[hub] = per_type_delta[u.id]
-
-    if transfer == "D":
-        for d in depots:
-            initial = DepotNode(d.station, d.unit_type, "initial")
-            terminal = DepotNode(d.station, d.unit_type, "terminal")
-            balances[initial] = d.start_inventory
-            balances[terminal] = -d.target_end_inventory
-            times: set[int] = set()
-            pulls: dict[str, list] = {IN: [], OUT: []}
-            for t in instance.trips:
-                for direction in (IN, OUT):
-                    station, tau = place(t, direction)
-                    if station != d.station:
-                        continue
-                    for node, hid in pull_nodes(t.id, direction):
-                        if node.unit_type == d.unit_type:
-                            pulls[direction].append((node, hid, tau))
-                            times.add(tau)
-            timeline = [initial] + [DepotNode(d.station, d.unit_type, "mid", tau)
-                                    for tau in sorted(times)] + [terminal]
-            for i in range(len(timeline) - 1):
-                hid = f"park.{d.station}.{d.unit_type}.{i}"
-                hyperarcs.append(Hyperarc(hid, "Parking",
-                                          ((timeline[i], timeline[i + 1]),), 0.0, None,
-                                          {"station": d.station, "unit_type": d.unit_type}))
-                parking.append(hid)
-            at_time = {n.time: n for n in timeline[1:-1]}
-            for direction, kind in ((IN, "PullIn"), (OUT, "PullOut")):
-                for node, hid, tau in sorted(pulls[direction], key=lambda x: x[1]):
-                    arc = (node, at_time[tau]) if direction == IN else (at_time[tau], node)
-                    hyperarcs.append(Hyperarc(hid, kind, (arc,), pull_cost(node, direction),
-                                              1, {"station": d.station, "time": tau}))
-            _deviation_arcs(hyperarcs, d, terminal, hubs[d.unit_type], instance)
-    else:
-        specs = closure_arcs(instance, "closure" if closure else "declared")
-        initial_of: dict[tuple[str, str], DepotNode] = {}
-        terminal_of: dict[tuple[str, str], DepotNode] = {}
-        for d in depots:
-            initial = DepotNode(d.station, d.unit_type, "initial")
-            terminal = DepotNode(d.station, d.unit_type, "terminal")
-            initial_of[(d.station, d.unit_type)] = initial
-            terminal_of[(d.station, d.unit_type)] = terminal
-            balances[initial] = d.start_inventory
-            balances[terminal] = -d.target_end_inventory
-            hid = f"park.{d.station}.{d.unit_type}.0"
-            hyperarcs.append(Hyperarc(hid, "Parking", ((initial, terminal),), 0.0, None,
+    # depots: initial and terminal nodes, a timeline of parking arcs through
+    # the times of the depot's pull moves (none under direct transfers), the
+    # pull arcs, and a surplus and a deficit arc to the type's hub
+    moves: dict[tuple[str, str], list] = {}
+    for t in instance.trips if transfer == "D" else ():
+        for direction in (IN, OUT):
+            station, tau = place(t, direction)
+            for node, hid in pull_nodes(t.id, direction):
+                moves.setdefault((station, node.unit_type), []).append(
+                    (hid, direction, node, tau))
+    hubs = {u.id: DepotNode("", u.id, "hub") for u in instance.unit_types}
+    balances: dict[Node, int] = dict.fromkeys(hubs.values(), 0)
+    ends: dict[tuple[str, str], tuple[DepotNode, DepotNode]] = {}
+    rate = instance.costs.ending_deviation_per_unit
+    for d in instance.all_depots():
+        key = (d.station, d.unit_type)
+        initial, terminal = DepotNode(*key, "initial"), DepotNode(*key, "terminal")
+        ends[key] = initial, terminal
+        hub = hubs[d.unit_type]
+        balances[initial] = d.start_inventory
+        balances[terminal] = -d.target_end_inventory
+        balances[hub] += d.target_end_inventory - d.start_inventory
+        at_time = {tau: DepotNode(*key, "mid", tau)
+                   for tau in sorted({m[3] for m in moves.get(key, ())})}
+        timeline = [initial, *at_time.values(), terminal]
+        for i in range(len(timeline) - 1):
+            hyperarcs.append(Hyperarc(f"park.{d.station}.{d.unit_type}.{i}", "Parking",
+                                      ((timeline[i], timeline[i + 1]),), 0.0, None,
                                       {"station": d.station, "unit_type": d.unit_type}))
-            parking.append(hid)
-            _deviation_arcs(hyperarcs, d, terminal, hubs[d.unit_type], instance)
+        for hid, direction, node, tau in sorted(moves.get(key, ()), key=lambda m: m[0]):
+            arc = (node, at_time[tau]) if direction == IN else (at_time[tau], node)
+            hyperarcs.append(Hyperarc(hid, "PullIn" if direction == IN else "PullOut", (arc,),
+                                      pull_cost(node, direction), 1,
+                                      {"station": d.station, "time": tau}))
+        for side, arc in (("surplus", (terminal, hub)), ("deficit", (hub, terminal))):
+            hyperarcs.append(Hyperarc(f"dev.{d.station}.{d.unit_type}.{side}",
+                                      "InventoryDeviation", (arc,), rate, None,
+                                      {"station": d.station, "unit_type": d.unit_type}))
 
-        for spec in specs:
-            if spec.source == INITIAL:
-                src = [(initial_of[(spec.station, spec.unit_type)], None)]
-            else:
-                src = [(node, hid) for node, hid in pull_nodes(spec.source, IN)
-                       if node.unit_type == spec.unit_type]
-            if spec.target == TERMINAL:
-                dst = [(terminal_of[(spec.station, spec.unit_type)], None)]
-            else:
-                dst = [(node, hid) for node, hid in pull_nodes(spec.target, OUT)
-                       if node.unit_type == spec.unit_type]
-            for s_node, s_hid in src:
-                for d_node, d_hid in dst:
-                    if spec.source == INITIAL:
-                        hyperarcs.append(Hyperarc(d_hid, "PullOut", ((s_node, d_node),),
-                                                  pull_cost(d_node, OUT), 1,
-                                                  {"station": spec.station,
-                                                   "time": spec.pull_out_time}))
-                    elif spec.target == TERMINAL:
-                        hyperarcs.append(Hyperarc(s_hid, "PullIn", ((s_node, d_node),),
-                                                  pull_cost(s_node, IN), 1,
-                                                  {"station": spec.station,
-                                                   "time": spec.pull_in_time}))
-                    else:
-                        hid = (f"dca.{spec.unit_type}.{s_node.trip}."
-                               f"{(s_node.comp + '.') if s_node.comp else ''}{s_node.position}"
-                               f".{d_node.trip}."
-                               f"{(d_node.comp + '.') if d_node.comp else ''}{d_node.position}")
-                        cost = pull_cost(s_node, IN) + pull_cost(d_node, OUT)
-                        hyperarcs.append(Hyperarc(hid, "DirectConnection",
-                                                  ((s_node, d_node),), cost, 1,
-                                                  {"station": spec.station,
-                                                   "unit_type": spec.unit_type,
-                                                   "pull_in_time": spec.pull_in_time,
-                                                   "pull_out_time": spec.pull_out_time,
-                                                   "source": spec.source,
-                                                   "target": spec.target}))
+    specs = closure_arcs(instance, "closure" if closure else "declared") if transfer == "A" else []
+    for spec in specs:
+        initial, terminal = ends[(spec.station, spec.unit_type)]
+        if spec.source == INITIAL:
+            src = [(initial, None)]
+        else:
+            src = [(node, hid) for node, hid in pull_nodes(spec.source, IN)
+                   if node.unit_type == spec.unit_type]
+        if spec.target == TERMINAL:
+            dst = [(terminal, None)]
+        else:
+            dst = [(node, hid) for node, hid in pull_nodes(spec.target, OUT)
+                   if node.unit_type == spec.unit_type]
+        for s_node, s_hid in src:
+            for d_node, d_hid in dst:
+                if spec.source == INITIAL:
+                    hyperarcs.append(Hyperarc(d_hid, "PullOut", ((s_node, d_node),),
+                                              pull_cost(d_node, OUT), 1,
+                                              {"station": spec.station,
+                                               "time": spec.pull_out_time}))
+                elif spec.target == TERMINAL:
+                    hyperarcs.append(Hyperarc(s_hid, "PullIn", ((s_node, d_node),),
+                                              pull_cost(s_node, IN), 1,
+                                              {"station": spec.station,
+                                               "time": spec.pull_in_time}))
+                else:
+                    hid = (f"dca.{spec.unit_type}.{s_node.trip}."
+                           f"{(s_node.comp + '.') if s_node.comp else ''}{s_node.position}"
+                           f".{d_node.trip}."
+                           f"{(d_node.comp + '.') if d_node.comp else ''}{d_node.position}")
+                    cost = pull_cost(s_node, IN) + pull_cost(d_node, OUT)
+                    hyperarcs.append(Hyperarc(hid, "DirectConnection",
+                                              ((s_node, d_node),), cost, 1,
+                                              {"station": spec.station,
+                                               "unit_type": spec.unit_type,
+                                               "pull_in_time": spec.pull_in_time,
+                                               "pull_out_time": spec.pull_out_time,
+                                               "source": spec.source,
+                                               "target": spec.target}))
 
     nodes: dict[Node, None] = {}
     for h in hyperarcs:
@@ -587,19 +528,7 @@ def build(instance: Instance, variant: str, changes: dict | None = None) -> Hype
         balances={v: b for v, b in balances.items()},
         trip_arcs=trip_index,
         connection_arcs=conn_index,
-        parking_arcs=parking,
     )
-
-
-def _deviation_arcs(hyperarcs: list[Hyperarc], depot, terminal: DepotNode,
-                    hub: DepotNode, instance: Instance) -> None:
-    rate = instance.costs.ending_deviation_per_unit
-    hyperarcs.append(Hyperarc(f"dev.{depot.station}.{depot.unit_type}.surplus",
-                              "InventoryDeviation", ((terminal, hub),), rate, None,
-                              {"station": depot.station, "unit_type": depot.unit_type}))
-    hyperarcs.append(Hyperarc(f"dev.{depot.station}.{depot.unit_type}.deficit",
-                              "InventoryDeviation", ((hub, terminal),), rate, None,
-                              {"station": depot.station, "unit_type": depot.unit_type}))
 
 
 def _node_sort_key(v: Node):

@@ -26,7 +26,8 @@ from functools import cached_property
 from .errors import MalformedInstance, NotFound, UnknownDepot
 from .ledger import IN, OUT, place
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_]+")
+_UNIT_ID_RE = re.compile(r"[A-Za-z0-9]+")
 
 INITIAL = "__initial__"   # direct-arc source: start inventory
 TERMINAL = "__terminal__"  # direct-arc target: end inventory
@@ -285,15 +286,17 @@ def validate(instance: Instance) -> list[Violation]:
     pids = [p.id for p in instance.compositions]
     tids = [t.id for t in instance.trips]
     cids = [c.id for c in instance.connections]
-    for name, ids in (("unit_type", uids), ("composition", pids),
-                      ("trip", tids), ("connection", cids)):
+    # a small trip arc's id joins unit type ids with "_", so they have none
+    for name, ids, pattern in (("unit_type", uids, _UNIT_ID_RE), ("composition", pids, _ID_RE),
+                               ("trip", tids, _ID_RE), ("connection", cids, _ID_RE),
+                               ("station", instance.stations, _ID_RE)):
         seen = set()
         for i in ids:
             if i in seen:
                 add(Violation("DuplicateId", i, f"duplicate {name} id"))
             seen.add(i)
-            if not _ID_RE.match(i):
-                add(Violation("BadId", i, "ids must match [A-Za-z0-9_]+"))
+            if not pattern.fullmatch(i):
+                add(Violation("BadId", i, f"{name} ids must match {pattern.pattern}"))
 
     types = set(uids)
     comps = instance.composition_by_id

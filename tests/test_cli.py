@@ -183,7 +183,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", [
         "build", "solve", "compare", "project", "export-lp"])
     @pytest.mark.parametrize("broken", ["negative_cost", "overlap",
-                                        "composition_twice"])
+                                        "composition_twice", "unit_type_underscore"])
     def test_invalid_instance_is_refused(self, capsys, tmp_path, command,
                                          broken):
         from rollstock.instance import canonical, dumps
@@ -194,9 +194,12 @@ class TestCommands:
         elif broken == "overlap":  # t2 leaves before t1, which feeds it, arrives
             d["trips"][1]["dep_time"], d["trips"][1]["arr_time"] = 500, 560
             violation = "TimeOrderViolation(c1): t1 arrives after t2 departs"
-        else:  # build would make two hyperarcs with one id
+        elif broken == "composition_twice":  # build would make two hyperarcs with one id
             d["trips"][0]["allowed_compositions"].append("b1")
             violation = "DuplicateId(t1): allowed composition listed twice"
+        else:  # b1 would run (r_r) and rr runs (r, r): two small trip arcs trip.t1.r_r
+            d = json.loads(json.dumps(d).replace('"b"', '"r_r"'))
+            violation = "BadId(r_r): unit_type ids must match [A-Za-z0-9]+"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
         extra = ["--out", str(tmp_path / "model.lp")] if command == "export-lp" else []
@@ -217,6 +220,18 @@ class TestExactRational:
             "--exact-rational", "--deterministic", "--json"])
         assert code == 0
         assert out == (GOLDEN / f"compare_exact_{name}.json").read_text()
+
+    def test_split_compare_matches_golden(self, capsys, tmp_path):
+        path = tmp_path / "split.json"
+        code, _, _ = _capture(capsys, ["gen", "--seed", "1", "--lines", "2",
+                                       "--trips-per-line", "2", "--split-fraction", "1.0",
+                                       "--out", str(path)])
+        assert code == 0
+        code, out, _ = _capture(capsys, [
+            "compare", "--instance", str(path), "--closure", "--all",
+            "--exact-rational", "--deterministic", "--json"])
+        assert code == 0
+        assert out == (GOLDEN / "compare_exact_split.json").read_text()
 
     def test_failed_certificate_exits_one(self, capsys, monkeypatch):
         from rollstock.solver import simplex

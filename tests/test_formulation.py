@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from rollstock.composition import contract
-from rollstock.errors import InvalidOptions
+from rollstock.errors import InvalidOptions, MalformedInstance
 from rollstock.formulation import (
     ModelOptions,
     assemble,
@@ -137,23 +137,64 @@ class TestLpFormat:
         m = MilpModel("empty", [], [])
         assert models_equal(m, parse_lp(write_lp(m)))
 
+    SMALL_LP = ("\\ rollstock model small\nMinimize\n obj: 2 x + 3 y\nSubject To\n"
+                " c: 1 x + -1 y >= 1\nBounds\n 0 <= y\n 0 <= x <= 1\nGenerals\n x\nEnd\n")
+
+    def test_small_model_is_read_in_bounds_order(self):
+        m = parse_lp(self.SMALL_LP)
+        assert m.name == "small"
+        assert [(v.id, v.lower, v.upper, v.integer, v.cost) for v in m.variables] == [
+            ("y", 0.0, None, False, 3.0), ("x", 0.0, 1.0, True, 2.0)]
+        assert [(r.id, r.coeffs, r.sense, r.rhs) for r in m.rows] == [
+            ("c", (("x", 1.0), ("y", -1.0)), ">=", 1.0)]
+        assert models_equal(m, parse_lp(write_lp(m)))
+
+    @pytest.mark.parametrize("old,new,line", [
+        ("Minimize", "Maximize", 2),                    # a maximization was read as cost 0
+        (" c: 1 x + -1 y >= 1", " c: 1 x 4", 5),        # a row with no sense was dropped
+        (" 0 <= y\n", " y free\n", 7),                  # an unread bound left y in [0, inf)
+        (" c: 1 x", " c 1 x", 5),                       # no colon was a bare ValueError
+        (" c: 1 x", " c: one x", 5),                    # so was a coefficient not a number
+        (" obj: 2 x", " obj: 2 z", 3),                  # a variable with no Bounds line
+        ("Generals\n x\n", "Generals\n z\n", 10),     # an integer variable with no bounds
+        (" 0 <= x <= 1\n", " 0 <= x <= 1\n 0 <= x\n", 9),  # bounds given twice
+        ("End\n", "End\n x\n", 12),                    # a line after End
+        ("Subject To\n", "Bounds\nSubject To\n", 4),   # sections out of order
+        ("\\ rollstock model small\n", "", 1),         # no header comment
+    ])
+    def test_malformed_text_names_its_line(self, old, new, line):
+        text = self.SMALL_LP.replace(old, new, 1)
+        with pytest.raises(MalformedInstance, match=rf"^LP line {line}: "):
+            parse_lp(text)
+
+    @pytest.mark.parametrize("text", ["", SMALL_LP.replace("End\n", ""),
+                                      SMALL_LP.replace(" obj: 2 x + 3 y\n", "")])
+    def test_text_without_obj_or_end_is_refused(self, text):
+        with pytest.raises(MalformedInstance):
+            parse_lp(text)
+
 
 class TestGoldenHashes:
     """``write_lp`` and the graph dump of all seven variants, pinned by their
-    SHA-256 digests in golden/model_hashes.json, on the canonical instances
-    and one 4x8 genbench ladder rung."""
+    SHA-256 digests in golden/model_hashes.json, on the canonical instances,
+    one 4x8 genbench ladder rung and the same rung with split connections
+    (43 trips, 11 of them splits), keyed ``gen5-split``."""
 
-    @pytest.mark.parametrize("name", [*sorted(canonical_instances()), "ladder"])
+    LADDERS = {"ladder": ("", 0.0), "ladder-split": ("-split", 0.3)}
+
+    @pytest.mark.parametrize("name", [*sorted(canonical_instances()), *LADDERS])
     def test_lp_text_and_dump_are_byte_identical(self, name):
         from rollstock.analysis import SEVEN_VARIANTS, build_variant
 
         def digest(text):
             return hashlib.sha256(text.encode()).hexdigest()
 
-        inst = (generate(GenConfig(seed=5, lines=4, trips_per_line=8, stations=4))
-                if name == "ladder" else canonical_instances()[name])
+        suffix, fraction = self.LADDERS.get(name, ("", 0.0))
+        inst = (generate(GenConfig(seed=5, lines=4, trips_per_line=8, stations=4,
+                                   split_join_fraction=fraction))
+                if name in self.LADDERS else canonical_instances()[name])
         pinned = json.loads((GOLDEN / "model_hashes.json").read_text())
         for variant in SEVEN_VARIANTS:
             graph = build_variant(inst, variant, closure=False)
             got = {"lp": digest(write_lp(assemble(graph))), "dump": digest(graph.dump())}
-            assert got == pinned[f"{inst.name}/{variant}"], variant
+            assert got == pinned[f"{inst.name}{suffix}/{variant}"], variant

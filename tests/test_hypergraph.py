@@ -12,7 +12,7 @@ from rollstock.hypergraph import (
     project_base_flow,
     variant_parts,
 )
-from rollstock.instance import Composition, Depot, Instance, Trip, UnitType
+from rollstock.instance import Composition, Connection, Depot, Instance, Trip, UnitType
 from rollstock.formulation import assemble
 from rollstock.solver import solve_ip
 
@@ -52,6 +52,30 @@ class TestChanges:
         assert (("rr",), ("rb",)) not in keys
         assert (("rr",), ("rr",)) in keys
         assert (("rr",), ("r1",)) in keys
+
+    def test_join_keeps_every_unit_in_order(self):
+        inst = Instance(
+            name="join",
+            unit_types=(UnitType("r", 2, 100),),
+            compositions=(Composition("r1", ("r",)), Composition("rr", ("r", "r"))),
+            trips=(
+                Trip("t1", "A", "B", 480, 540, 10.0, 0, ("r1",)),
+                Trip("t2", "C", "B", 485, 545, 10.0, 0, ("r1",)),
+                Trip("t3", "B", "A", 600, 660, 10.0, 0, ("rr",)),
+            ),
+            connections=(Connection("c1", "TwoToOne", ("t1", "t2"), ("t3",)),),
+            depots=(Depot("A", "r", 1, 0), Depot("C", "r", 1, 0)),
+            n_max=2)
+        (change,) = enumerate_changes(inst, inst.connections[0])
+        assert change.connection == "c1"
+        assert change.kind == "TwoToOne"
+        assert change.pre == ("r1", "r1")
+        assert change.post == ("rr",)
+        assert change.continuing == (("t1", 1, "t3", 1, "r"), ("t2", 1, "t3", 2, "r"))
+        assert change.uncoupled == ()
+        assert change.coupled == ()
+        assert change.actions == 1
+        assert change.key == "chg.c1.r1.r1.rr"
 
 
 class TestBuild:

@@ -73,6 +73,18 @@ class TestValidate:
         assert [str(v) for v in validate(bad)] == [
             "DuplicateId(t1): allowed composition listed twice"]
 
+    def test_station_id_with_a_space(self, two_trip):
+        # export-lp would write row names with a space, which parse_lp cannot read
+        bad = loads(dumps(two_trip).replace('"A"', '"A x"'))
+        assert [str(v) for v in validate(bad)] == [
+            "BadId(A x): station ids must match [A-Za-z0-9_]+"]
+
+    def test_unit_type_id_with_an_underscore(self, two_trip):
+        # b1 would run (r_r) and rr runs (r, r): two small trip arcs trip.t1.r_r
+        bad = loads(dumps(two_trip).replace('"b"', '"r_r"'))
+        assert [str(v) for v in validate(bad)] == [
+            "BadId(r_r): unit_type ids must match [A-Za-z0-9]+"]
+
     def test_station_mismatch(self, two_trip):
         trips = tuple(
             dataclasses.replace(t, dep_station="C") if t.id == "t2" else t
