@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .composition import CompositionGraph, contract
@@ -155,7 +155,7 @@ def map_H_to_h(g_full: Hypergraph, values: dict, g_small: Hypergraph) -> dict:
     flow goes to the small hyperarc of the same connection (if any) whose base
     arcs it has once the composition labels are dropped."""
     def strip(node):
-        return replace(node, comp="") if isinstance(node, EventNode) else node
+        return node._replace(comp="") if isinstance(node, EventNode) else node
 
     def key(h) -> tuple:
         return (h.tags.get("connection"),

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analysis, genbench, instance as inst_mod, reduction
 from .errors import MalformedInstance, RollstockError
 from .formulation import ModelOptions, assemble, export_lp_file
-from .hypergraph import VARIANTS
 from .solver import solve_ip, solve_lp
 
 ALL = analysis.ALL_VARIANTS
@@ -187,21 +187,32 @@ def cmd_export_lp(args) -> int:
     return 0
 
 
+def _nonnegative(kind):
+    """An argparse type that reads ``kind`` and refuses a negative, infinite or
+    NaN value."""
+    def read(text: str):
+        if not 0 <= (value := kind(text)) < math.inf:
+            raise argparse.ArgumentTypeError(f"{text} is not finite and nonnegative")
+        return value
+    read.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return read
+
+
 def _add_instance_args(p):
     p.add_argument("--instance", help="instance JSON file")
     p.add_argument("--canonical", help="built-in instance name")
 
 
 def _add_model_args(p):
-    p.add_argument("--variant", default="C", choices=list(VARIANTS) + ["C"])
+    p.add_argument("--variant", default="C", choices=analysis.SEVEN_VARIANTS)
     p.add_argument("--closure", action="store_true",
                    help="use the closure of direct connection arcs")
     p.add_argument("--no-connection-constraints", action="store_true")
 
 
 def _add_solve_args(p):
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--node-limit", type=int, default=200000)
+    p.add_argument("--tol", type=_nonnegative(float), default=1e-7)
+    p.add_argument("--node-limit", type=_nonnegative(int), default=200000)
     p.add_argument("--exact-rational", action="store_true",
                    help="certify the final basis in exact rational arithmetic")
 
@@ -218,7 +229,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="dump a model hypergraph")
     _add_instance_args(p)
-    p.add_argument("--variant", default="hD", choices=list(VARIANTS) + ["C"])
+    p.add_argument("--variant", default="hD", choices=analysis.SEVEN_VARIANTS)
     p.add_argument("--closure", action="store_true")
     p.set_defaults(fn=cmd_build)
 
@@ -237,7 +248,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_solve_args(p)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--variants", nargs="*")
+    p.add_argument("--variants", nargs="*", choices=analysis.SEVEN_VARIANTS)
     p.add_argument("--json", action="store_true")
     p.add_argument("--deterministic", action="store_true",
                    help="suppress timing fields")
@@ -245,7 +256,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="integer solution-set projection check")
     _add_instance_args(p)
-    p.add_argument("--trip-limit", type=int, default=8)
+    p.add_argument("--trip-limit", type=_nonnegative(int), default=8)
     p.add_argument("--no-connection-constraints", action="store_true")
     p.set_defaults(fn=cmd_project)
 
@@ -258,7 +269,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-reduction",
                        help="check satisfiability against feasibility")
     p.add_argument("cnf")
-    p.add_argument("--node-limit", type=int, default=400000)
+    p.add_argument("--node-limit", type=_nonnegative(int), default=400000)
     p.set_defaults(fn=cmd_verify_reduction)
 
     p = sub.add_parser("gen", help="generate a synthetic instance")

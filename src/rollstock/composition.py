@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import VariantMismatch
 from .hypergraph import Hypergraph
@@ -23,8 +24,7 @@ from .instance import Instance
 from .ledger import IN, OUT, Ledger, arc_pulls
 
 
-@dataclass(frozen=True, order=True)
-class CompNode:
+class CompNode(NamedTuple):
     """One (trip event, composition) point of the contracted graph."""
 
     trip: str
@@ -150,16 +150,10 @@ def contract(g_hd: Hypergraph) -> CompositionGraph:
             raise AssertionError(
                 f"parallel arcs {a.id} / {other.id} with different costs")
 
-    nodes: dict[CompNode, None] = {}
-    for a in arcs:
-        for tail, head in a.arcs:
-            nodes.setdefault(tail)
-            nodes.setdefault(head)
-
     cuts, ends = _build_cut_data(instance, arcs)
     return CompositionGraph(
         instance=instance,
-        nodes=sorted(nodes),
+        nodes=sorted({v for a in arcs for arc in a.arcs for v in arc}),
         arcs=arcs,
         trip_arcs=trip_index,
         connection_arcs=conn_index,

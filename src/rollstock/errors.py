@@ -46,7 +46,8 @@ class NumericalFailure(RollstockError):
 
 
 class LimitExceeded(RollstockError):
-    """Instance too large for exhaustive enumeration."""
+    """Instance too large for exhaustive enumeration, or a search stopped at
+    its limit before it could decide."""
 
 
 class CutViolated(RollstockError):

@@ -10,12 +10,15 @@ with a surplus/deficit deviation pair per depot.
 
 Models export to the CPLEX-style LP text format and re-parse from it
 coefficient-for-coefficient.
+
+``Variable`` and ``Row`` are ``NamedTuple``s: each equals its fields' tuple.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .composition import CompositionGraph
 from .errors import InvalidOptions, MalformedInstance
@@ -25,8 +28,7 @@ _FMT = "%.17g"
 _HEADER = "\\ rollstock model "
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     id: str
     lower: float = 0.0
     upper: float | None = None   # None = unbounded above
@@ -34,8 +36,7 @@ class Variable:
     cost: float = 0.0
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     id: str
     coeffs: tuple[tuple[str, float], ...]  # (var id, nonzero coefficient)
     sense: str                             # "=", "<=", ">="
@@ -60,7 +61,7 @@ class MilpModel:
     def relaxed(self) -> MilpModel:
         return MilpModel(
             name=self.name,
-            variables=[replace(v, integer=False) for v in self.variables],
+            variables=[v._replace(integer=False) for v in self.variables],
             rows=list(self.rows),
             kinds=dict(self.kinds),
         )
@@ -310,10 +311,6 @@ def parse_lp_file(path) -> MilpModel:
 
 def models_equal(a: MilpModel, b: MilpModel) -> bool:
     """Coefficient-level equality, ignoring names and metadata."""
-    va = {(v.id, v.lower, v.upper, v.integer, v.cost) for v in a.variables}
-    vb = {(v.id, v.lower, v.upper, v.integer, v.cost) for v in b.variables}
-    if va != vb:
-        return False
-    ra = {(r.id, frozenset(r.coeffs), r.sense, r.rhs) for r in a.rows}
-    rb = {(r.id, frozenset(r.coeffs), r.sense, r.rhs) for r in b.rows}
-    return ra == rb
+    def rows(m: MilpModel) -> set[Row]:
+        return {r._replace(coeffs=frozenset(r.coeffs)) for r in m.rows}
+    return set(a.variables) == set(b.variables) and rows(a) == rows(b)

@@ -26,6 +26,9 @@ any arriving unit may pull in and any departing position may be fed by a
 pull-out; in the full variants the composition-labeled nodes and the
 connection partition make illegal transfers unusable, in the small variants
 they are the documented over-relaxation.
+
+The records (nodes, changes, hyperarcs) are ``NamedTuple``s, hashed, compared
+and ordered in C; a record equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import DecompositionFailure, InfeasibleInstance, NonConservingInput
 from .instance import (
@@ -62,8 +67,7 @@ def variant_parts(variant: str) -> tuple[str, str, bool]:
 # nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class EventNode:
+class EventNode(NamedTuple):
     """Departure or arrival slot of one unit position on a trip."""
 
     trip: str
@@ -78,8 +82,7 @@ class EventNode:
         return f"{self.trip}{sign}:{label}:{self.position}"
 
 
-@dataclass(frozen=True, order=True)
-class DepotNode:
+class DepotNode(NamedTuple):
     """Point on a depot timeline, or the per-type deviation hub."""
 
     station: str
@@ -101,8 +104,7 @@ BaseArc = tuple[Node, Node]
 # composition changes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Change:
+class Change(NamedTuple):
     """One feasible composition transition at a connection.
 
     ``continuing`` lists (pred_trip, pred_pos, succ_trip, succ_pos, type) for
@@ -213,24 +215,16 @@ def block_head(positions, shunt_side: str) -> int | None:
 # hyperarcs and hypergraphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hyperarc:
-    """A set of node-disjoint base arcs moved together."""
+class Hyperarc(NamedTuple):
+    """A set of node-disjoint base arcs moved together, as ``Hypergraph``
+    checks. ``tags`` takes part in equality and makes a hyperarc unhashable."""
 
     id: str
     kind: str
     base_arcs: tuple[BaseArc, ...]
     cost: float
     upper: int | None  # 1 or None (unbounded)
-    tags: dict = field(default_factory=dict, compare=False, hash=False)
-
-    def __post_init__(self):
-        nodes: set[Node] = set()
-        for tail, head in self.base_arcs:
-            if tail in nodes or head in nodes or tail == head:
-                raise ValueError(f"hyperarc {self.id}: base arcs are not node-disjoint")
-            nodes.add(tail)
-            nodes.add(head)
+    tags: dict = MappingProxyType({})  # read-only when omitted
 
 
 @dataclass
@@ -250,6 +244,9 @@ class Hypergraph:
         self.by_id = {h.id: h for h in self.hyperarcs}
         if len(self.by_id) != len(self.hyperarcs):
             raise ValueError("duplicate hyperarc ids")
+        for h in self.hyperarcs:  # 2k distinct nodes, so no loop and no shared node
+            if len({v for arc in h.base_arcs for v in arc}) != 2 * len(h.base_arcs):
+                raise ValueError(f"hyperarc {h.id}: base arcs are not node-disjoint")
         per_type: dict[str, int] = {}
         for node, b in self.balances.items():
             per_type[node.unit_type] = per_type.get(node.unit_type, 0) + b
@@ -512,20 +509,13 @@ def build(instance: Instance, variant: str, changes: dict | None = None) -> Hype
                                                "source": spec.source,
                                                "target": spec.target}))
 
-    nodes: dict[Node, None] = {}
-    for h in hyperarcs:
-        for tail, head in h.base_arcs:
-            nodes.setdefault(tail)
-            nodes.setdefault(head)
-    for v in balances:
-        nodes.setdefault(v)
-
+    nodes = {v for h in hyperarcs for arc in h.base_arcs for v in arc} | balances.keys()
     return Hypergraph(
         variant=variant,
         instance=instance,
-        nodes=sorted(nodes, key=_node_sort_key),
+        nodes=sorted(nodes, key=_node_sort_key),  # the key tells every two nodes apart
         hyperarcs=hyperarcs,
-        balances={v: b for v, b in balances.items()},
+        balances=balances,
         trip_arcs=trip_index,
         connection_arcs=conn_index,
     )

@@ -250,7 +250,8 @@ class ReductionVerdict:
 
 def verify_reduction(f: Cnf3, node_limit: int = 400000) -> ReductionVerdict:
     """Cross-check satisfiability against feasibility of the reduction,
-    decoding and re-checking the assignment on the feasible side."""
+    decoding and re-checking the assignment on the feasible side. A search
+    stopped at ``node_limit`` with no incumbent raises :class:`LimitExceeded`."""
     sat = brute_force_sat(f)
     inst, cert = reduce_3sat(f)
     bad = validate(inst)
@@ -258,7 +259,9 @@ def verify_reduction(f: Cnf3, node_limit: int = 400000) -> ReductionVerdict:
         raise AssertionError(f"reduction produced an invalid instance: {bad[:3]}")
     model = assemble(contract(build(inst, "HD")))
     sol = solve_ip(model, node_limit=node_limit)
-    feasible = sol.status == "Optimal"
+    if sol.status == "NodeLimit" and sol.objective is None:
+        raise LimitExceeded(f"node limit {node_limit} reached with no incumbent")
+    feasible = sol.status in ("Optimal", "NodeLimit")
     verdict = ReductionVerdict(agrees=(sat == feasible), sat=sat, feasible=feasible)
     if feasible:
         verdict.assignment = decode_assignment(f, cert, sol.values)

@@ -114,6 +114,32 @@ class TestCommands:
         assert run(["solve", "--variant", "bogus"]) == 2
         assert run(["definitely-not-a-command"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--variants", "XX"], ["solve", "--tol", "nan"],
+        ["solve", "--tol", "inf"], ["solve", "--tol", "-1"],
+        ["solve", "--node-limit", "-1"], ["compare", "--node-limit", "-1"],
+        ["project", "--trip-limit", "-1"]],
+        ids=["variants", "tol-nan", "tol-inf", "tol-negative", "solve-node-limit",
+             "compare-node-limit", "trip-limit"])
+    def test_bad_option_value_exits_two(self, capsys, argv):
+        code, out, err = _capture(capsys, [argv[0], "--canonical", "TwoTrip",
+                                           *argv[1:]])
+        assert code == 2 and out == ""
+        assert f"error: argument {argv[1]}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n-1 -2 -2 0\n",
+        "p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n1 1 2 0\n"],
+        ids=["unsat", "sat"])
+    def test_verify_reduction_stopped_search_exits_one(self, capsys, tmp_path,
+                                                       text):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(text)
+        code, out, err = _capture(capsys, ["verify-reduction", str(cnf),
+                                           "--node-limit", "0"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: node limit 0 reached")
+
     @pytest.mark.parametrize("flag", [["--exact-rational"], ["--tol", "1e-6"],
                                       ["--node-limit", "5"]],
                              ids=["exact-rational", "tol", "node-limit"])

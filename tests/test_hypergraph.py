@@ -1,11 +1,19 @@
 """Hypergraph construction, flow projection, and path decomposition."""
 
+import collections
 import dataclasses
+import sys
 
 import pytest
 
+from rollstock.composition import contract
 from rollstock.errors import DecompositionFailure, NonConservingInput
+from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import (
+    VARIANTS,
+    EventNode,
+    Hyperarc,
+    Hypergraph,
     build,
     decompose_paths,
     enumerate_changes,
@@ -13,7 +21,7 @@ from rollstock.hypergraph import (
     variant_parts,
 )
 from rollstock.instance import Composition, Connection, Depot, Instance, Trip, UnitType
-from rollstock.formulation import assemble
+from rollstock.formulation import assemble, parse_lp, write_lp
 from rollstock.solver import solve_ip
 
 
@@ -119,6 +127,37 @@ class TestBuild:
             for h in g.hyperarcs:
                 nodes = [n for arc in h.base_arcs for n in arc]
                 assert len(nodes) == len(set(nodes)), h.id
+
+    @pytest.mark.parametrize("shape", ["shared-node", "loop"])
+    def test_hypergraph_refuses_arcs_that_are_not_node_disjoint(self, two_trip,
+                                                                shape):
+        u, v, w = (EventNode("t1", side, 1, "r") for side in ("dep", "arr", "x"))
+        arcs = ((u, v), (v, w)) if shape == "shared-node" else ((u, u),)
+        with pytest.raises(ValueError, match="not node-disjoint"):
+            Hypergraph("HD", two_trip, [u, v, w],
+                       [Hyperarc("h", "TripService", arcs, 0.0, 1)], {}, {}, {})
+
+    def test_records_hash_and_compare_in_c(self):
+        # a dataclass generates its __hash__, __eq__ and __lt__ as Python
+        # code compiled from "<string>"; the graph and model records are
+        # tuples, so none of those calls happens on a split/join ladder rung
+        inst = generate(GenConfig(seed=5, lines=4, trips_per_line=8, stations=4,
+                                  split_join_fraction=0.3))
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == "<string>":
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            graphs = [build(inst, variant) for variant in VARIANTS]
+            graphs.append(contract(graphs[VARIANTS.index("HD")]))
+            for g in graphs:
+                parse_lp(write_lp(assemble(g)))
+        finally:
+            sys.setprofile(None)
+        assert [calls[name] for name in ("__hash__", "__eq__", "__lt__")] == [0, 0, 0]
 
     def test_empty_instance_builds_depot_only(self):
         inst = Instance(

@@ -12,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 linprog = pytest.importorskip("scipy.optimize").linprog
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from rollstock.analysis import SEVEN_VARIANTS, build_variant  # noqa: E402
 from rollstock.composition import contract  # noqa: E402
 from rollstock.errors import RollstockError  # noqa: E402
 from rollstock.formulation import MilpModel, Row, Variable, assemble  # noqa: E402
@@ -19,7 +20,8 @@ from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
 from rollstock.instance import canonical, dumps, loads, validate  # noqa: E402
 from rollstock.solver import (  # noqa: E402
-    dual_residual, feasibility_residual, model_arrays, solve_ip, solve_lp)
+    dual_residual, enumerate_oracle, feasibility_residual, model_arrays, solve_ip,
+    solve_lp)
 from rollstock.solver.simplex import solve_arrays, to_fraction  # noqa: E402
 
 
@@ -345,3 +347,29 @@ def test_a_mutated_instance_is_refused_with_a_typed_error(doc):
                 assemble(contract(graph))
         except RollstockError:
             pass
+
+
+@st.composite
+def _oracle_configs(draw):
+    """Genbench configs of at most 8 trips, splits included; two unit types
+    multiply the oracle's search, so they get at most 2 trips a line."""
+    unit_types = draw(st.integers(1, 2))
+    return GenConfig(seed=draw(st.integers(1, 10_000)), lines=draw(st.integers(1, 2)),
+                     trips_per_line=draw(st.integers(1, 4 - unit_types)),
+                     unit_types=unit_types, stations=draw(st.integers(2, 3)),
+                     split_join_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(cfg=_oracle_configs())
+def test_ip_equals_the_oracle_on_every_variant(cfg):
+    inst = generate(cfg)
+    assert len(inst.trips) <= 8
+    graphs: dict = {}
+    for variant in SEVEN_VARIANTS:
+        ip = solve_ip(assemble(build_variant(inst, variant, closure=False,
+                                             graphs=graphs)))
+        orc = enumerate_oracle(inst, variant)
+        assert ip.status == orc.status, variant
+        if ip.status == "Optimal":
+            assert ip.objective == pytest.approx(orc.objective, rel=0, abs=1e-6), variant

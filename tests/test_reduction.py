@@ -1,7 +1,11 @@
 """3SAT reduction: construction shape and satisfiability equivalence."""
 
+import dataclasses
+
 import pytest
 
+from rollstock import reduction
+from rollstock.errors import LimitExceeded
 from rollstock.instance import validate
 from rollstock.reduction import (
     Cnf3,
@@ -117,3 +121,21 @@ p cnf 3 2
         _, cert = reduce_3sat(f)
         asg = decode_assignment(f, cert, {f"trip.x1_start.DF": 1.0})
         assert asg == {1: False}
+
+
+class TestNodeLimit:
+    UNSAT = Cnf3(2, ((1, 1, 2), (1, -2, -2), (-1, -1, 2), (-1, -2, -2)))
+    SAT = Cnf3(2, ((1, 1, 2), (1, -2, -2), (-1, -1, 2), (1, 1, 2)))
+
+    @pytest.mark.parametrize("f", [UNSAT, SAT], ids=["unsat", "sat"])
+    def test_no_incumbent_decides_nothing(self, f):
+        with pytest.raises(LimitExceeded, match="node limit 0 reached"):
+            verify_reduction(f, node_limit=0)
+
+    def test_incumbent_at_the_limit_is_feasible(self, monkeypatch):
+        # the search stops with the optimum in hand but not proven optimal
+        solve = reduction.solve_ip
+        monkeypatch.setattr(reduction, "solve_ip", lambda model, node_limit:
+                            dataclasses.replace(solve(model), status="NodeLimit"))
+        v = verify_reduction(self.SAT, node_limit=1)
+        assert v.feasible and v.agrees and v.assignment_ok
