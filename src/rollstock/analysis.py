@@ -26,7 +26,8 @@ from .hypergraph import (DepotNode, EventNode, Hypergraph, build, change_index,
                          connection_changes, decompose_paths, variant_parts)
 from .instance import Instance
 from .ledger import Ledger, arc_pulls, levels, through_depot
-from .solver import solve_ip, solve_lp
+# perfbench/tracing.py wraps analysis.solve_lp, so the name stays here
+from .solver import solve_ip, solve_lp  # noqa: F401
 
 INFEASIBLE = float("inf")
 
@@ -181,7 +182,7 @@ def extend_C_to_HD(cg: CompositionGraph, values: dict, g_hd: Hypergraph) -> dict
     instance = cg.instance
     x: dict = {}
     ledger = Ledger(instance)
-    for a in cg.arcs:
+    for a in cg.hyperarcs:
         v = values.get(a.id, 0)
         if not v:
             continue
@@ -302,12 +303,10 @@ def cost_breakdown(instance: Instance, graph, values: dict,
     dev_rate = num(instance.costs.ending_deviation_per_unit)
     comps = instance.composition_by_id
 
+    items = [(h.id, h.kind, h.tags) for h in graph.hyperarcs]
     if isinstance(graph, CompositionGraph):
-        items = [(a.id, a.kind, a.tags) for a in graph.arcs]
         items += [(f"dev.{e.station}.{e.unit_type}.{side}", "InventoryDeviation", {})
                   for e in graph.end_inventories for side in ("surplus", "deficit")]
-    else:
-        items = [(h.id, h.kind, h.tags) for h in graph.hyperarcs]
 
     small = isinstance(graph, Hypergraph) and graph.level == "h"
     for hid, kind, tags in items:
@@ -359,25 +358,6 @@ def _closed(variant: str, closure: bool) -> str:
     return variant + "bar" if variant in ("hA", "HA") and closure else variant
 
 
-def solve_variant(instance: Instance, variant: str, mp: str,
-                  closure: bool = True, connection_constraints: bool = True,
-                  exact: bool = False, tol: float = 1e-7,
-                  node_limit: int = 200000, graph=None):
-    """(value, solution, model, graph) of one variant and mode; ``graph``
-    is the variant's graph if the caller built it already."""
-    if graph is None:
-        graph = build_variant(instance, variant, closure)
-    model = assemble(graph, ModelOptions(connection_constraints=connection_constraints
-                                         or variant == "C"))
-    if mp == "LP":
-        sol = solve_lp(model.relaxed(), tol=tol, exact=exact)
-        value = _lp_value(sol)
-    else:
-        sol = solve_ip(model, tol=tol, exact=exact, node_limit=node_limit)
-        value = INFEASIBLE if sol.status == "Infeasible" else sol.objective
-    return value, sol, model, graph
-
-
 def _lp_value(sol):
     """Objective of an LP answer; +inf if infeasible, -inf if unbounded."""
     return sol.objective if sol.status == "Optimal" else (
@@ -414,21 +394,15 @@ def _verdict(relation: str, expect: str, lhs, rhs, tol) -> str:
     raise ValueError(expect)
 
 
-def verify_theorem1(instance: Instance, mp: str = "IP", closure: bool = True,
-                    exact: bool = False, tol: float = 1e-6,
-                    values: dict | None = None) -> list[TheoremVerdict]:
-    """Check the five value relations between the models on actual solves.
+def verify_theorem1(values: dict, mp: str, closure: bool = True,
+                    exact: bool = False, tol: float = 1e-6) -> list[TheoremVerdict]:
+    """Judge the five value relations on the ``mp`` values of the variants'
+    models, solved with their connection constraints.
 
     Relations: a) HA >= HD, b) hA >= hD (both with equality under the
     closure), c) hA <= HA, d) hD <= HD, e) HD = C. A relation with a side
     that no solve proved (``None`` in ``values``) is ``Undecided``.
     """
-    if values is None:
-        values = {}
-        for variant in ("hA", "HA", "hD", "HD", "C"):
-            value, sol, _, _ = solve_variant(
-                instance, variant, mp, closure=closure, exact=exact)
-            values[variant] = _proven(value, sol)
     v = values
     cmp_tol = 0 if exact else tol
     spec = [
@@ -537,7 +511,9 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
     bound; its LP column is the relaxation solved at the root node. Plain
     ``hA``/``HA`` rows follow the ``closure`` flag (and share the model and
     solution of an ``hAbar``/``HAbar`` row under it); explicit ones always
-    use the closure.
+    use the closure. The theorem relations are judged only on models that
+    keep their connection constraints: C cannot drop them, and without them
+    the full models move units through the depot for free.
     """
     rows = []
     values_lp: dict[str, object] = {}
@@ -551,13 +527,15 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
             changes = changes or connection_changes(instance)  # fails per row, as build does
             key = _closed(variant, use_closure)
             if key not in solved:
-                solved[key] = solve_variant(
-                    instance, variant, "IP", use_closure, connection_constraints,
-                    exact, tol, node_limit,
-                    build_variant(instance, variant, use_closure, graphs, changes))
-            ip_val, ip_sol, model, graph = solved[key]
+                graph = build_variant(instance, variant, use_closure, graphs, changes)
+                model = assemble(graph, ModelOptions(connection_constraints
+                                                     or variant == "C"))
+                solved[key] = graph, model, solve_ip(model, tol=tol, exact=exact,
+                                                     node_limit=node_limit)
+            graph, model, ip_sol = solved[key]
             lp_sol = ip_sol.root
             lp_val = _lp_value(lp_sol)
+            ip_val = INFEASIBLE if ip_sol.status == "Infeasible" else ip_sol.objective
             row.n_vars, row.n_rows = model.stats()
             row.lp_value, row.ip_value = lp_val, ip_val
             row.lp_status, row.ip_status = lp_sol.status, ip_sol.status
@@ -582,11 +560,9 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
 
     verdicts: list[TheoremVerdict] = []
     needed = {"hA", "HA", "hD", "HD", "C"}
-    if needed <= set(values_ip):
-        verdicts += verify_theorem1(instance, "LP", closure, exact,
-                                    values=values_lp)
-        verdicts += verify_theorem1(instance, "IP", closure, exact,
-                                    values=values_ip)
+    if connection_constraints and needed <= set(values_ip):
+        verdicts += verify_theorem1(values_lp, "LP", closure, exact)
+        verdicts += verify_theorem1(values_ip, "IP", closure, exact)
     return ComparisonReport(instance.name, rows, verdicts, closure,
                             connection_constraints)
 

@@ -4,8 +4,10 @@ Commands: validate, build, solve, compare, project, reduce-3sat,
 verify-reduction, gen, export-lp. Exit codes: 0 success, 1 infeasible,
 violations found, a malformed instance (every command but validate refuses
 an instance that validate rejects) or a malformed DIMACS formula, 2 usage
-errors; an Undecided theorem relation does not fail. Human-readable output
-on stdout, JSON with --json; --deterministic suppresses timing fields.
+errors (among them neither or both of --instance and --canonical, and
+solve --plot with --lp or --variant C); an Undecided theorem relation does
+not fail. Human-readable output on stdout, JSON with --json;
+--deterministic suppresses timing fields.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ ALL = analysis.ALL_VARIANTS
 
 def _load_instance(args, valid: bool = True) -> inst_mod.Instance:
     """The instance; with ``valid``, refused with its first violation."""
-    if getattr(args, "canonical", None):
+    if args.canonical is not None:
         instance = inst_mod.canonical(args.canonical)
-    elif not args.instance:
-        raise SystemExit("either --instance FILE or --canonical NAME is required")
     else:
         instance = inst_mod.load(args.instance)
     if valid and (violations := inst_mod.validate(instance)):
@@ -60,12 +60,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.plot and (args.lp or args.variant == "C"):
+        print("rollstock solve: error: --plot draws the integer rotations of a "
+              "hypergraph variant, so it takes neither --lp nor --variant C",
+              file=sys.stderr)
+        return 2
     instance = _load_instance(args)
     graph = analysis.build_variant(instance, args.variant, args.closure)
     opts = ModelOptions(connection_constraints=not args.no_connection_constraints)
     model = assemble(graph, opts)
-    if args.export_lp:
-        export_lp_file(model, args.export_lp)
     if args.lp:
         sol = solve_lp(model.relaxed(), tol=args.tol, exact=args.exact_rational)
     else:
@@ -93,7 +96,7 @@ def cmd_solve(args) -> int:
             b = out["breakdown"]
             print(f"  composition={b['composition']:.4f} "
                   f"coupling={b['coupling']:.4f} deviation={b['deviation']:.4f}")
-    if args.plot and sol.status == "Optimal" and args.variant != "C":
+    if args.plot and sol.status == "Optimal":
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(analysis.rotation_svg(instance, graph, sol.values))
     return 0 if sol.status == "Optimal" else 1
@@ -199,8 +202,9 @@ def _nonnegative(kind):
 
 
 def _add_instance_args(p):
-    p.add_argument("--instance", help="instance JSON file")
-    p.add_argument("--canonical", help="built-in instance name")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance", help="instance JSON file")
+    source.add_argument("--canonical", help="built-in instance name")
 
 
 def _add_model_args(p):
@@ -239,8 +243,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_solve_args(p)
     p.add_argument("--lp", action="store_true", help="LP relaxation only")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--export-lp", metavar="PATH")
-    p.add_argument("--plot", metavar="PATH", help="write rotation SVG")
+    p.add_argument("--plot", metavar="PATH",
+                   help="write the rotation SVG of an integer hypergraph solution")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("compare", help="solve and relate all variants")

@@ -7,9 +7,9 @@ two-arc hyperarcs meeting in a common node, and all depot arcs are dropped.
 What remains of the depots is cut data: per depot node, which surviving
 arcs pull how many units out of or into the inventory up to that point in
 time, read off the depot ledger (:mod:`rollstock.ledger`) in one sweep
-over its time-sorted events. The surviving arcs keep the ids of the
-hyperarcs they came from, so solutions transfer between the two models by
-name.
+over its time-sorted events. The surviving arcs are ``Hyperarc``s of kind
+``TripArc`` or ``CompositionArc`` and keep the ids of the hyperarcs they
+came from, so solutions transfer between the two models by name.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import VariantMismatch
-from .hypergraph import Hypergraph
+from .hypergraph import Hyperarc, Hypergraph
 from .instance import Instance
 from .ledger import IN, OUT, Ledger, arc_pulls
 
@@ -34,23 +34,6 @@ class CompNode(NamedTuple):
     def short(self) -> str:
         sign = "+" if self.side == "dep" else "-"
         return f"{self.trip}{sign}:{self.comp}"
-
-
-@dataclass(frozen=True)
-class CompArc:
-    """Surviving arc (or two-arc hyperarc for splits/joins)."""
-
-    id: str
-    kind: str  # TripArc | CompositionArc
-    arcs: tuple[tuple[CompNode, CompNode], ...]
-    cost: float
-    tags: dict = field(default_factory=dict, compare=False, hash=False)
-
-    def incident_tails(self) -> set[CompNode]:
-        return {t for t, _ in self.arcs}
-
-    def incident_heads(self) -> set[CompNode]:
-        return {h for _, h in self.arcs}
 
 
 @dataclass(frozen=True)
@@ -82,33 +65,33 @@ class EndInventory:
 class CompositionGraph:
     instance: Instance
     nodes: list[CompNode]
-    arcs: list[CompArc]
+    hyperarcs: list[Hyperarc]  # kind TripArc or CompositionArc
     trip_arcs: dict[str, list[str]]
     connection_arcs: dict[str, list[str]]
     cuts: list[DepotCut]
     end_inventories: list[EndInventory]
-    by_id: dict[str, CompArc] = field(default_factory=dict)
+    by_id: dict[str, Hyperarc] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.by_id = {a.id: a for a in self.arcs}
+        self.by_id = {a.id: a for a in self.hyperarcs}
 
     def incident(self) -> tuple[dict[CompNode, list[str]], dict[CompNode, list[str]]]:
-        """(outgoing, incoming) arc ids per node, each arc counted once."""
+        """(outgoing, incoming) arc ids per node, each arc counted once: a
+        split's base arcs share their tail and a join's share their head."""
         outgoing: dict[CompNode, list[str]] = {v: [] for v in self.nodes}
         incoming: dict[CompNode, list[str]] = {v: [] for v in self.nodes}
-        for a in self.arcs:
-            for v in sorted(a.incident_tails()):
+        for a in self.hyperarcs:
+            for v in {t for t, _ in a.base_arcs}:
                 outgoing[v].append(a.id)
-            for v in sorted(a.incident_heads()):
+            for v in {h for _, h in a.base_arcs}:
                 incoming[v].append(a.id)
         return outgoing, incoming
 
     def dump(self) -> str:
         lines = []
-        for a in sorted(self.arcs, key=lambda x: x.id):
-            arcs = ",".join(f"{t.short()}>{u.short()}" for t, u in a.arcs)
-            kind = "CompositionArc" if a.kind != "TripArc" else "TripArc"
-            lines.append(f"{a.id} {kind} {a.cost:g} 1 {arcs}")
+        for a in sorted(self.hyperarcs, key=lambda x: x.id):
+            arcs = ",".join(f"{t.short()}>{u.short()}" for t, u in a.base_arcs)
+            lines.append(f"{a.id} {a.kind} {a.cost:g} {a.upper} {arcs}")
         return "\n".join(lines) + "\n"
 
 
@@ -117,16 +100,16 @@ def contract(g_hd: Hypergraph) -> CompositionGraph:
     if g_hd.variant != "HD":
         raise VariantMismatch(f"contract expects variant HD, got {g_hd.variant}")
     instance = g_hd.instance
-    arcs: list[CompArc] = []
+    arcs: list[Hyperarc] = []
     trip_index: dict[str, list[str]] = {t.id: [] for t in instance.trips}
     conn_index: dict[str, list[str]] = {c.id: [] for c in instance.connections}
 
     for h in g_hd.hyperarcs:
         if h.kind == "TripService":
             t, p = h.tags["trip"], h.tags["comp"]
-            arcs.append(CompArc(h.id, "TripArc",
-                                ((CompNode(t, "dep", p), CompNode(t, "arr", p)),),
-                                h.cost, dict(h.tags)))
+            arcs.append(Hyperarc(h.id, "TripArc",
+                                 ((CompNode(t, "dep", p), CompNode(t, "arr", p)),),
+                                 h.cost, 1, dict(h.tags)))
             trip_index[t].append(h.id)
         elif h.kind == "ConnectionChange":
             conn = instance.connection_by_id[h.tags["connection"]]
@@ -136,16 +119,16 @@ def contract(g_hd: Hypergraph) -> CompositionGraph:
             for tail, head in h.base_arcs:
                 pairs.setdefault((CompNode(tail.trip, "arr", pre_of[tail.trip]),
                                   CompNode(head.trip, "dep", post_of[head.trip])))
-            arcs.append(CompArc(h.id, "CompositionArc", tuple(sorted(pairs)),
-                                h.cost, dict(h.tags)))
+            arcs.append(Hyperarc(h.id, "CompositionArc", tuple(sorted(pairs)),
+                                 h.cost, 1, dict(h.tags)))
             conn_index[conn.id].append(h.id)
         # depot arcs (Parking, PullIn, PullOut, InventoryDeviation) are dropped
 
     # parallel contracted arcs must agree on cost (they never arise from the
     # canonical change enumeration, but the contraction relies on it)
-    by_span: dict[tuple, CompArc] = {}
+    by_span: dict[tuple, Hyperarc] = {}
     for a in arcs:
-        other = by_span.setdefault(tuple(sorted(a.arcs)), a)
+        other = by_span.setdefault(tuple(sorted(a.base_arcs)), a)
         if abs(other.cost - a.cost) > 1e-12:
             raise AssertionError(
                 f"parallel arcs {a.id} / {other.id} with different costs")
@@ -153,8 +136,8 @@ def contract(g_hd: Hypergraph) -> CompositionGraph:
     cuts, ends = _build_cut_data(instance, arcs)
     return CompositionGraph(
         instance=instance,
-        nodes=sorted({v for a in arcs for arc in a.arcs for v in arc}),
-        arcs=arcs,
+        nodes=sorted({v for a in arcs for arc in a.base_arcs for v in arc}),
+        hyperarcs=arcs,
         trip_arcs=trip_index,
         connection_arcs=conn_index,
         cuts=cuts,
@@ -163,7 +146,7 @@ def contract(g_hd: Hypergraph) -> CompositionGraph:
 
 
 def _build_cut_data(instance: Instance,
-                    arcs: list[CompArc]) -> tuple[list[DepotCut], list[EndInventory]]:
+                    arcs: list[Hyperarc]) -> tuple[list[DepotCut], list[EndInventory]]:
     ledger = Ledger(instance)
     for a in arcs:
         ledger.add(*arc_pulls(instance, a.tags), key=a.id)

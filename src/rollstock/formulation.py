@@ -76,7 +76,7 @@ def _signed(plus: list[str], minus: list[str] | tuple = ()) -> tuple[tuple[str, 
     return tuple([(k, 1.0) for k in plus] + [(k, -1.0) for k in minus])
 
 
-def _ordered_hyperarcs(g: Hypergraph) -> list:
+def _ordered_hyperarcs(g: Hypergraph | CompositionGraph) -> list:
     """Deterministic variable order: trips by departure time then id, then
     connection changes, then depot arcs, then deviations."""
     trips = sorted(g.instance.trips, key=lambda t: (t.dep_time, t.id))
@@ -93,6 +93,15 @@ def _ordered_hyperarcs(g: Hypergraph) -> list:
     return [g.by_id[i] for i in order]
 
 
+def _columns(g: Hypergraph | CompositionGraph) -> tuple[list[Variable], dict[str, str]]:
+    """One integer column per hyperarc, in ``_ordered_hyperarcs`` order, and
+    the hyperarc kind of each column."""
+    order = _ordered_hyperarcs(g)
+    return ([Variable(h.id, 0.0, None if h.upper is None else float(h.upper),
+                      integer=True, cost=float(h.cost)) for h in order],
+            {h.id: h.kind for h in order})
+
+
 def assemble(graph: Hypergraph | CompositionGraph,
              options: ModelOptions | None = None) -> MilpModel:
     """Build the MILP of one model variant."""
@@ -102,12 +111,7 @@ def assemble(graph: Hypergraph | CompositionGraph,
 
 
 def _assemble_hypergraph(g: Hypergraph, options: ModelOptions) -> MilpModel:
-    variables: list[Variable] = []
-    kinds: dict[str, str] = {}
-    for h in _ordered_hyperarcs(g):
-        variables.append(Variable(h.id, 0.0, None if h.upper is None else float(h.upper),
-                                  integer=True, cost=float(h.cost)))
-        kinds[h.id] = h.kind
+    variables, kinds = _columns(g)
 
     # the base arcs of a hyperarc are node-disjoint, so it meets a node at
     # most once and each row's coefficients come straight off the incidence
@@ -130,19 +134,7 @@ def _assemble_composition(cg: CompositionGraph, options: ModelOptions) -> MilpMo
     if not options.connection_constraints:
         raise InvalidOptions("the composition model cannot drop the connection "
                              "constraints")
-    variables: list[Variable] = []
-    kinds: dict[str, str] = {}
-
-    trips = sorted(cg.instance.trips, key=lambda t: (t.dep_time, t.id))
-    order: list[str] = []
-    for t in trips:
-        order.extend(sorted(cg.trip_arcs[t.id]))
-    for c in cg.instance.connections:
-        order.extend(sorted(cg.connection_arcs[c.id]))
-    for aid in order:
-        a = cg.by_id[aid]
-        variables.append(Variable(aid, 0.0, 1.0, integer=True, cost=float(a.cost)))
-        kinds[aid] = a.kind
+    variables, kinds = _columns(cg)
     dev_rate = float(cg.instance.costs.ending_deviation_per_unit)
     for e in cg.end_inventories:
         for side in ("surplus", "deficit"):
@@ -151,7 +143,8 @@ def _assemble_composition(cg: CompositionGraph, options: ModelOptions) -> MilpMo
             kinds[vid] = "InventoryDeviation"
 
     # an arc's tails are arrivals and its heads departures (or the reverse
-    # for a trip arc), so no arc meets a node twice
+    # for a trip arc), and ``incident`` lists a split's shared tail and a
+    # join's shared head once, so no row lists an arc twice
     rows: list[Row] = []
     outgoing, incoming = cg.incident()
     for node in cg.nodes:

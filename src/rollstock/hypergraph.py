@@ -217,7 +217,9 @@ def block_head(positions, shunt_side: str) -> int | None:
 
 class Hyperarc(NamedTuple):
     """A set of node-disjoint base arcs moved together, as ``Hypergraph``
-    checks. ``tags`` takes part in equality and makes a hyperarc unhashable."""
+    checks. A composition graph's split and join arcs share a node and are
+    not checked. ``tags`` takes part in equality and makes a hyperarc
+    unhashable."""
 
     id: str
     kind: str

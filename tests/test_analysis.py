@@ -92,38 +92,50 @@ class TestReplay:
         assert ok
 
 
+def _verdicts(inst, mp, **kwargs):
+    return [v for v in analysis.compare(inst, **kwargs).verdicts if v.mp == mp]
+
+
 class TestTheorem:
     def test_two_trip_verdicts(self, two_trip):
-        lp = analysis.verify_theorem1(two_trip, "LP", closure=True)
+        lp = _verdicts(two_trip, "LP", closure=True)
         by_rel = {v.relation: v.verdict for v in lp}
         assert by_rel["a"] == by_rel["b"] == by_rel["e"] == "EqualityHolds"
         assert by_rel["c"] == by_rel["d"] == "InequalityHolds"
 
     def test_situation2_strict_gap(self, situation2):
-        lp = analysis.verify_theorem1(situation2, "LP", closure=True)
+        lp = _verdicts(situation2, "LP", closure=True)
         by_rel = {v.relation: v for v in lp}
         assert by_rel["d"].verdict == "StrictGap"
         assert by_rel["d"].lhs < by_rel["d"].rhs
         assert by_rel["e"].verdict == "EqualityHolds"
 
     def test_situation1_ip_gap(self, situation1):
-        ip = analysis.verify_theorem1(situation1, "IP", closure=True)
+        ip = _verdicts(situation1, "IP", closure=True)
         by_rel = {v.relation: v.verdict for v in ip}
         assert by_rel["c"] == "StrictGap"
         assert by_rel["e"] == "EqualityHolds"
 
     def test_exact_mode_equalities(self, two_trip):
-        for v in analysis.verify_theorem1(two_trip, "LP", closure=True,
-                                          exact=True):
+        for v in _verdicts(two_trip, "LP", closure=True, exact=True):
             assert v.verdict in ("EqualityHolds", "InequalityHolds"), v
 
     def test_declared_arcs_weaker_than_closure(self, two_trip):
         inst = two_trip.with_direct_arcs([])  # no mid-day reuse at all
-        verdicts = analysis.verify_theorem1(inst, "IP", closure=False)
+        verdicts = _verdicts(inst, "IP", closure=False)
         by_rel = {v.relation: v for v in verdicts}
         assert by_rel["a"].verdict in ("InequalityHolds", "StrictGap",
                                        "EqualityHolds")
         assert by_rel["a"].lhs >= by_rel["a"].rhs - 1e-9
+
+    @pytest.mark.parametrize("name", sorted(canonical_instances()))
+    def test_no_verdicts_without_connection_constraints(self, name):
+        # the relations hold between models that keep one change per
+        # connection; C cannot drop those rows
+        rep = analysis.compare(canonical_instances()[name],
+                               connection_constraints=False)
+        assert not any(r.error for r in rep.rows)
+        assert rep.verdicts == []
 
 
 class TestProjection:
@@ -175,6 +187,12 @@ class TestBreakdown:
         assert bd.total == sol.objective
 
 
+def _relaxation(inst, variant, exact=False):
+    """The variant's LP relaxation, solved apart from ``compare``."""
+    model = assemble(analysis.build_variant(inst, variant)).relaxed()
+    return solve_lp(model, exact=exact)
+
+
 class TestCompare:
     def test_full_sweep_report(self, two_trip):
         rep = analysis.compare(two_trip, closure=True)
@@ -206,15 +224,15 @@ class TestCompare:
             inst = canonical_instances()[name]
         rep = analysis.compare(inst, closure=True)
         for row in rep.rows:
-            value, sol, _, _ = analysis.solve_variant(inst, row.variant, "LP")
+            sol = _relaxation(inst, row.variant)
             assert row.lp_status == sol.status, row.variant
-            assert row.lp_value == pytest.approx(value, rel=1e-9), row.variant
+            assert row.lp_value == pytest.approx(analysis._lp_value(sol),
+                                                 rel=1e-9), row.variant
 
     def test_exact_lp_column_is_the_relaxation(self, two_trip):
         rep = analysis.compare(two_trip, closure=True, exact=True)
         for row in rep.rows:
-            value, _, _, _ = analysis.solve_variant(two_trip, row.variant, "LP",
-                                                    exact=True)
+            value = analysis._lp_value(_relaxation(two_trip, row.variant, exact=True))
             assert isinstance(row.lp_value, Fraction)
             assert row.lp_value == value, row.variant
 

@@ -114,6 +114,33 @@ class TestCommands:
         assert run(["solve", "--variant", "bogus"]) == 2
         assert run(["definitely-not-a-command"]) == 2
 
+    @pytest.mark.parametrize("source", [[], ["--canonical", "TwoTrip",
+                                             "--instance", "two.json"]],
+                             ids=["neither", "both"])
+    def test_instance_source_is_one_of_two(self, capsys, source):
+        code, out, err = _capture(capsys, ["solve", *source])
+        assert code == 2 and out == ""
+        assert "usage: rollstock solve" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--canonical", "Situation2", "--variant", "hD", "--lp"],
+        ["--canonical", "TwoTrip", "--variant", "C"]], ids=["lp", "composition"])
+    def test_plot_of_no_integer_hypergraph_flow_is_usage_error(self, capsys,
+                                                               tmp_path, argv):
+        svg = tmp_path / "rot.svg"
+        code, out, err = _capture(capsys, ["solve", *argv, "--plot", str(svg)])
+        assert code == 2 and out == ""
+        assert "error: --plot" in err and "Traceback" not in err
+        assert not svg.exists()
+
+    def test_compare_without_connection_constraints_judges_nothing(self, capsys):
+        code, out, _ = _capture(capsys, [
+            "compare", "--canonical", "FlowConstraintGap",
+            "--no-connection-constraints", "--deterministic"])
+        assert code == 0
+        assert "connection_constraints=False" in out
+        assert "theorem relations" not in out and "VIOLATION" not in out
+
     @pytest.mark.parametrize("argv", [
         ["compare", "--variants", "XX"], ["solve", "--tol", "nan"],
         ["solve", "--tol", "inf"], ["solve", "--tol", "-1"],

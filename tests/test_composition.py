@@ -6,6 +6,7 @@ import pytest
 
 from rollstock.composition import DepotCut, EndInventory, contract
 from rollstock.errors import VariantMismatch
+from rollstock.formulation import assemble
 from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import build
 from rollstock.instance import (
@@ -17,6 +18,7 @@ from rollstock.instance import (
     UnitType,
     canonical_instances,
 )
+from rollstock.solver import model_arrays
 
 
 class TestContract:
@@ -31,7 +33,7 @@ class TestContract:
         assert sorted(conn) == ["chg.c1.b1.b1", "chg.c1.r1.r1", "chg.c1.r1.rr",
                                 "chg.c1.rr.r1", "chg.c1.rr.rr"]
         for aid in conn:
-            assert len(cg.by_id[aid].arcs) == 1  # plain arcs for 1-to-1
+            assert len(cg.by_id[aid].base_arcs) == 1  # plain arcs for 1-to-1
 
     def test_contract_requires_hd(self, two_trip):
         with pytest.raises(VariantMismatch):
@@ -42,7 +44,7 @@ class TestContract:
         cg = contract(g)
         hd_ids = {h.id for h in g.hyperarcs
                   if h.kind in ("TripService", "ConnectionChange")}
-        assert {a.id for a in cg.arcs} == hd_ids
+        assert {a.id for a in cg.hyperarcs} == hd_ids
 
     def test_join_becomes_two_arc_hyperarc(self):
         inst = Instance(
@@ -60,10 +62,21 @@ class TestContract:
         cg = contract(build(inst, "HD"))
         joins = cg.connection_arcs["c1"]
         assert len(joins) == 1
-        arcs = cg.by_id[joins[0]].arcs
+        arcs = cg.by_id[joins[0]].base_arcs
         assert len(arcs) == 2
         heads = {h for _, h in arcs}
         assert len(heads) == 1  # two arcs meeting in the common successor node
+        # the successor's flow row lists the join arc once, with coefficient +1
+        model = assemble(cg)
+        (head,) = heads
+        row = next(r for r in model.rows
+                   if r.id == f"flow.{head.trip}.{head.side}.{head.comp}")
+        assert [c for v, c in row.coeffs if v == joins[0]] == [1.0]
+        # nor does any flow row count an arc twice once the arrays sum it
+        # (the end-inventory rows count two staged units as 2)
+        form = model_arrays(model)
+        in_flow = [form.row_ids[i].startswith("flow.") for i in form.nz[1]]
+        assert set(abs(form.nz[2][in_flow])) == {1.0}
 
     def test_empty_instance_has_no_composition_nodes(self):
         inst = Instance(
@@ -72,7 +85,7 @@ class TestContract:
             depots=(Depot("A", "r", 1, 1),), n_max=1)
         cg = contract(build(inst, "HD"))
         assert cg.nodes == []
-        assert cg.arcs == []
+        assert cg.hyperarcs == []
 
 
 class TestCutData:
@@ -169,7 +182,7 @@ class TestCutSweep:
     def test_canonical_cuts_match_rescan(self, name):
         inst = canonical_instances()[name]
         cg = contract(build(inst, "HD"))
-        cuts, ends, _ = _rescan_cut_data(inst, cg.arcs)
+        cuts, ends, _ = _rescan_cut_data(inst, cg.hyperarcs)
         assert cg.cuts == cuts
         assert cg.end_inventories == ends
 
@@ -177,7 +190,7 @@ class TestCutSweep:
     def test_generated_cuts_match_rescan(self, cfg):
         inst = generate(cfg)
         cg = contract(build(inst, "HD"))
-        cuts, ends, moves = _rescan_cut_data(inst, cg.arcs)
+        cuts, ends, moves = _rescan_cut_data(inst, cg.hyperarcs)
         both_ways = [evs for evs in moves.values()
                      if {tau for tau, d, _, _ in evs if d == "in"}
                      & {tau for tau, d, _, _ in evs if d == "out"}]
