@@ -204,7 +204,8 @@ def _nonnegative(kind):
 def _add_instance_args(p):
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--instance", help="instance JSON file")
-    source.add_argument("--canonical", help="built-in instance name")
+    source.add_argument("--canonical", choices=inst_mod.CANONICAL_NAMES,
+                        help="built-in instance name")
 
 
 def _add_model_args(p):

@@ -684,19 +684,17 @@ def _flow_constraint_gap() -> Instance:
     )
 
 
+_CATALOG = {"TwoTrip": _two_trip, "Situation1": _situation1, "Situation2": _situation2,
+            "FlowConstraintGap": _flow_constraint_gap}
+CANONICAL_NAMES = tuple(_CATALOG)  # the built-in instances, known without building them
+
+
 def canonical_instances() -> dict[str, Instance]:
     """Named catalog of built-in instances."""
-    return {
-        "TwoTrip": _two_trip(),
-        "Situation1": _situation1(),
-        "Situation2": _situation2(),
-        "FlowConstraintGap": _flow_constraint_gap(),
-    }
+    return {name: make() for name, make in _CATALOG.items()}
 
 
 def canonical(name: str) -> Instance:
-    cat = canonical_instances()
-    if name not in cat:
-        raise NotFound(f"no canonical instance named {name!r}; "
-                       f"known: {sorted(cat)}")
-    return cat[name]
+    if name not in _CATALOG:
+        raise NotFound(f"no canonical instance named {name!r}; known: {sorted(_CATALOG)}")
+    return _CATALOG[name]()

@@ -85,28 +85,22 @@ class ArrayForm:
 
 
 def model_arrays(model: MilpModel) -> ArrayForm:
-    """The array form of a model; a variable repeated in a row sums, in the
-    row's order, and an entry that sums to 0 is left out."""
-    var_ids = [v.id for v in model.variables]
-    index = {vid: i for i, vid in enumerate(var_ids)}
-    n, m = len(var_ids), len(model.rows)
-    slack = np.array([{"<=": 1.0, ">=": -1.0}.get(r.sense, 0.0) for r in model.rows])
+    """The array form of a model, its terms re-sorted into columns; a variable
+    repeated in a row sums, in the row's order, and a sum of 0 is left out."""
+    n, m = len(model.var_ids), len(model.row_ids)
+    slack = np.array([{"<=": 1.0, ">=": -1.0}.get(s, 0.0) for s in model.senses])
     has = np.flatnonzero(slack)
     width = n + len(has)
-    cols = [index[vid] for r in model.rows for vid, _ in r.coeffs] + [*range(n, width)]
-    rows = np.r_[np.repeat(np.arange(m), [len(r.coeffs) for r in model.rows]), has]
-    vals = [a for r in model.rows for _, a in r.coeffs] + slack[has].tolist()
+    cols = np.r_[model.cols, np.arange(n, width)]
+    rows = np.r_[np.repeat(np.arange(m), np.diff(model.indptr)), has]
     # one key per entry, in column order; bincount sums repeats in the order given
-    keys, at = np.unique(np.array(cols, int) * m + rows, return_inverse=True)
-    vals = np.bincount(at, vals)
+    keys, at = np.unique(cols * m + rows, return_inverse=True)
+    vals = np.bincount(at, np.r_[model.vals, slack[has]])
     nz = (*np.divmod(keys[vals != 0], m), vals[vals != 0])
     c, lb, ub = np.zeros(width), np.zeros(width), np.full(width, INF)
-    c[:n] = [v.cost for v in model.variables]
-    lb[:n] = [v.lower for v in model.variables]
-    ub[:n] = [INF if v.upper is None else v.upper for v in model.variables]
-    return ArrayForm(c, nz, np.array([r.rhs for r in model.rows], dtype=float), lb, ub,
-                     np.array([v.integer for v in model.variables], dtype=bool),
-                     var_ids, [r.id for r in model.rows], slack)
+    c[:n], lb[:n], ub[:n] = model.cost, model.lower, model.upper
+    return ArrayForm(c, nz, model.rhs.copy(), lb, ub, model.integer.copy(),
+                     model.var_ids, model.row_ids, slack)
 
 
 def _lp_solution(form: ArrayForm, res: SimplexResult, tol: float,

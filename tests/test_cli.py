@@ -122,6 +122,17 @@ class TestCommands:
         assert code == 2 and out == ""
         assert "usage: rollstock solve" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["validate"], ["build"], ["solve"], ["compare"],
+                                         ["project"], ["export-lp", "--out", "x.lp"]],
+                             ids=lambda c: c[0])
+    def test_unknown_canonical_name_is_usage_error(self, capsys, tmp_path,
+                                                   monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _capture(capsys, [*command, "--canonical", "Nope"])
+        assert code == 2 and out == ""
+        assert "error: argument --canonical: invalid choice: 'Nope'" in err
+        assert "Traceback" not in err and not (tmp_path / "x.lp").exists()
+
     @pytest.mark.parametrize("argv", [
         ["--canonical", "Situation2", "--variant", "hD", "--lp"],
         ["--canonical", "TwoTrip", "--variant", "C"]], ids=["lp", "composition"])

@@ -1,8 +1,10 @@
 """MILP assembly and LP file format round-trips."""
 
+import collections
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -10,6 +12,8 @@ from rollstock.composition import contract
 from rollstock.errors import InvalidOptions, MalformedInstance
 from rollstock.formulation import (
     ModelOptions,
+    Row,
+    Variable,
     assemble,
     models_equal,
     parse_lp,
@@ -158,6 +162,7 @@ class TestLpFormat:
         (" obj: 2 x", " obj: 2 z", 3),                  # a variable with no Bounds line
         ("Generals\n x\n", "Generals\n z\n", 10),     # an integer variable with no bounds
         (" 0 <= x <= 1\n", " 0 <= x <= 1\n 0 <= x\n", 9),  # bounds given twice
+        ("Generals\n x\n", "Generals\n x\n x\n", 11),    # an integer variable listed twice
         ("End\n", "End\n x\n", 12),                    # a line after End
         ("Subject To\n", "Bounds\nSubject To\n", 4),   # sections out of order
         ("\\ rollstock model small\n", "", 1),         # no header comment
@@ -172,6 +177,33 @@ class TestLpFormat:
     def test_text_without_obj_or_end_is_refused(self, text):
         with pytest.raises(MalformedInstance):
             parse_lp(text)
+
+
+class TestModelArrays:
+    def test_the_model_path_builds_no_record(self):
+        # the L=4 HAbar ladder goes from assemble to models_equal as arrays;
+        # reading model.rows afterwards shows that the count sees records
+        from rollstock.solver import model_arrays
+        graph = build(generate(GenConfig(seed=5, lines=4, trips_per_line=8, stations=4)),
+                      "HAbar")
+        codes = {Row.__new__.__code__: "Row", Variable.__new__.__code__: "Variable"}
+        made = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                made[codes[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            model = assemble(graph)
+            model_arrays(model)
+            same = models_equal(model, parse_lp(write_lp(model)))
+            on_path = dict(made)
+            rows = model.rows
+        finally:
+            sys.setprofile(None)
+        assert same and on_path == {}
+        assert made == {"Row": len(rows)}
 
 
 class TestGoldenHashes:

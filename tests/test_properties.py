@@ -15,12 +15,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from rollstock.analysis import SEVEN_VARIANTS, build_variant  # noqa: E402
 from rollstock.composition import contract  # noqa: E402
 from rollstock.errors import RollstockError  # noqa: E402
-from rollstock.formulation import MilpModel, Row, Variable, assemble  # noqa: E402
+from rollstock.formulation import (  # noqa: E402
+    MilpModel, Row, Variable, assemble, parse_lp, write_lp)
 from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
 from rollstock.instance import canonical, dumps, loads, validate  # noqa: E402
 from rollstock.solver import (  # noqa: E402
-    dual_residual, enumerate_oracle, feasibility_residual, model_arrays, solve_ip,
+    ArrayForm, dual_residual, enumerate_oracle, feasibility_residual, model_arrays, solve_ip,
     solve_lp)
 from rollstock.solver.simplex import solve_arrays, to_fraction  # noqa: E402
 
@@ -373,3 +374,70 @@ def test_ip_equals_the_oracle_on_every_variant(cfg):
         assert ip.status == orc.status, variant
         if ip.status == "Optimal":
             assert ip.objective == pytest.approx(orc.objective, rel=0, abs=1e-6), variant
+
+
+def _record_arrays(variables, rows):
+    """``model_arrays`` as it was computed from ``Variable`` and ``Row``
+    records, kept here to check the array path against."""
+    var_ids = [v.id for v in variables]
+    index = {vid: i for i, vid in enumerate(var_ids)}
+    n, m = len(var_ids), len(rows)
+    slack = np.array([{"<=": 1.0, ">=": -1.0}.get(r.sense, 0.0) for r in rows])
+    has = np.flatnonzero(slack)
+    width = n + len(has)
+    cols = [index[vid] for r in rows for vid, _ in r.coeffs] + [*range(n, width)]
+    rows_of = np.r_[np.repeat(np.arange(m), [len(r.coeffs) for r in rows]), has]
+    vals = [a for r in rows for _, a in r.coeffs] + slack[has].tolist()
+    keys, at = np.unique(np.array(cols, int) * m + rows_of, return_inverse=True)
+    vals = np.bincount(at, vals)
+    nz = (*np.divmod(keys[vals != 0], m), vals[vals != 0])
+    c, lb, ub = np.zeros(width), np.zeros(width), np.full(width, math.inf)
+    c[:n] = [v.cost for v in variables]
+    lb[:n] = [v.lower for v in variables]
+    ub[:n] = [math.inf if v.upper is None else v.upper for v in variables]
+    return ArrayForm(c, nz, np.array([r.rhs for r in rows], dtype=float), lb, ub,
+                     np.array([v.integer for v in variables], dtype=bool), var_ids,
+                     [r.id for r in rows], slack)
+
+
+def _assert_bit_identical(form, want):
+    for got, w in zip((form.c, *form.nz, form.b, form.lb, form.ub, form.integer, form.slack),
+                      (want.c, *want.nz, want.b, want.lb, want.ub, want.integer, want.slack)):
+        assert got.dtype == w.dtype and got.shape == w.shape and got.tobytes() == w.tobytes()
+    assert (form.var_ids, form.row_ids) == (want.var_ids, want.row_ids)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(cfg=_oracle_configs(), closure=st.booleans())
+def test_the_array_path_equals_the_record_path(cfg, closure):
+    # on every variant: model_arrays on the assembled arrays is bit for bit
+    # the record-based computation on model.variables and model.rows, and
+    # the LP text reads back to the same arrays and writes the same text
+    inst = generate(cfg)
+    for variant in SEVEN_VARIANTS:
+        model = assemble(build_variant(inst, variant, closure=closure))
+        want = _record_arrays(model.variables, model.rows)
+        _assert_bit_identical(model_arrays(model), want)
+        text = write_lp(model)
+        back = parse_lp(text)
+        assert write_lp(back) == text, variant
+        assert (back.var_ids, back.row_ids, back.senses) == \
+               (model.var_ids, model.row_ids, model.senses)
+        for name in ("cost", "lower", "upper", "integer", "rhs", "indptr", "cols", "vals"):
+            assert getattr(back, name).tobytes() == getattr(model, name).tobytes(), name
+        _assert_bit_identical(model_arrays(back), want)
+
+
+def test_a_hand_built_row_keeps_its_terms_in_text_and_sums_them_for_the_solver():
+    model = MilpModel("handed", [Variable("x", 0.0, 5.0, False, 1.0),
+                                 Variable("y", 0.0, None, True, 2.0)],
+                      [Row("r", (("x", 0.1), ("y", 0.0), ("x", 0.2)), "<=", 4.0)])
+    assert model.rows[0].coeffs == (("x", 0.1), ("y", 0.0), ("x", 0.2))
+    assert " r: 0.10000000000000001 x + 0 y + 0.20000000000000001 x <= 4\n" \
+        in write_lp(model)
+    _assert_bit_identical(model_arrays(model), _record_arrays(model.variables, model.rows))
+    form = model_arrays(model)
+    assert [a.tolist() for a in form.nz] == [[0, 2], [0, 0], [0.1 + 0.2, 1.0]]
+    back = parse_lp(write_lp(model))  # the text reads back as written but for the zero
+    assert back.rows[0].coeffs == (("x", 0.1), ("x", 0.2))
+    _assert_bit_identical(model_arrays(back), form)
