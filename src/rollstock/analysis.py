@@ -22,10 +22,10 @@ from fractions import Fraction
 from .composition import CompositionGraph, contract
 from .errors import CutViolated, LimitExceeded, MissingPathBackref
 from .formulation import ModelOptions, assemble
-from .hypergraph import (DepotNode, EventNode, Hypergraph, build, change_index,
+from .hypergraph import (DepotNode, EventNode, Hypergraph, build, change_index, change_key,
                          connection_changes, decompose_paths, variant_parts)
 from .instance import Instance
-from .ledger import Ledger, arc_pulls, levels, through_depot
+from .ledger import Ledger, arc_pulls, levels, through_depot, walk
 # perfbench/tracing.py wraps analysis.solve_lp, so the name stays here
 from .solver import solve_ip, solve_lp  # noqa: F401
 
@@ -226,53 +226,35 @@ def extend_C_to_HD(cg: CompositionGraph, values: dict, g_hd: Hypergraph) -> dict
 # ---------------------------------------------------------------------------
 
 def replay_in_full(instance: Instance, g_small: Hypergraph, values: dict,
-                   tol: float = 1e-6, changes: dict | None = None) -> tuple[bool, str]:
+                   tol: float = 1e-6) -> tuple[bool, str]:
     """Check whether a small-variant integer solution lifts to the full model.
 
-    The lift assigns a composition to every trip and requires every selected
-    merged connection hyperarc to come from a legal composition change
-    between the assigned compositions with exactly the same continuing
-    movements. Failure certifies an illegal coupling. ``changes`` are those
-    of ``connection_changes``, if the caller has them.
+    The lift gives each trip one of the compositions in its selected trip
+    arc's ``sources`` tag, taken from the one walk over trip choices
+    (:func:`rollstock.ledger.walk`). A selected merged connection arc
+    accepts the lift when its ``sources`` hold the change between the
+    assigned compositions: ``build`` merges the changes of a connection by
+    their continuing movements, so that is a legal change with exactly the
+    arc's movements. Failure certifies an illegal coupling.
     """
-    comps = instance.composition_by_id
-    seq_choice: dict[str, tuple[str, ...]] = {}
-    for t, hids in g_small.trip_arcs.items():
-        for hid in hids:
-            if values.get(hid, 0) > 1 - tol:
-                seq_choice[t] = g_small.by_id[hid].tags["seq"]
-    if len(seq_choice) != len(instance.trips):
+    def selected(index: dict) -> dict:
+        return {k: g_small.by_id[hid].tags["sources"] for k, hids in index.items()
+                for hid in hids if values.get(hid, 0) > 1 - tol}
+
+    compositions = selected(g_small.trip_arcs)
+    if len(compositions) != len(instance.trips):
         return False, "not every trip runs exactly one composition"
+    merged = selected(g_small.connection_arcs)
 
-    chosen_arc: dict[str, object] = {}
-    for c, hids in g_small.connection_arcs.items():
-        for hid in hids:
-            if values.get(hid, 0) > 1 - tol:
-                chosen_arc[c] = g_small.by_id[hid]
+    def accepted(conn, chosen) -> list:
+        if conn.id not in merged:
+            return [None]  # no change selected (connection constraints off)
+        key = change_key(conn.id, tuple(chosen[t] for t in conn.predecessors),
+                         tuple(chosen[t] for t in conn.successors))
+        return [key] if key in merged[conn.id] else []
 
-    candidates = {t: sorted(p for p in instance.trip_by_id[t].allowed_compositions
-                            if comps[p].units == seq_choice[t])
-                  for t in seq_choice}
-    changes = change_index(changes or connection_changes(instance))
-    trip_ids = sorted(candidates)
-    for combo in itertools.product(*(candidates[t] for t in trip_ids)):
-        assign = dict(zip(trip_ids, combo))
-        ok = True
-        for conn in instance.connections:
-            arc = chosen_arc.get(conn.id)
-            if arc is None:
-                continue  # no change selected (connection constraints off)
-            want = frozenset(((a.trip, a.position, a.unit_type),
-                              (b.trip, b.position, b.unit_type))
-                             for a, b in arc.base_arcs)
-            ch = changes[conn.id].get((tuple(assign[t] for t in conn.predecessors),
-                                       tuple(assign[t] for t in conn.successors)))
-            if ch is None or want != frozenset(((tp, a, r), (ts, b, r))
-                                               for (tp, a, ts, b, r) in ch.continuing):
-                ok = False
-                break
-        if ok:
-            return True, ""
+    for _ in walk(instance, compositions, accepted):
+        return True, ""
     return False, ("no composition labeling admits the selected changes; "
                    "the aggregated solution uses an illegal coupling")
 
@@ -375,13 +357,13 @@ def _verdict(relation: str, expect: str, lhs, rhs, tol) -> str:
     if lhs == INFEASIBLE and rhs == INFEASIBLE:
         return "EqualityHolds"
     if lhs == INFEASIBLE:
-        return "InequalityHolds" if expect in ("ge", "eq-if-closure") else "VIOLATION"
+        return "InequalityHolds" if expect == "ge" else "VIOLATION"
     if rhs == INFEASIBLE:
-        return "VIOLATION" if expect in ("ge", "eq", "eq-if-closure") else "StrictGap"
+        return "VIOLATION" if expect in ("ge", "eq") else "StrictGap"
     diff = lhs - rhs
     scale = 1 + abs(lhs) + abs(rhs)
     equal = abs(diff) <= tol * scale if tol else diff == 0
-    if expect in ("eq", "eq-if-closure"):
+    if expect == "eq":
         return "EqualityHolds" if equal else "VIOLATION"
     if expect == "ge":  # lhs >= rhs
         if equal:
@@ -406,8 +388,8 @@ def verify_theorem1(values: dict, mp: str, closure: bool = True,
     v = values
     cmp_tol = 0 if exact else tol
     spec = [
-        ("a", "HA", "HD", "eq-if-closure" if closure else "ge"),
-        ("b", "hA", "hD", "eq-if-closure" if closure else "ge"),
+        ("a", "HA", "HD", "eq" if closure else "ge"),
+        ("b", "hA", "hD", "eq" if closure else "ge"),
         ("c", "hA", "HA", "le"),
         ("d", "hD", "HD", "le"),
         ("e", "HD", "C", "eq"),
@@ -429,8 +411,9 @@ def _integer_solution_sets(instance: Instance, trip_limit: int = 8,
     """All integer solutions of HAbar / HD / C projected onto the shared
     trip and change coordinates, as three sets of frozensets of arc ids.
 
-    Every selection is enumerated; HD and HAbar judge it with the depot
-    ledger, C with the cut rows of its assembled model."""
+    The one walk over trip compositions (:func:`rollstock.ledger.walk`)
+    gives every selection; HD and HAbar judge it with the depot ledger, C
+    with the cut rows of its assembled model."""
     if len(instance.trips) > trip_limit:
         raise LimitExceeded(f"{len(instance.trips)} trips exceeds projection limit")
     comps = instance.composition_by_id
@@ -439,37 +422,33 @@ def _integer_solution_sets(instance: Instance, trip_limit: int = 8,
     depots = {(d.station, d.unit_type): d for d in instance.all_depots()}
     cut_rows = contract(build(instance, "HD", per_conn)).cuts
 
+    def conn_options(conn, chosen) -> list:
+        ch = changes[conn.id].get((tuple(chosen[t] for t in conn.predecessors),
+                                   tuple(chosen[t] for t in conn.successors)))
+        opts = [] if ch is None else [(ch.key, ch.uncoupled, ch.coupled)]
+        if not connection_constraints:
+            opts.append((None, *through_depot(conn, {
+                t: comps[chosen[t]].units for t in (*conn.predecessors, *conn.successors)})))
+        return opts
+
     sets = {"HAbar": set(), "HD": set(), "C": set()}
-    trip_ids = [t.id for t in instance.trips]
-    options = [sorted(t.allowed_compositions) for t in instance.trips]
-    for combo in itertools.product(*options):
-        chosen = dict(zip(trip_ids, combo))
+    trip_options = {t.id: sorted(t.allowed_compositions) for t in instance.trips}
+    for chosen, options, _ in walk(instance, trip_options, conn_options):
         units_of = {t: comps[p].units for t, p in chosen.items()}
-        pick_lists = []
-        for conn in instance.connections:
-            ch = changes[conn.id].get((tuple(chosen[t] for t in conn.predecessors),
-                                       tuple(chosen[t] for t in conn.successors)))
-            opts = [] if ch is None else [(ch.key, ch.uncoupled, ch.coupled)]
-            if not connection_constraints:
-                opts.append((None, *through_depot(conn, units_of)))
-            if not opts:
-                break
-            pick_lists.append(opts)
-        else:
-            trip_arcs = [f"trip.{t}.{chosen[t]}" for t in trip_ids]
-            for pick in itertools.product(*pick_lists):
-                key = frozenset(trip_arcs + [aid for (aid, _, _) in pick if aid])
-                ledger = Ledger.of_selection(instance, units_of,
-                                             [(pi, po) for (_, pi, po) in pick])
-                if ledger.prefix_ok(depots):
-                    sets["HD"].add(key)
-                if ledger.matching_ok(depots):
-                    sets["HAbar"].add(key)
-                if connection_constraints and all(
-                        cut.start - sum(n for aid, n in cut.outs if aid in key)
-                        + sum(n for aid, n in cut.ins if aid in key) >= 0
-                        for cut in cut_rows):
-                    sets["C"].add(key)
+        trip_arcs = [f"trip.{t}.{p}" for t, p in chosen.items()]
+        for pick in itertools.product(*(options[c.id] for c in instance.connections)):
+            key = frozenset(trip_arcs + [aid for (aid, _, _) in pick if aid])
+            ledger = Ledger.of_selection(instance, units_of,
+                                         [(pi, po) for (_, pi, po) in pick])
+            if ledger.prefix_ok(depots):
+                sets["HD"].add(key)
+            if ledger.matching_ok(depots):
+                sets["HAbar"].add(key)
+            if connection_constraints and all(
+                    cut.start - sum(n for aid, n in cut.outs if aid in key)
+                    + sum(n for aid, n in cut.ins if aid in key) >= 0
+                    for cut in cut_rows):
+                sets["C"].add(key)
     return sets
 
 
@@ -550,8 +529,7 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
                         if h.kind == "ConnectionChange" and h.tags.get("replace")
                         and ip_sol.values.get(h.id, 0) > 0.5)
                 if isinstance(graph, Hypergraph) and graph.level == "h":
-                    ok, reason = replay_in_full(instance, graph, ip_sol.values,
-                                                changes=changes)
+                    ok, reason = replay_in_full(instance, graph, ip_sol.values)
                     row.replay_ok, row.replay_reason = ok, reason
         except Exception as e:  # report per-variant failures, keep going
             row.error = f"{type(e).__name__}: {e}"

@@ -4,10 +4,10 @@ Commands: validate, build, solve, compare, project, reduce-3sat,
 verify-reduction, gen, export-lp. Exit codes: 0 success, 1 infeasible,
 violations found, a malformed instance (every command but validate refuses
 an instance that validate rejects) or a malformed DIMACS formula, 2 usage
-errors (among them neither or both of --instance and --canonical, and
-solve --plot with --lp or --variant C); an Undecided theorem relation does
-not fail. Human-readable output on stdout, JSON with --json;
---deterministic suppresses timing fields.
+errors (among them neither or both of --instance and --canonical, an
+out-of-range gen option, and solve --plot with --lp or --variant C); an
+Undecided theorem relation does not fail. Human-readable output on
+stdout, JSON with --json; --deterministic suppresses timing fields.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import analysis, genbench, instance as inst_mod, reduction
-from .errors import MalformedInstance, RollstockError
+from .errors import ConfigError, MalformedInstance, RollstockError
 from .formulation import ModelOptions, assemble, export_lp_file
 from .solver import solve_ip, solve_lp
 
@@ -170,6 +170,11 @@ def cmd_gen(args) -> int:
                              unit_types=args.unit_types, n_max=args.n_max,
                              stations=args.stations,
                              split_join_fraction=args.split_fraction)
+    try:
+        cfg.check()
+    except ConfigError as e:  # an out-of-range option value is a usage error
+        print(f"rollstock gen: error: {e}", file=sys.stderr)
+        return 2
     instance = genbench.generate(cfg)
     inst_mod.save(instance, args.out)
     print(f"wrote {args.out}: {len(instance.trips)} trips, "

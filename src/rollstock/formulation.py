@@ -345,8 +345,8 @@ def parse_lp(text: str) -> MilpModel:
     with one id a line, and ``End``. Variables come in ``Bounds`` order, the
     model's order. Row terms are kept as written but for a 0 coefficient,
     and a variable repeated in the objective sums. A term naming ``+`` is
-    refused, and so are an undeclared variable's terms in a row unless they
-    cancel. Any other line raises :class:`MalformedInstance`."""
+    refused, and so is a nonzero term of a variable that ``Bounds`` does not
+    declare. Any other line raises :class:`MalformedInstance`."""
     lines = text.splitlines() or [""]
 
     def bad(k: int) -> MalformedInstance:
@@ -372,15 +372,9 @@ def parse_lp(text: str) -> MilpModel:
     cols = np.fromiter(map(rows.index.get, names, repeat(-1)), np.intp, len(names))
     keep = values != 0
     row, cols, vals = row[keep], cols[keep], values[keep]
-    if (cols < 0).any():  # an undeclared variable's terms in a row must cancel
-        sums: dict = {}
-        out = cols < 0
-        for r, vid, c in zip(row[out].tolist(), np.array(names, dtype=object)[keep][out],
-                             vals[out].tolist()):
-            sums[r, vid] = sums.get((r, vid), 0.0) + c
-        if left := [r for (r, _), c in sums.items() if c != 0]:
-            raise bad(3 if left[0] == 0 else 4 + left[0])  # obj is line 3, row r line 4 + r
-        row, cols, vals = row[cols >= 0], cols[cols >= 0], vals[cols >= 0]
+    if (cols < 0).any():  # a term names a variable that Bounds does not declare
+        r = int(row[np.argmax(cols < 0)])
+        raise bad(3 if r == 0 else 4 + r)  # obj is line 3, row r line 4 + r
     ptr = np.searchsorted(row, np.arange(len(counts) + 1))  # row r's terms from ptr[r]
     cost, integer = np.zeros(n), np.zeros(n, dtype=bool)
     np.add.at(cost, cols[:ptr[1]], vals[:ptr[1]])  # an id repeated in obj sums in order

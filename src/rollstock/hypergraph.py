@@ -123,10 +123,15 @@ class Change(NamedTuple):
 
     @property
     def key(self) -> str:
-        return f"chg.{self.connection}." + ".".join(self.pre + self.post)
+        return change_key(self.connection, self.pre, self.post)
 
     def is_replace(self) -> bool:
         return bool(self.uncoupled) and bool(self.coupled)
+
+
+def change_key(connection: str, pre: tuple[str, ...], post: tuple[str, ...]) -> str:
+    """Id of the change that runs ``pre`` before and ``post`` after a connection."""
+    return f"chg.{connection}." + ".".join(pre + post)
 
 
 def _match_one_to_one(before: tuple[str, ...], after: tuple[str, ...], unc_side: str,

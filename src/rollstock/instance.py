@@ -423,44 +423,28 @@ def closure_arcs(instance: Instance, mode: str = "closure") -> list[DirectArcSpe
 
     ``closure`` enumerates every time- and station-feasible shortcut past a
     depot (including access to the start and end inventories); ``declared``
-    expands the instance-supplied arc list plus the always-present inventory
-    arcs. The declared set is a subset of the closure on valid instances.
+    keeps the always-present inventory arcs and the closure arcs that the
+    instance declares, and raises :class:`UnknownDepot` naming a declared
+    arc outside the closure.
     """
     if mode not in ("declared", "closure"):
         raise ValueError(f"unknown mode {mode}")
-    trips = instance.trip_by_id
     ins = _pull_events(instance, IN)
     outs = _pull_events(instance, OUT)
-    arcs: list[DirectArcSpec] = []
-
     horizon_end = max((t.arr_time for t in instance.trips), default=0) + 1
-
-    # inventory access exists in both modes
-    for (st, u, tid, tau) in outs:
-        arcs.append(DirectArcSpec(u, INITIAL, tid, st, 0, tau))
-    for (st, u, tid, tau) in ins:
-        arcs.append(DirectArcSpec(u, tid, TERMINAL, st, tau, horizon_end))
-
-    if mode == "closure":
-        for (st_i, u_i, t_i, tau_i) in ins:
-            for (st_o, u_o, t_o, tau_o) in outs:
-                if st_i == st_o and u_i == u_o and tau_i <= tau_o:
-                    arcs.append(DirectArcSpec(u_i, t_i, t_o, st_i, tau_i, tau_o))
-    else:
-        by_key_in = {(st, u, t): tau for (st, u, t, tau) in ins}
-        by_key_out = {(st, u, t): tau for (st, u, t, tau) in outs}
-        for (u, src, dst) in (instance.direct_arcs or ()):
-            if src == INITIAL or dst == TERMINAL:
-                continue  # inventory arcs are implicit
-            if src not in trips or dst not in trips:
-                raise UnknownDepot(f"direct arc ({u}, {src}, {dst}) references unknown trips")
-            st = trips[src].arr_station
-            tau_i = by_key_in.get((st, u, src))
-            tau_o = by_key_out.get((st, u, dst))
-            if tau_i is None or tau_o is None:
-                raise UnknownDepot(f"direct arc ({u}, {src}, {dst}) has no depot events")
-            arcs.append(DirectArcSpec(u, src, dst, st, tau_i, tau_o))
-
+    arcs = [DirectArcSpec(u, INITIAL, tid, st, 0, tau) for (st, u, tid, tau) in outs]
+    arcs += [DirectArcSpec(u, tid, TERMINAL, st, tau, horizon_end)
+             for (st, u, tid, tau) in ins]
+    arcs += [DirectArcSpec(u_i, t_i, t_o, st_i, tau_i, tau_o)
+             for (st_i, u_i, t_i, tau_i) in ins for (st_o, u_o, t_o, tau_o) in outs
+             if st_i == st_o and u_i == u_o and tau_i <= tau_o]
+    if mode == "declared":
+        declared = {tuple(a) for a in instance.direct_arcs or ()}
+        if outside := declared - {a.key for a in arcs}:
+            raise UnknownDepot("direct arc ({}, {}, {}) is not in the closure"
+                               .format(*min(outside)))
+        arcs = [a for a in arcs
+                if a.source == INITIAL or a.target == TERMINAL or a.key in declared]
     arcs.sort(key=lambda a: (a.station, a.unit_type, a.pull_in_time, a.pull_out_time,
                              a.source, a.target))
     return arcs

@@ -17,6 +17,10 @@ A selection names pulled positions ``(trip, position, unit_type)``; a
 a selection with :meth:`Ledger.prefix_ok` (depot variants) or
 :meth:`Ledger.matching_ok` (direct-arc variants); the composition model's
 cut rows and the C to HD extension are sweeps over the same events.
+
+Every ground truth asks which choice of an option per trip and per
+connection a model accepts. :func:`walk` enumerates those choices once for
+the oracle, the projection check and the small-variant replay.
 """
 
 from __future__ import annotations
@@ -51,6 +55,44 @@ def arc_pulls(instance, tags) -> tuple:
     if "trip" in tags:
         return staging(instance, tags["trip"], tags["seq"])
     return tags.get("uncoupled", ()), tags.get("coupled", ())
+
+
+def walk(instance, trip_options: dict, conn_options, cost=None, bound=None):
+    """Every choice of one option per trip whose connections all have an
+    option, depth first over the trips in timetable order and each trip's
+    options in the order given.
+
+    ``conn_options(conn, chosen)`` lists a connection's options once its
+    last trip is chosen; a branch where it lists none is cut, and so is one
+    whose summed ``cost(trip, option)`` reaches ``bound()``. Yields
+    ``(chosen, options, trip_cost)``: the option per trip id and the option
+    list per connection id, live dicts that the next step changes.
+    """
+    order = sorted(instance.trips, key=lambda t: (t.dep_time, t.id))
+    pos = {t.id: i for i, t in enumerate(order)}
+    due: list[list] = [[] for _ in order]
+    for conn in instance.connections:
+        due[max(pos[t] for t in (*conn.predecessors, *conn.successors))].append(conn)
+    chosen: dict = {}
+    options: dict = {}
+
+    def descend(i: int, partial: float):
+        if bound is not None and partial >= bound():
+            return
+        if i == len(order):
+            yield chosen, options, partial
+            return
+        t = order[i]
+        for opt in trip_options[t.id]:
+            chosen[t.id] = opt
+            for conn in due[i]:
+                options[conn.id] = conn_options(conn, chosen)
+                if not options[conn.id]:
+                    break
+            else:
+                yield from descend(i + 1, partial + (cost(t, opt) if cost else 0.0))
+
+    yield from descend(0, 0.0)
 
 
 def levels(start, events):

@@ -1,9 +1,10 @@
 """Exhaustive ground-truth oracle for tiny instances.
 
-Enumerates every composition choice per trip and every composition change
-per connection (merged arcs for the small variants, the option of using no
-change when the connection constraints are dropped) depth first, cutting
-branches whose trip cost already exceeds the incumbent. Each selection is
+Takes every composition choice per trip and every composition change per
+connection (merged arcs for the small variants, the option of using no
+change when the connection constraints are dropped) from the one walk of
+:func:`rollstock.ledger.walk`, cheapest trip options first, cutting
+branches whose trip cost already reaches the incumbent. Each selection is
 judged by the depot ledger (:mod:`rollstock.ledger`): prefix inventory
 counts for the depot variants, an explicit unit matching for the direct-arc
 variants. The cheapest feasible assignment is the integer optimum of the
@@ -13,12 +14,15 @@ corresponding model; branch and bound must reproduce it exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from ..errors import LimitExceeded
 from ..hypergraph import _small_pull_costs, change_index, connection_changes, variant_parts
 from ..instance import Instance, closure_arcs
-from ..ledger import Ledger, through_depot
+from ..ledger import Ledger, through_depot, walk
+
+COMBO_LIMIT = 2_000_000  # trip combinations, and connection picks per leaf
 
 
 @dataclass
@@ -54,8 +58,7 @@ def _slots(units: tuple[str, ...]) -> frozenset:
 
 def enumerate_oracle(instance: Instance, variant: str = "HD",
                      connection_constraints: bool = True,
-                     trip_limit: int = 8,
-                     combo_limit: int = 2_000_000) -> OracleResult:
+                     trip_limit: int = 8) -> OracleResult:
     """Exhaustive integer optimum of one model variant.
 
     ``variant`` is a hypergraph variant name or ``"C"`` (which shares the
@@ -79,14 +82,13 @@ def enumerate_oracle(instance: Instance, variant: str = "HD",
             for t in trips}
     else:
         trip_options = {t.id: sorted(t.allowed_compositions) for t in trips}
-
-    combos = 1
-    for opts in trip_options.values():
-        combos *= len(opts)
-    if combos > combo_limit:
+    if (combos := math.prod(map(len, trip_options.values()))) > COMBO_LIMIT:
         raise LimitExceeded(f"{combos} trip combinations exceed oracle budget")
 
-    # cheapest-first per-trip options make the first DFS leaf a good incumbent
+    def units(opt) -> tuple[str, ...]:
+        return opt if small else comps[opt].units
+
+    # cheapest-first per-trip options make the first leaf a good incumbent
     def option_cost(t, opt):
         if small:
             pid = next(p for p in t.allowed_compositions if comps[p].units == opt)
@@ -110,37 +112,18 @@ def enumerate_oracle(instance: Instance, variant: str = "HD",
     depots = {(d.station, d.unit_type): d for d in instance.all_depots()}
     dev_rate = instance.costs.ending_deviation_per_unit
     shunt_rate = instance.costs.shunting_per_action
-
-    best_obj = None
-    best_detail = None
-
-    # depth-first over trips in timetable order: a connection's options are
-    # checked the moment its last trip is assigned, and branches whose trip
-    # cost already exceeds the incumbent are cut
-    order = sorted(trips, key=lambda t: (t.dep_time, t.id))
-    pos_of = {t.id: i for i, t in enumerate(order)}
-    conns_at: dict[int, list] = {}
-    for conn in instance.connections:
-        done = max(pos_of[t] for t in (*conn.predecessors, *conn.successors))
-        conns_at.setdefault(done, []).append(conn)
-
-    chosen: dict[str, object] = {}
-    conn_opts: dict[str, list] = {}
     option_cache: dict[tuple, list] = {}
 
-    def units_for(tid: str):
-        return chosen[tid] if small else comps[chosen[tid]].units
-
-    def conn_options_for(conn) -> list:
+    def conn_options(conn, chosen) -> list:
         """(option, pulled_in, pulled_out, cost) of every way to serve conn,
         computed once per choice of the connection's trip options."""
         key = (conn.id, *(chosen[t] for t in (*conn.predecessors, *conn.successors)))
         if key in option_cache:
             return option_cache[key]
-        units_of = {t: units_for(t) for t in (*conn.predecessors, *conn.successors)}
+        units_of = {t: units(chosen[t]) for t in (*conn.predecessors, *conn.successors)}
         opts: list = []
         if small:
-            slots = {t: _slots(units) for t, units in units_of.items()}
+            slots = {t: _slots(u) for t, u in units_of.items()}
             for arc in conn_small[conn.id]:
                 if all((pos, r) in slots[t] for (t, pos, r) in arc.tails) and \
                         all((pos, r) in slots[t] for (t, pos, r) in arc.heads):
@@ -159,38 +142,14 @@ def enumerate_oracle(instance: Instance, variant: str = "HD",
         option_cache[key] = opts
         return opts
 
-    def descend(idx: int, partial_cost: float):
-        if best_obj is not None and partial_cost >= best_obj - 1e-12:
-            return
-        if idx == len(order):
-            _evaluate_leaf(partial_cost)
-            return
-        t = order[idx]
-        for opt in trip_options[t.id]:
-            chosen[t.id] = opt
-            saved = []
-            ok = True
-            for conn in conns_at.get(idx, []):
-                opts = conn_options_for(conn)
-                if not opts:
-                    ok = False
-                    break
-                conn_opts[conn.id] = opts
-                saved.append(conn.id)
-            if ok:
-                descend(idx + 1, partial_cost + option_cost(t, opt))
-            for cid in saved:
-                del conn_opts[cid]
-            del chosen[t.id]
-
-    def _evaluate_leaf(trip_cost: float):
-        nonlocal best_obj, best_detail
-        units_of = {t.id: units_for(t.id) for t in trips}
-        option_lists = [conn_opts[c.id] for c in instance.connections]
-        option_combos = 1
-        for o in option_lists:
-            option_combos *= len(o)
-        if option_combos > combo_limit:
+    # a branch whose trip cost already reaches the incumbent is cut
+    best_obj = best_detail = None
+    for chosen, options, trip_cost in walk(
+            instance, trip_options, conn_options, option_cost,
+            lambda: math.inf if best_obj is None else best_obj - 1e-12):
+        units_of = {t.id: units(chosen[t.id]) for t in trips}
+        option_lists = [options[c.id] for c in instance.connections]
+        if math.prod(map(len, option_lists)) > COMBO_LIMIT:
             raise LimitExceeded("connection option space exceeds oracle budget")
 
         for pick in itertools.product(*option_lists):
@@ -218,7 +177,6 @@ def enumerate_oracle(instance: Instance, variant: str = "HD",
                 best_detail = (dict(chosen), {c.id: option for c, (option, *_) in
                                               zip(instance.connections, pick)})
 
-    descend(0, 0.0)
     if best_obj is None:
         return OracleResult("Infeasible")
     return OracleResult("Optimal", best_obj, best_detail[0], best_detail[1])

@@ -484,6 +484,7 @@ def _simplex(p: _Pivots, costs):
     bland = False
     while True:
         p.count()
+        bland = bland or _cycling(degenerate_run, p)
         entering = _pick_entering(p.status, p.reduced_costs(costs), p.fixed,
                                   bland)
         if entering < 0:
@@ -499,7 +500,6 @@ def _simplex(p: _Pivots, costs):
             return "Unbounded", entering
 
         degenerate_run = degenerate_run + 1 if t <= TIE else 0
-        bland = bland or _cycling(degenerate_run, p)
         p.pivot(entering, col, direction * t, leaving, leave_to)
 
 
@@ -524,6 +524,7 @@ def _dual(p: _Pivots, costs) -> int:
     bland = False
     while True:
         p.count()
+        bland = bland or _cycling(degenerate_run, p)
         lb_B, ub_B = p.lb[p.basis_arr], p.ub[p.basis_arr]
         below = lb_B - p.x_B
         viol = np.maximum(below, p.x_B - ub_B)
@@ -550,7 +551,6 @@ def _dual(p: _Pivots, costs) -> int:
         entering = int(eligible[np.argmax(ratios <= r_min + TIE)])
 
         degenerate_run = degenerate_run + 1 if r_min <= TIE else 0
-        bland = bland or _cycling(degenerate_run, p)
         col = p.column(entering)
         bound = lb_B[r] if to_lower else ub_B[r]
         if p.pivot(entering, col, (p.x_B[r] - bound) / col[r], r,

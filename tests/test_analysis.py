@@ -128,6 +128,22 @@ class TestTheorem:
                                        "EqualityHolds")
         assert by_rel["a"].lhs >= by_rel["a"].rhs - 1e-9
 
+    @pytest.mark.parametrize("closure,verdict", [(True, "VIOLATION"),
+                                                 (False, "InequalityHolds")])
+    def test_one_infeasible_side_under_the_closure_is_a_violation(self, closure,
+                                                                   verdict):
+        # the closure says HA = HD, so an infeasible HA beside a feasible HD
+        # breaks relation a, as an infeasible HD beside a feasible HA does
+        inf = analysis.INFEASIBLE
+        values = {"HA": inf, "HD": 5.0, "hA": 3.0, "hD": 3.0, "C": 5.0}
+        by_rel = {v.relation: v.verdict
+                  for v in analysis.verify_theorem1(values, "IP", closure=closure)}
+        assert by_rel["a"] == verdict
+        mirror = {**values, "HA": 5.0, "HD": inf, "C": inf}
+        by_rel = {v.relation: v.verdict
+                  for v in analysis.verify_theorem1(mirror, "IP", closure=closure)}
+        assert by_rel["a"] == "VIOLATION"
+
     @pytest.mark.parametrize("name", sorted(canonical_instances()))
     def test_no_verdicts_without_connection_constraints(self, name):
         # the relations hold between models that keep one change per

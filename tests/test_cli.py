@@ -165,6 +165,22 @@ class TestCommands:
         assert code == 2 and out == ""
         assert f"error: argument {argv[1]}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lines", "0", "need at least one line with one trip"),
+        ("--trips-per-line", "-1", "need at least one line with one trip"),
+        ("--unit-types", "3", "unit_types must be 1 or 2"),
+        ("--n-max", "0", "n_max >= 1 and stations >= 2 required"),
+        ("--stations", "1", "n_max >= 1 and stations >= 2 required"),
+        ("--split-fraction", "2", "split_join_fraction must be in [0, 1]")],
+        ids=["lines", "trips-per-line", "unit-types", "n-max", "stations",
+             "split-fraction"])
+    def test_out_of_range_gen_option_exits_two(self, capsys, tmp_path, flag, value,
+                                               message):
+        path = tmp_path / "gen.json"
+        code, out, err = _capture(capsys, ["gen", flag, value, "--out", str(path)])
+        assert code == 2 and out == "" and not path.exists()
+        assert err == f"rollstock gen: error: {message}\n"
+
     @pytest.mark.parametrize("text", [
         "p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n-1 -2 -2 0\n",
         "p cnf 2 4\n1 1 2 0\n1 -2 -2 0\n-1 -1 2 0\n1 1 2 0\n"],
@@ -274,6 +290,23 @@ class TestCommands:
         assert not (tmp_path / "model.lp").exists()
         code, out, _ = _capture(capsys, ["validate", "--instance", str(path)])
         assert code == 1 and violation in out
+
+
+class TestProjectGolden:
+    @pytest.mark.parametrize("name", [*sorted(canonical_instances()), "split"])
+    @pytest.mark.parametrize("flags,suffix", [([], ""),
+                                              (["--no-connection-constraints"], "_nocc")],
+                             ids=["cc", "nocc"])
+    def test_project_matches_golden(self, capsys, tmp_path, name, flags, suffix):
+        source = ["--canonical", name]
+        if name == "split":
+            source = ["--instance", str(tmp_path / "split.json")]
+            assert run(["gen", "--seed", "1", "--lines", "2", "--trips-per-line", "2",
+                        "--split-fraction", "1.0", "--out", source[1]]) == 0
+            capsys.readouterr()
+        code, out, _ = _capture(capsys, ["project", *source, *flags])
+        assert code == 0
+        assert out == (GOLDEN / f"project_{name}{suffix}.json").read_text()
 
 
 class TestExactRational:

@@ -160,6 +160,7 @@ class TestLpFormat:
         (" c: 1 x", " c 1 x", 5),                       # no colon was a bare ValueError
         (" c: 1 x", " c: one x", 5),                    # so was a coefficient not a number
         (" obj: 2 x", " obj: 2 z", 3),                  # a variable with no Bounds line
+        (" c: 1 x", " c: 1 z + -1 z + 1 x", 5),         # even in terms that cancel
         ("Generals\n x\n", "Generals\n z\n", 10),     # an integer variable with no bounds
         (" 0 <= x <= 1\n", " 0 <= x <= 1\n 0 <= x\n", 9),  # bounds given twice
         ("Generals\n x\n", "Generals\n x\n x\n", 11),    # an integer variable listed twice

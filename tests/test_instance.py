@@ -9,7 +9,8 @@ import re
 
 import pytest
 
-from rollstock.errors import MalformedInstance, NotFound
+from rollstock.errors import MalformedInstance, NotFound, UnknownDepot
+from rollstock.hypergraph import build
 from rollstock.instance import (
     INITIAL,
     JSON_DEFAULTS,
@@ -138,6 +139,17 @@ class TestClosureArcs:
     def test_declared_outside_closure_is_flagged(self, two_trip):
         bad = two_trip.with_direct_arcs([("r", "t2", "t1")])  # wrong direction
         assert "BadDirectArc" in _codes(validate(bad))
+
+    def test_time_travelling_declared_arc_builds_no_arc(self, situation2):
+        # t1 arrives at 660, after t0 leaves at 480: no unit can take the
+        # shortcut, so a model must not offer it either
+        bad = situation2.with_direct_arcs([("r", "t1", "t0")])
+        assert "BadDirectArc" in _codes(validate(bad))
+        named = r"^direct arc \(r, t1, t0\) is not in the closure$"
+        with pytest.raises(UnknownDepot, match=named):
+            closure_arcs(bad, "declared")
+        with pytest.raises(UnknownDepot, match=named):
+            build(bad, "HA")
 
 
 class TestCatalog:

@@ -1,8 +1,10 @@
 """Property tests over small generated instances."""
 
 import copy
+import itertools
 import json
 import math
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from rollstock.formulation import (  # noqa: E402
 from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
 from rollstock.instance import canonical, dumps, loads, validate  # noqa: E402
+from rollstock.ledger import walk  # noqa: E402
 from rollstock.solver import (  # noqa: E402
     ArrayForm, dual_residual, enumerate_oracle, feasibility_residual, model_arrays, solve_ip,
     solve_lp)
@@ -441,3 +444,34 @@ def test_a_hand_built_row_keeps_its_terms_in_text_and_sums_them_for_the_solver()
     back = parse_lp(write_lp(model))  # the text reads back as written but for the zero
     assert back.rows[0].coeffs == (("x", 0.1), ("x", 0.2))
     _assert_bit_identical(model_arrays(back), form)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(1, 10_000), lines=st.integers(1, 2),
+       trips_per_line=st.integers(1, 2), split=st.sampled_from([0.0, 1.0]),
+       salt=st.integers(0, 2**32))
+def test_walk_yields_the_product_leaves_whose_connections_all_have_an_option(
+        seed, lines, trips_per_line, split, salt):
+    # each connection has 0, 1 or 2 options, drawn from its trips' choice
+    inst = generate(GenConfig(seed=seed, lines=lines, trips_per_line=trips_per_line,
+                              split_join_fraction=split))
+    trip_options = {t.id: sorted(t.allowed_compositions) for t in inst.trips}
+
+    def conn_options(conn, chosen):
+        picks = [chosen[t] for t in (*conn.predecessors, *conn.successors)]
+        return list(range(zlib.crc32(f"{salt} {conn.id} {picks}".encode()) % 3))
+
+    def leaf(chosen, options):
+        return (tuple(sorted(chosen.items())),
+                tuple(sorted((k, tuple(v)) for k, v in options.items())))
+
+    walked = [leaf(chosen, options) for chosen, options, _
+              in walk(inst, trip_options, conn_options)]
+    ids = [t.id for t in inst.trips]
+    product = []
+    for combo in itertools.product(*(trip_options[t] for t in ids)):
+        chosen = dict(zip(ids, combo))
+        options = {c.id: conn_options(c, chosen) for c in inst.connections}
+        if all(options.values()):
+            product.append(leaf(chosen, options))
+    assert sorted(walked) == sorted(product)

@@ -11,7 +11,7 @@ import pytest
 
 from rollstock.composition import contract
 from rollstock.errors import LimitExceeded, NumericalFailure
-from rollstock.formulation import MilpModel, Row, Variable, assemble
+from rollstock.formulation import MilpModel, ModelOptions, Row, Variable, assemble
 from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import build
 from rollstock.instance import canonical_instances
@@ -481,6 +481,34 @@ class TestLp:
         m = _model(situation2, "HD").relaxed()
         a, b = solve_lp(m), solve_lp(m)
         assert a.objective == b.objective and a.values == b.values
+
+
+class TestBland:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_blands_rule_from_the_first_pass_matches_scipy(self, monkeypatch, seed):
+        # as if every run of degenerate passes were cycling, so both loops
+        # follow Bland's rule from their first pass; the -c-1 costs of the
+        # bounded columns make the primal loop pivot too
+        monkeypatch.setattr(simplex, "_cycling", lambda run, p: True)
+        real = simplex._pick_entering
+        picks = []
+        monkeypatch.setattr(simplex, "_pick_entering", lambda status, d, fixed, bland: (
+            picks.append(bland) or real(status, d, fixed, bland)))
+        passes = _record_passes(monkeypatch)
+        inst = generate(GenConfig(seed=seed, trips_per_line=3))
+        for variant in ("HD", "C", "hAbar"):
+            form = model_arrays(_model(inst, variant).relaxed())
+            bounded = np.isfinite(form.ub)
+            for c in (form.c, np.where(bounded, -form.c - 1.0, form.c)):
+                ref = scipy_opt.linprog(c, A_eq=form.A, b_eq=form.b, method="highs",
+                                        bounds=list(zip(form.lb, np.where(
+                                            bounded, form.ub, None))))
+                res = simplex.solve_arrays(c, form.nz, form.b, form.lb, form.ub)
+                assert ref.status == 0 and res.status == "Optimal"
+                assert float(res.objective) == pytest.approx(ref.fun, rel=1e-6,
+                                                             abs=1e-6)
+        assert picks and all(picks)
+        assert {loop for loop, n in passes if n > 1} == {"_dual", "_simplex"}
 
 
 class TestIp:
@@ -960,6 +988,16 @@ class TestOracle:
                 if ip.status == "Optimal":
                     assert ip.objective == pytest.approx(orc.objective,
                                                          abs=1e-6), (seed, variant)
+
+    @pytest.mark.parametrize("name", ["FlowConstraintGap", "Situation2"])
+    @pytest.mark.parametrize("variant", ["hD", "hA", "HD", "HA"])
+    def test_oracle_matches_bb_without_connection_constraints(self, name, variant):
+        # every connection may send all its units through the depot
+        inst = canonical_instances()[name]
+        ip = solve_ip(assemble(build(inst, variant), ModelOptions(False)))
+        orc = enumerate_oracle(inst, variant, connection_constraints=False)
+        assert ip.status == orc.status == "Optimal"
+        assert ip.objective == pytest.approx(orc.objective, abs=1e-6)
 
     def test_infeasible_instance_both_paths(self, two_trip):
         import dataclasses
