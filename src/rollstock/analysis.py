@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .composition import CompositionGraph, contract
-from .errors import CutViolated, LimitExceeded, MissingPathBackref
+from .errors import CutViolated, LimitExceeded
 from .formulation import ModelOptions, assemble
-from .hypergraph import (DepotNode, EventNode, Hypergraph, build, change_index, change_key,
-                         connection_changes, decompose_paths, variant_parts)
+from .hypergraph import (EventNode, Hypergraph, build, change_index, change_key,
+                         connection_changes, decompose_paths)
 from .instance import Instance
 from .ledger import Ledger, arc_pulls, levels, through_depot, walk
 # perfbench/tracing.py wraps analysis.solve_lp, so the name stays here
@@ -84,71 +84,66 @@ class ComparisonReport:
 # solution maps (Theorem-1 proof constructions)
 # ---------------------------------------------------------------------------
 
-def _timeline_segments(g_hd: Hypergraph, station: str, unit_type: str):
-    """Parking arcs of one depot timeline in time order, with node spans."""
-    segs = [h for h in g_hd.hyperarcs
-            if h.kind == "Parking" and h.tags.get("station") == station
-            and h.tags.get("unit_type") == unit_type]
-    segs.sort(key=lambda h: _node_pos(h.base_arcs[0][0]))
-    return segs
+def _park_levels(x: dict, ledger: Ledger, g_hd: Hypergraph) -> dict:
+    """Complete an HD flow ``x`` with its parking arcs: each segment of a
+    depot timeline carries the depot's running level after the ledger's
+    moves up to the segment's start."""
+    timelines: dict[tuple[str, str], list] = {}
+    for h in g_hd.hyperarcs:
+        if h.kind == "Parking":
+            tail = h.base_arcs[0][0]  # the initial node or an inner one
+            timelines.setdefault((tail.station, tail.unit_type), []).append(
+                (float("-inf") if tail.role == "initial" else tail.time, h.id))
+    for depot in ledger.instance.all_depots():
+        key = (depot.station, depot.unit_type)
+        steps = list(levels(depot.start_inventory, ledger.events.get(key, [])))
+        level = depot.start_inventory
+        idx = 0
+        for t_tail, hid in sorted(timelines[key]):
+            while idx < len(steps) and steps[idx][0] <= t_tail:
+                level = steps[idx][1]
+                idx += 1
+            if level < -1e-9:
+                raise CutViolated(f"depot {key} inventory drops to {level}")
+            if level:
+                x[hid] = x.get(hid, 0) + level
+    return x
 
 
-def _node_pos(node: DepotNode) -> float:
-    if node.role == "initial":
-        return float("-inf")
-    if node.role == "terminal":
-        return float("inf")
-    return float(node.time)
-
-
-def _add_parking_span(x: dict, g_hd: Hypergraph, station: str, unit_type: str,
-                      t_from: int | None, t_to: int | None, value) -> None:
-    """Add ``value`` along the timeline from t_from (None = initial) to
-    t_to (None = terminal)."""
-    lo = float("-inf") if t_from is None else float(t_from)
-    hi = float("inf") if t_to is None else float(t_to)
-    for h in _timeline_segments(g_hd, station, unit_type):
-        tail, head = h.base_arcs[0]
-        if _node_pos(tail) >= lo and _node_pos(head) <= hi:
-            x[h.id] = x.get(h.id, 0) + value
+def _slot(node: EventNode) -> tuple[str, int, str]:
+    return node.trip, node.position, node.unit_type
 
 
 def map_HA_to_HD(g_ha: Hypergraph, values: dict, g_hd: Hypergraph) -> dict:
-    """Re-route direct-arc flow along pull-in, parking, pull-out paths."""
-    if variant_parts(g_ha.variant)[1] != "A" or g_hd.variant != "HD":
-        raise ValueError("expects an HA-variant flow and the HD graph")
+    """Re-route direct-arc flow along pull-in, parking, pull-out paths.
+
+    Trip, change and deviation flow carries over. Each pull-in, pull-out
+    and direct arc puts its flow on HD's pull arcs at the same event nodes
+    and files it as depot moves in a :class:`Ledger`; the parking arcs then
+    carry the ledger's running depot levels, which hold the all-day
+    parking of the HA timeline too.
+    """
+    if g_ha.variant not in ("HA", "HAbar") or g_hd.variant != "HD":
+        raise ValueError("expects an HA or HAbar flow and the HD graph")
     pin_at = {h.base_arcs[0][0]: h.id for h in g_hd.hyperarcs if h.kind == "PullIn"}
     pout_at = {h.base_arcs[0][1]: h.id for h in g_hd.hyperarcs if h.kind == "PullOut"}
     x: dict = {}
+    ledger = Ledger(g_ha.instance)
     for h in g_ha.hyperarcs:
         v = values.get(h.id, 0)
-        if not v:
+        if not v or h.kind == "Parking":
             continue
-        tags = h.tags
         if h.kind in ("TripService", "ConnectionChange", "InventoryDeviation"):
             x[h.id] = x.get(h.id, 0) + v
-        elif h.kind == "PullIn":
-            node = h.base_arcs[0][0]
-            x[pin_at[node]] = x.get(pin_at[node], 0) + v
-            _add_parking_span(x, g_hd, tags["station"], node.unit_type,
-                              tags["time"], None, v)
-        elif h.kind == "PullOut":
-            node = h.base_arcs[0][1]
-            x[pout_at[node]] = x.get(pout_at[node], 0) + v
-            _add_parking_span(x, g_hd, tags["station"], node.unit_type,
-                              None, tags["time"], v)
-        elif h.kind == "Parking":
-            _add_parking_span(x, g_hd, tags["station"], tags["unit_type"],
-                              None, None, v)
-        elif h.kind == "DirectConnection":
-            if "pull_in_time" not in tags:
-                raise MissingPathBackref(f"direct arc {h.id} lacks its depot path")
-            src, dst = h.base_arcs[0]
-            x[pin_at[src]] = x.get(pin_at[src], 0) + v
-            x[pout_at[dst]] = x.get(pout_at[dst], 0) + v
-            _add_parking_span(x, g_hd, tags["station"], tags["unit_type"],
-                              tags["pull_in_time"], tags["pull_out_time"], v)
-    return x
+            continue
+        src, dst = h.base_arcs[0]  # a PullIn, PullOut or DirectConnection
+        pulled_in = [src] if h.kind != "PullOut" else []
+        pulled_out = [dst] if h.kind != "PullIn" else []
+        for nodes, at in ((pulled_in, pin_at), (pulled_out, pout_at)):
+            for node in nodes:
+                x[at[node]] = x.get(at[node], 0) + v
+        ledger.add(list(map(_slot, pulled_in)), list(map(_slot, pulled_out)), count=v)
+    return _park_levels(x, ledger, g_hd)
 
 
 def map_H_to_h(g_full: Hypergraph, values: dict, g_small: Hypergraph) -> dict:
@@ -176,8 +171,9 @@ def extend_C_to_HD(cg: CompositionGraph, values: dict, g_hd: Hypergraph) -> dict
     """Complete a composition-model solution with depot arcs.
 
     The depot completion exists exactly when the cut constraints hold; the
-    per-position pull arcs are forced by the selected arcs and the parking
-    flows are the running inventory levels of the depot ledger.
+    per-position pull arcs are forced by the selected arcs, and, as in
+    :func:`map_HA_to_HD`, the parking flows are the running inventory levels
+    of the depot ledger.
     """
     instance = cg.instance
     x: dict = {}
@@ -203,22 +199,7 @@ def extend_C_to_HD(cg: CompositionGraph, values: dict, g_hd: Hypergraph) -> dict
     for vid, v in values.items():
         if vid.startswith("dev.") and v:
             x[vid] = v
-
-    for depot in instance.all_depots():
-        key = (depot.station, depot.unit_type)
-        steps = list(levels(depot.start_inventory, ledger.events.get(key, [])))
-        level = depot.start_inventory
-        idx = 0
-        for seg in _timeline_segments(g_hd, depot.station, depot.unit_type):
-            t_tail = _node_pos(seg.base_arcs[0][0])
-            while idx < len(steps) and steps[idx][0] <= t_tail:
-                level = steps[idx][1]
-                idx += 1
-            if level < -1e-9:
-                raise CutViolated(f"depot {key} inventory drops to {level}")
-            if level:
-                x[seg.id] = x.get(seg.id, 0) + level
-    return x
+    return _park_levels(x, ledger, g_hd)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +332,7 @@ def _proven(value, sol):
     return None if sol.status == "NodeLimit" else value
 
 
-def _verdict(relation: str, expect: str, lhs, rhs, tol) -> str:
+def _verdict(expect: str, lhs, rhs, tol) -> str:
     if lhs is None or rhs is None:
         return "Undecided"  # never judge a relation on an unproven value
     if lhs == INFEASIBLE and rhs == INFEASIBLE:
@@ -398,7 +379,7 @@ def verify_theorem1(values: dict, mp: str, closure: bool = True,
     for rel, lhs_name, rhs_name, expect in spec:
         out.append(TheoremVerdict(
             rel, mp, lhs_name, rhs_name, v[lhs_name], v[rhs_name],
-            _verdict(rel, expect, v[lhs_name], v[rhs_name], cmp_tol)))
+            _verdict(expect, v[lhs_name], v[rhs_name], cmp_tol)))
     return out
 
 

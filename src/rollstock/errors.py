@@ -54,9 +54,5 @@ class CutViolated(RollstockError):
     """A composition-model solution violates a depot cut constraint."""
 
 
-class MissingPathBackref(RollstockError):
-    """A direct arc lacks the depot-path record needed to re-route it."""
-
-
 class ConfigError(RollstockError):
     """Invalid generator configuration."""

@@ -18,10 +18,14 @@ connection the longest block of units at the configured shunting ends
 continues and the complementary blocks are uncoupled and coupled, each
 nonempty block being one shunt action; at a split or a join every unit
 continues, in order, and the change is one action. A connection may restrict
-the reachable transitions further via ``allowed_changes``. Every depot has
-one timeline of parking arcs through the times of its pull moves; under
-direct transfers it has no such times, so one parking arc spans the day, and
-direct arcs stand in for the pull moves. Depot access itself is liberal:
+the reachable transitions further via ``allowed_changes``. Every depot follows
+one rule in all six variants: a timeline of parking arcs, and a pull arc for
+each possible pull move that lands on (or leaves) the timeline node at its
+time. Under direct transfers the timeline has no inner nodes, so one parking
+arc spans the day, a pull-in lands on the terminal node and a pull-out
+leaves the initial one; a direct arc joins an arrival to a later departure
+at the same station and stands for the pull-in, parking, pull-out path it
+shortcuts. Depot access itself is liberal:
 any arriving unit may pull in and any departing position may be fed by a
 pull-out; in the full variants the composition-labeled nodes and the
 connection partition make illegal transfers unusable, in the small variants
@@ -40,14 +44,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DecompositionFailure, InfeasibleInstance, NonConservingInput
-from .instance import (
-    INITIAL,
-    TERMINAL,
-    Composition,
-    Connection,
-    Instance,
-    closure_arcs,
-)
+from .instance import Composition, Connection, Instance, closure_arcs
 from .ledger import IN, OUT, place, staging
 
 VARIANTS = ("hD", "hA", "HD", "HA", "hAbar", "HAbar")
@@ -437,11 +434,13 @@ def build(instance: Instance, variant: str, changes: dict | None = None) -> Hype
             return 0.0
         return costs.get((node.trip, node.position, node.unit_type), 0.0)
 
-    # depots: initial and terminal nodes, a timeline of parking arcs through
-    # the times of the depot's pull moves (none under direct transfers), the
-    # pull arcs, and a surplus and a deficit arc to the type's hub
+    # depots, one rule for every variant: initial and terminal nodes, a
+    # timeline of parking arcs through the times of the depot's pull moves,
+    # the pull arcs, and a surplus and a deficit arc to the type's hub. Under
+    # direct transfers the timeline has no inner nodes, so a pull-in lands on
+    # the terminal node and a pull-out leaves the initial one.
     moves: dict[tuple[str, str], list] = {}
-    for t in instance.trips if transfer == "D" else ():
+    for t in instance.trips:
         for direction in (IN, OUT):
             station, tau = place(t, direction)
             for node, hid in pull_nodes(t.id, direction):
@@ -449,25 +448,24 @@ def build(instance: Instance, variant: str, changes: dict | None = None) -> Hype
                     (hid, direction, node, tau))
     hubs = {u.id: DepotNode("", u.id, "hub") for u in instance.unit_types}
     balances: dict[Node, int] = dict.fromkeys(hubs.values(), 0)
-    ends: dict[tuple[str, str], tuple[DepotNode, DepotNode]] = {}
     rate = instance.costs.ending_deviation_per_unit
     for d in instance.all_depots():
         key = (d.station, d.unit_type)
         initial, terminal = DepotNode(*key, "initial"), DepotNode(*key, "terminal")
-        ends[key] = initial, terminal
         hub = hubs[d.unit_type]
         balances[initial] = d.start_inventory
         balances[terminal] = -d.target_end_inventory
         balances[hub] += d.target_end_inventory - d.start_inventory
-        at_time = {tau: DepotNode(*key, "mid", tau)
-                   for tau in sorted({m[3] for m in moves.get(key, ())})}
+        inner = sorted({m[3] for m in moves.get(key, ())}) if transfer == "D" else ()
+        at_time = {tau: DepotNode(*key, "mid", tau) for tau in inner}
         timeline = [initial, *at_time.values(), terminal]
         for i in range(len(timeline) - 1):
             hyperarcs.append(Hyperarc(f"park.{d.station}.{d.unit_type}.{i}", "Parking",
                                       ((timeline[i], timeline[i + 1]),), 0.0, None,
                                       {"station": d.station, "unit_type": d.unit_type}))
         for hid, direction, node, tau in sorted(moves.get(key, ()), key=lambda m: m[0]):
-            arc = (node, at_time[tau]) if direction == IN else (at_time[tau], node)
+            arc = ((node, at_time.get(tau, terminal)) if direction == IN
+                   else (at_time.get(tau, initial), node))
             hyperarcs.append(Hyperarc(hid, "PullIn" if direction == IN else "PullOut", (arc,),
                                       pull_cost(node, direction), 1,
                                       {"station": d.station, "time": tau}))
@@ -476,45 +474,26 @@ def build(instance: Instance, variant: str, changes: dict | None = None) -> Hype
                                       "InventoryDeviation", (arc,), rate, None,
                                       {"station": d.station, "unit_type": d.unit_type}))
 
+    # direct arcs: trip to trip, each standing for one depot path
     specs = closure_arcs(instance, "closure" if closure else "declared") if transfer == "A" else []
     for spec in specs:
-        initial, terminal = ends[(spec.station, spec.unit_type)]
-        if spec.source == INITIAL:
-            src = [(initial, None)]
-        else:
-            src = [(node, hid) for node, hid in pull_nodes(spec.source, IN)
-                   if node.unit_type == spec.unit_type]
-        if spec.target == TERMINAL:
-            dst = [(terminal, None)]
-        else:
-            dst = [(node, hid) for node, hid in pull_nodes(spec.target, OUT)
-                   if node.unit_type == spec.unit_type]
-        for s_node, s_hid in src:
-            for d_node, d_hid in dst:
-                if spec.source == INITIAL:
-                    hyperarcs.append(Hyperarc(d_hid, "PullOut", ((s_node, d_node),),
-                                              pull_cost(d_node, OUT), 1,
-                                              {"station": spec.station,
-                                               "time": spec.pull_out_time}))
-                elif spec.target == TERMINAL:
-                    hyperarcs.append(Hyperarc(s_hid, "PullIn", ((s_node, d_node),),
-                                              pull_cost(s_node, IN), 1,
-                                              {"station": spec.station,
-                                               "time": spec.pull_in_time}))
-                else:
-                    hid = (f"dca.{spec.unit_type}.{s_node.trip}."
-                           f"{(s_node.comp + '.') if s_node.comp else ''}{s_node.position}"
-                           f".{d_node.trip}."
-                           f"{(d_node.comp + '.') if d_node.comp else ''}{d_node.position}")
-                    cost = pull_cost(s_node, IN) + pull_cost(d_node, OUT)
-                    hyperarcs.append(Hyperarc(hid, "DirectConnection",
-                                              ((s_node, d_node),), cost, 1,
-                                              {"station": spec.station,
-                                               "unit_type": spec.unit_type,
-                                               "pull_in_time": spec.pull_in_time,
-                                               "pull_out_time": spec.pull_out_time,
-                                               "source": spec.source,
-                                               "target": spec.target}))
+        src, dst = ([node for node, _ in pull_nodes(t, direction)
+                     if node.unit_type == spec.unit_type]
+                    for t, direction in ((spec.source, IN), (spec.target, OUT)))
+        for s_node, d_node in itertools.product(src, dst):
+            hid = (f"dca.{spec.unit_type}.{s_node.trip}."
+                   f"{(s_node.comp + '.') if s_node.comp else ''}{s_node.position}"
+                   f".{d_node.trip}."
+                   f"{(d_node.comp + '.') if d_node.comp else ''}{d_node.position}")
+            cost = pull_cost(s_node, IN) + pull_cost(d_node, OUT)
+            hyperarcs.append(Hyperarc(hid, "DirectConnection",
+                                      ((s_node, d_node),), cost, 1,
+                                      {"station": spec.station,
+                                       "unit_type": spec.unit_type,
+                                       "pull_in_time": spec.pull_in_time,
+                                       "pull_out_time": spec.pull_out_time,
+                                       "source": spec.source,
+                                       "target": spec.target}))
 
     nodes = {v for h in hyperarcs for arc in h.base_arcs for v in arc} | balances.keys()
     return Hypergraph(

@@ -6,14 +6,18 @@ Stations are plain string ids; a depot is the per-(station, unit type) parking
 timeline used for coupling and uncoupling moves.
 
 The module also computes the closure of direct connection arcs (every time-
-and station-feasible shortcut past a depot) and ships a catalog of small
-hand-built instances used throughout the test suite.
+and station-feasible shortcut past a depot, from a trip's arrival to a later
+departure at the same station; the start and end inventories are reached by
+each depot's own pull arcs) and ships a catalog of small hand-built
+instances used throughout the test suite.
 
 The JSON form is stated once, in ``JSON_FIELDS``: for each object the
-dataclass it reads into and the JSON type of each field. One walk over that
-table reads a document and names the path of its first fault (a non-object,
-an unknown key, a missing required key, or a value or list element of the
-wrong JSON type); ``to_dict`` writes the same fields back.
+dataclass it reads into and the JSON type of each field. Counts and times
+are integers: JSON Schema's integer, a number with no fraction, read as an
+``int``. One walk over that table reads a document and names the path of its
+first fault (a non-object, an unknown key, a missing required key, or a
+value or list element of the wrong JSON type, such as ``1.5`` for an
+inventory); ``to_dict`` writes the same fields back.
 """
 
 from __future__ import annotations
@@ -28,9 +32,6 @@ from .ledger import IN, OUT, place
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+")
 _UNIT_ID_RE = re.compile(r"[A-Za-z0-9]+")
-
-INITIAL = "__initial__"   # direct-arc source: start inventory
-TERMINAL = "__terminal__"  # direct-arc target: end inventory
 
 
 @dataclass(frozen=True)
@@ -139,18 +140,18 @@ class ShuntConfig:
 
 @dataclass(frozen=True)
 class DirectArcSpec:
-    """A depot shortcut: a unit of ``unit_type`` uncoupled after ``source``
-    may next be coupled onto ``target`` at the same station.
+    """A depot shortcut: a unit of ``unit_type`` uncoupled after trip
+    ``source`` may next be coupled onto trip ``target`` at the same station.
 
-    ``source == INITIAL`` draws from the start inventory, ``target ==
-    TERMINAL`` parks until the end of the horizon. The shortcut stands for
-    the depot path pull-in -> parking -> pull-out it replaces; ``station``,
-    ``pull_in_time`` and ``pull_out_time`` describe that path.
+    The shortcut stands for the depot path pull-in -> parking -> pull-out it
+    replaces; ``station``, ``pull_in_time`` and ``pull_out_time`` describe
+    that path. Moves to and from the start and end inventories are not
+    shortcuts: every variant builds them as pull arcs of the depot.
     """
 
     unit_type: str
-    source: str   # trip id or INITIAL
-    target: str   # trip id or TERMINAL
+    source: str   # trip id
+    target: str   # trip id
     station: str
     pull_in_time: int
     pull_out_time: int
@@ -419,32 +420,26 @@ def _pull_events(instance: Instance, direction: str) -> list[tuple[str, str, str
 
 
 def closure_arcs(instance: Instance, mode: str = "closure") -> list[DirectArcSpec]:
-    """Direct connection arcs of the instance.
+    """Direct connection arcs of the instance: trip-to-trip shortcuts past a
+    depot.
 
-    ``closure`` enumerates every time- and station-feasible shortcut past a
-    depot (including access to the start and end inventories); ``declared``
-    keeps the always-present inventory arcs and the closure arcs that the
-    instance declares, and raises :class:`UnknownDepot` naming a declared
-    arc outside the closure.
+    ``closure`` enumerates every time- and station-feasible shortcut;
+    ``declared`` keeps those that the instance declares, and raises
+    :class:`UnknownDepot` naming a declared arc outside the closure.
     """
     if mode not in ("declared", "closure"):
         raise ValueError(f"unknown mode {mode}")
-    ins = _pull_events(instance, IN)
     outs = _pull_events(instance, OUT)
-    horizon_end = max((t.arr_time for t in instance.trips), default=0) + 1
-    arcs = [DirectArcSpec(u, INITIAL, tid, st, 0, tau) for (st, u, tid, tau) in outs]
-    arcs += [DirectArcSpec(u, tid, TERMINAL, st, tau, horizon_end)
-             for (st, u, tid, tau) in ins]
-    arcs += [DirectArcSpec(u_i, t_i, t_o, st_i, tau_i, tau_o)
-             for (st_i, u_i, t_i, tau_i) in ins for (st_o, u_o, t_o, tau_o) in outs
-             if st_i == st_o and u_i == u_o and tau_i <= tau_o]
+    arcs = [DirectArcSpec(u_i, t_i, t_o, st_i, tau_i, tau_o)
+            for (st_i, u_i, t_i, tau_i) in _pull_events(instance, IN)
+            for (st_o, u_o, t_o, tau_o) in outs
+            if st_i == st_o and u_i == u_o and tau_i <= tau_o]
     if mode == "declared":
         declared = {tuple(a) for a in instance.direct_arcs or ()}
         if outside := declared - {a.key for a in arcs}:
             raise UnknownDepot("direct arc ({}, {}, {}) is not in the closure"
                                .format(*min(outside)))
-        arcs = [a for a in arcs
-                if a.source == INITIAL or a.target == TERMINAL or a.key in declared]
+        arcs = [a for a in arcs if a.key in declared]
     arcs.sort(key=lambda a: (a.station, a.unit_type, a.pull_in_time, a.pull_out_time,
                              a.source, a.target))
     return arcs
@@ -457,23 +452,24 @@ def closure_arcs(instance: Instance, mode: str = "closure") -> list[DirectArcSpe
 # The JSON form: for each object, the dataclass it reads into and the JSON
 # type of each field, in reading order. A field holding an object names its
 # dataclass, one holding a list ``[the kind of its elements]``.
-_NUMBER, _STRING, _LIST = "a number", "a string", "a list"
-_PYTHON = {_NUMBER: (int, float), _STRING: (str,), _LIST: (list,)}  # no bool
+_INTEGER, _NUMBER, _STRING, _LIST = "an integer", "a number", "a string", "a list"
+_PYTHON = {_INTEGER: (int,), _NUMBER: (int, float), _STRING: (str,),
+           _LIST: (list,)}  # no bool
 _IDS = [_STRING]
 JSON_FIELDS: dict[type, dict[str, object]] = {
     Instance: {"name": _STRING, "unit_types": [UnitType], "compositions": [Composition],
                "trips": [Trip], "connections": [Connection], "depots": [Depot],
-               "costs": CostParams, "direct_arcs": [_IDS], "n_max": _NUMBER,
+               "costs": CostParams, "direct_arcs": [_IDS], "n_max": _INTEGER,
                "shunting": ShuntConfig},
-    UnitType: {"id": _STRING, "length_units": _NUMBER, "seats": _NUMBER},
+    UnitType: {"id": _STRING, "length_units": _INTEGER, "seats": _INTEGER},
     Composition: {"id": _STRING, "units": _IDS},
     Trip: {"id": _STRING, "dep_station": _STRING, "arr_station": _STRING,
-           "dep_time": _NUMBER, "arr_time": _NUMBER, "distance_km": _NUMBER,
-           "demand_seats": _NUMBER, "allowed_compositions": _IDS},
+           "dep_time": _INTEGER, "arr_time": _INTEGER, "distance_km": _NUMBER,
+           "demand_seats": _INTEGER, "allowed_compositions": _IDS},
     Connection: {"id": _STRING, "kind": _STRING, "predecessors": _IDS,
                  "successors": _IDS, "allowed_changes": [_IDS]},
     Depot: {"station": _STRING, "unit_type": _STRING,
-            "start_inventory": _NUMBER, "target_end_inventory": _NUMBER},
+            "start_inventory": _INTEGER, "target_end_inventory": _INTEGER},
     CostParams: dict.fromkeys(CostParams.__dataclass_fields__, _NUMBER),
     ShuntConfig: dict.fromkeys(ShuntConfig.__dataclass_fields__, _STRING),
 }
@@ -491,10 +487,10 @@ JSON_DEFAULTS[Instance]["name"] = "unnamed"
 def _read(kind, value, at: str, nullable: bool = False):
     """``value`` at path ``at`` ("" for the document) read as ``kind``: a
     dataclass from a JSON object, a tuple from a list, a JSON number or
-    string as it is, null only where ``nullable``. Raises
-    :class:`MalformedInstance` naming the path of the first fault: a
-    non-object, then an unknown key, then in field order a missing required
-    key or a value or list element of the wrong JSON type."""
+    string as it is, an integer as an ``int``, null only where
+    ``nullable``. Raises :class:`MalformedInstance` naming the path of the
+    first fault: a non-object, then an unknown key, then in field order a
+    missing required key or a value or list element of the wrong JSON type."""
     if type(kind) is type:
         if type(value) is not dict:
             raise MalformedInstance(f"malformed instance: {at or 'instance'} must be an "
@@ -522,6 +518,8 @@ def _read(kind, value, at: str, nullable: bool = False):
         if type(kind[0]) is str and all(type(e) in _PYTHON[kind[0]] for e in value):
             return tuple(value)  # scalars, each path built only on a fault
         return tuple(_read(kind[0], e, f"{at}[{k}]") for k, e in enumerate(value))
+    if kind is _INTEGER and type(value) is float and value.is_integer():
+        return int(value)  # JSON Schema's integer: a number with no fraction
     if not (nullable and value is None):
         raise MalformedInstance(f"malformed instance: {at} must be {json_type}"
                                 f"{' or null' if nullable else ''}, got {value!r}")

@@ -16,7 +16,8 @@ A selection names pulled positions ``(trip, position, unit_type)``; a
 ``(time, direction, key, count)``. The oracle and the projection check test
 a selection with :meth:`Ledger.prefix_ok` (depot variants) or
 :meth:`Ledger.matching_ok` (direct-arc variants); the composition model's
-cut rows and the C to HD extension are sweeps over the same events.
+cut rows and the completion of an HA or C flow to HD are sweeps over the
+same events.
 
 Every ground truth asks which choice of an option per trip and per
 connection a model accepts. :func:`walk` enumerates those choices once for

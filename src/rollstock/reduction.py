@@ -127,12 +127,10 @@ def reduce_3sat(f: Cnf3) -> tuple[Instance, ReductionCertificate]:
 
     trips: list[Trip] = []
     conns: list[Connection] = []
-    allowed: dict[str, tuple[str, ...]] = {}
 
     def add_trip(tid: str, slot: int, frm: str, to: str,
                  comps: tuple[str, ...]) -> str:
-        trips.append(Trip(tid, frm, to, 10 * slot, 10 * slot + 5, 1.0, 0, ()))
-        allowed[tid] = comps
+        trips.append(Trip(tid, frm, to, 10 * slot, 10 * slot + 5, 1.0, 0, comps))
         return tid
 
     def a_st(i: int) -> str:
@@ -198,8 +196,6 @@ def reduce_3sat(f: Cnf3) -> tuple[Instance, ReductionCertificate]:
                                     allowed_changes=tuple(links[k])))
         literal_trips[j] = chain
 
-    trips = [Trip(t.id, t.dep_station, t.arr_station, t.dep_time, t.arr_time,
-                  t.distance_km, t.demand_seats, allowed[t.id]) for t in trips]
     inst = Instance(
         name=f"sat_{f.n_vars}v_{m}c",
         unit_types=(UnitType("u", 1, 0),),

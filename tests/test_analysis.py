@@ -41,6 +41,14 @@ class TestMaps:
         assert_conserving(g_hd, x, tol=1e-6)
         assert flow_cost(g_hd, x) == pytest.approx(lp.objective)
 
+    @pytest.mark.parametrize("variant", ["hA", "hAbar", "HD"])
+    def test_ha_to_hd_refuses_another_variant(self, two_trip, variant):
+        # a small graph's event nodes carry no composition, so HD has no
+        # pull arc at them
+        g, sol = _ip(two_trip, variant)
+        with pytest.raises(ValueError, match="expects an HA or HAbar flow"):
+            analysis.map_HA_to_HD(g, sol.values, build(two_trip, "HD"))
+
     def test_h_to_small_aggregates(self, situation2):
         g_h, sol = _ip(situation2, "HD")
         g_s = build(situation2, "hD")

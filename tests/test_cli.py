@@ -309,6 +309,19 @@ class TestProjectGolden:
         assert out == (GOLDEN / f"project_{name}{suffix}.json").read_text()
 
 
+class TestBuildGolden:
+    """``rollstock build`` of the direct-arc variants: TwoTrip declares no
+    direct arc, so its HA graph holds only the inventory pull arcs."""
+
+    @pytest.mark.parametrize("name,variant,golden", [
+        ("TwoTrip", "HA", "twotrip_HA"), ("TwoTrip", "HAbar", "twotrip_HAbar"),
+        ("Situation2", "HAbar", "situation2_HAbar")])
+    def test_build_matches_golden(self, capsys, name, variant, golden):
+        code, out, _ = _capture(capsys, ["build", "--canonical", name, "--variant", variant])
+        assert code == 0
+        assert out == (GOLDEN / f"{golden}.dump").read_text()
+
+
 class TestExactRational:
     @pytest.mark.parametrize("name", sorted(canonical_instances()))
     def test_compare_matches_golden(self, capsys, name):

@@ -12,10 +12,8 @@ import pytest
 from rollstock.errors import MalformedInstance, NotFound, UnknownDepot
 from rollstock.hypergraph import build
 from rollstock.instance import (
-    INITIAL,
     JSON_DEFAULTS,
     JSON_FIELDS,
-    TERMINAL,
     Connection,
     Instance,
     Trip,
@@ -104,10 +102,8 @@ class TestValidate:
 class TestClosureArcs:
     def test_two_trip_closure_shortcuts(self, two_trip):
         arcs = closure_arcs(two_trip, "closure")
-        trip_to_trip = [a for a in arcs
-                        if a.source != INITIAL and a.target != TERMINAL]
         # red uncoupled after t1 may recouple onto t2, and the blue mirror
-        assert {(a.unit_type, a.source, a.target) for a in trip_to_trip} == {
+        assert {(a.unit_type, a.source, a.target) for a in arcs} == {
             ("r", "t1", "t2"), ("b", "t1", "t2")}
         for a in arcs:
             assert a.pull_in_time <= a.pull_out_time
@@ -117,14 +113,11 @@ class TestClosureArcs:
             dataclasses.replace(t, dep_station="C", arr_station="D")
             if t.id == "t2" else t for t in two_trip.trips)
         inst = dataclasses.replace(two_trip, trips=trips, connections=())
-        arcs = closure_arcs(inst, "closure")
-        assert [a for a in arcs
-                if a.source != INITIAL and a.target != TERMINAL] == []
+        assert closure_arcs(inst, "closure") == []
 
     def test_declared_equals_closure_when_annotated(self, two_trip):
         full = closure_arcs(two_trip, "closure")
-        keys = [a.key for a in full
-                if a.source != INITIAL and a.target != TERMINAL]
+        keys = [a.key for a in full]
         annotated = two_trip.with_direct_arcs(keys)
         declared = closure_arcs(annotated, "declared")
         assert {a.key for a in declared} == {a.key for a in full}
@@ -139,6 +132,13 @@ class TestClosureArcs:
     def test_declared_outside_closure_is_flagged(self, two_trip):
         bad = two_trip.with_direct_arcs([("r", "t2", "t1")])  # wrong direction
         assert "BadDirectArc" in _codes(validate(bad))
+
+    def test_declared_inventory_entry_is_flagged(self, two_trip):
+        # the inventories are reached by each depot's pull arcs, not by a shortcut
+        bad = two_trip.with_direct_arcs([("r", "__initial__", "t1")])
+        assert [str(v) for v in validate(bad)] == [
+            "BadDirectArc(('r', '__initial__', 't1')): "
+            "declared direct arc is not in the feasible closure"]
 
     def test_time_travelling_declared_arc_builds_no_arc(self, situation2):
         # t1 arrives at 660, after t0 leaves at 480: no unit can take the
@@ -200,10 +200,10 @@ class TestJson:
             loads(json.dumps(d))
 
     @pytest.mark.parametrize("section,k,key,value,kind", [
-        ("trips", 0, "dep_time", "late", "a number"),
-        ("unit_types", 0, "seats", None, "a number"),
+        ("trips", 0, "dep_time", "late", "an integer"),
+        ("unit_types", 0, "seats", None, "an integer"),
         ("compositions", 0, "units", 3, "a list"),
-        ("trips", 1, "demand_seats", True, "a number"),
+        ("trips", 1, "demand_seats", True, "an integer"),
         ("depots", 0, "station", 7, "a string")])
     def test_wrong_type_names_its_path(self, section, k, key, value, kind):
         d = json.loads(dumps(canonical("Situation1")))
@@ -212,6 +212,31 @@ class TestJson:
                            match=rf"{section}\[{k}\]\.{key} must be {kind}, "
                                  rf"got {re.escape(repr(value))}"):
             loads(json.dumps(d))
+
+    @pytest.mark.parametrize("path", [
+        "n_max", "unit_types[0].length_units", "unit_types[0].seats", "trips[1].dep_time",
+        "trips[1].arr_time", "trips[1].demand_seats", "depots[0].start_inventory",
+        "depots[0].target_end_inventory"])
+    def test_fractional_count_or_time_names_its_path(self, path):
+        # a fractional inventory made C's branch and bound run to its node
+        # limit on an instance that HD proves infeasible
+        d = json.loads(dumps(canonical("TwoTrip")))
+        *where, key = re.findall(r"\w+", path)
+        obj = functools.reduce(lambda o, k: o[int(k)] if k.isdigit() else o[k], where, d)
+        obj[key] += 0.5
+        with pytest.raises(MalformedInstance, match="^" + re.escape(
+                f"malformed instance: {path} must be an integer, got {obj[key]!r}") + "$"):
+            loads(json.dumps(d))
+
+    def test_integral_float_count_reads_as_an_int(self):
+        # JSON Schema's integer is any number with no fraction
+        d = json.loads(dumps(canonical("TwoTrip")))
+        d["depots"][0]["start_inventory"] = 2.0
+        d["trips"][0]["dep_time"] = 480.0
+        inst = loads(json.dumps(d))
+        assert inst == canonical("TwoTrip")
+        assert type(inst.depots[0].start_inventory) is int
+        assert type(inst.trips[0].dep_time) is int
 
     def test_wrong_type_of_a_list_or_cost_names_its_path(self):
         d = json.loads(dumps(canonical("TwoTrip")))
@@ -306,7 +331,7 @@ class TestJson:
         def kind(prop):
             if "$ref" in prop or "enum" in prop:
                 return "a string"
-            return {"number": "a number", "integer": "a number", "string": "a string",
+            return {"number": "a number", "integer": "an integer", "string": "a string",
                     "array": "a list"}[prop["type"]]
 
         def check(cls, node):

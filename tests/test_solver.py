@@ -999,6 +999,32 @@ class TestOracle:
         assert ip.status == orc.status == "Optimal"
         assert ip.objective == pytest.approx(orc.objective, abs=1e-6)
 
+    # the oracle restates build's small-variant merge rule on its own, so
+    # the two copies are compared here, arc for arc
+    @pytest.mark.parametrize("name", [*sorted(canonical_instances()), "gen", "gen-split"])
+    def test_small_groups_match_the_built_merged_arcs(self, name):
+        from rollstock.hypergraph import connection_changes
+        from rollstock.solver.oracle import _small_groups
+        insts = ([canonical_instances()[name]] if not name.startswith("gen") else
+                 [generate(GenConfig(seed=seed, lines=2, trips_per_line=3,
+                                     split_join_fraction=1.0 if name == "gen-split" else 0.0))
+                  for seed in (1, 2, 3)])
+        for inst in insts:
+            changes = connection_changes(inst)
+            g = build(inst, "hD", changes)
+            for conn in inst.connections:
+                built = [g.by_id[hid] for hid in g.connection_arcs[conn.id]]
+                assert g.connection_arcs[conn.id] == [
+                    f"chg.{conn.id}.m{k}" for k in range(len(built))]
+                got = [(frozenset((t.trip, t.position, t.unit_type) for t, _ in h.base_arcs),
+                        frozenset((u.trip, u.position, u.unit_type) for _, u in h.base_arcs),
+                        h.cost) for h in built]
+                want = [(arc.tails, arc.heads, arc.cost)
+                        for arc in _small_groups(inst, conn, changes[conn.id])]
+                assert got == want, (inst.name, conn.id)
+            if name == "gen-split":
+                assert any(c.kind != "OneToOne" for c in inst.connections)
+
     def test_infeasible_instance_both_paths(self, two_trip):
         import dataclasses
         conn = dataclasses.replace(two_trip.connections[0],
