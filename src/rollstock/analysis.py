@@ -19,14 +19,15 @@ import time as _time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .composition import CompositionGraph, contract
+from .composition import CompositionGraph, compose
 from .errors import CutViolated, LimitExceeded
 from .formulation import ModelOptions, assemble
 from .hypergraph import (EventNode, Hypergraph, build, change_index, change_key,
                          connection_changes, decompose_paths)
 from .instance import Instance
 from .ledger import Ledger, arc_pulls, levels, through_depot, walk
-# perfbench/tracing.py wraps analysis.solve_lp, so the name stays here
+# perfbench/tracing.py wraps analysis.solve_lp and .contract, so the names stay here
+from .composition import contract  # noqa: F401
 from .solver import solve_ip, solve_lp  # noqa: F401
 
 INFEASIBLE = float("inf")
@@ -183,14 +184,8 @@ def extend_C_to_HD(cg: CompositionGraph, values: dict, g_hd: Hypergraph) -> dict
         if not v:
             continue
         x[a.id] = v
-        tags = a.tags
-        if a.kind == "TripArc":
-            comp_of = {tags["trip"]: tags["comp"]}
-        else:
-            conn = instance.connection_by_id[tags["connection"]]
-            comp_of = dict(zip(conn.predecessors + conn.successors,
-                               tags["pre"] + tags["post"]))
-        pulled_in, pulled_out = arc_pulls(instance, tags)
+        comp_of = {node.trip: node.comp for arc in a.base_arcs for node in arc}
+        pulled_in, pulled_out = arc_pulls(instance, a.tags)
         ledger.add(pulled_in, pulled_out, count=v)
         for prefix, positions in (("pin", pulled_in), ("pout", pulled_out)):
             for (t, n, _r) in positions:
@@ -304,15 +299,16 @@ def cost_breakdown(instance: Instance, graph, values: dict,
 
 def build_variant(instance: Instance, variant: str, closure: bool = True,
                   graphs: dict | None = None, changes: dict | None = None):
-    """Graph of a variant; 'C' contracts the HD graph. A caller that builds
+    """Graph of a variant, 'C' built with no HD graph. A caller that builds
     several variants of one instance passes one ``graphs`` dict, which gets
     each graph by name as it is first built, and ``changes`` from
     ``connection_changes``."""
-    name = "HD" if variant == "C" else _closed(variant, closure)
+    name = _closed(variant, closure)
     graphs = {} if graphs is None else graphs
     if name not in graphs:
-        graphs[name] = build(instance, name, changes)
-    return contract(graphs[name]) if variant == "C" else graphs[name]
+        graphs[name] = (compose(instance, changes) if name == "C"
+                        else build(instance, name, changes))
+    return graphs[name]
 
 
 def _closed(variant: str, closure: bool) -> str:
@@ -394,14 +390,18 @@ def _integer_solution_sets(instance: Instance, trip_limit: int = 8,
 
     The one walk over trip compositions (:func:`rollstock.ledger.walk`)
     gives every selection; HD and HAbar judge it with the depot ledger, C
-    with the cut rows of its assembled model."""
+    with its cut rows, summed over the selection's arcs by arc id."""
     if len(instance.trips) > trip_limit:
         raise LimitExceeded(f"{len(instance.trips)} trips exceeds projection limit")
     comps = instance.composition_by_id
     per_conn = connection_changes(instance)
     changes = change_index(per_conn)
     depots = {(d.station, d.unit_type): d for d in instance.all_depots()}
-    cut_rows = contract(build(instance, "HD", per_conn)).cuts
+    cuts = compose(instance, per_conn).cuts
+    column: dict[str, list[tuple[int, int]]] = {}  # (cut row, coefficient) per arc
+    for i, cut in enumerate(cuts):
+        for aid, n in [*cut.ins, *((aid, -n) for aid, n in cut.outs)]:
+            column.setdefault(aid, []).append((i, n))
 
     def conn_options(conn, chosen) -> list:
         ch = changes[conn.id].get((tuple(chosen[t] for t in conn.predecessors),
@@ -425,11 +425,12 @@ def _integer_solution_sets(instance: Instance, trip_limit: int = 8,
                 sets["HD"].add(key)
             if ledger.matching_ok(depots):
                 sets["HAbar"].add(key)
-            if connection_constraints and all(
-                    cut.start - sum(n for aid, n in cut.outs if aid in key)
-                    + sum(n for aid, n in cut.ins if aid in key) >= 0
-                    for cut in cut_rows):
-                sets["C"].add(key)
+            if connection_constraints:
+                level = [cut.start for cut in cuts]
+                for i, n in itertools.chain(*(column.get(aid, ()) for aid in key)):
+                    level[i] += n
+                if min(level, default=0) >= 0:
+                    sets["C"].add(key)
     return sets
 
 
@@ -466,8 +467,8 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
     """Solve the requested variants (LP and IP) and tabulate the outcome.
 
     Each connection's changes are enumerated once and each distinct graph
-    is built once, for this call only: C contracts the HD graph that HD
-    solved. Each distinct model is assembled and solved once, by branch and
+    is built once, for this call only, C with no HD graph (not from the HD
+    row's). Each distinct model is assembled and solved once, by branch and
     bound; its LP column is the relaxation solved at the root node. Plain
     ``hA``/``HA`` rows follow the ``closure`` flag (and share the model and
     solution of an ``hAbar``/``HAbar`` row under it); explicit ones always

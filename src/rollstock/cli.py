@@ -5,8 +5,9 @@ verify-reduction, gen, export-lp. Exit codes: 0 success, 1 infeasible,
 violations found, a malformed instance (every command but validate refuses
 an instance that validate rejects) or a malformed DIMACS formula, 2 usage
 errors (among them neither or both of --instance and --canonical, an
-out-of-range gen option, and solve --plot with --lp or --variant C); an
-Undecided theorem relation does not fail. Human-readable output on
+out-of-range gen option, solve --plot with --lp or --variant C, and solve
+or export-lp with --variant C --no-connection-constraints); an Undecided
+theorem relation does not fail. Human-readable output on
 stdout, JSON with --json; --deterministic suppresses timing fields.
 """
 
@@ -52,6 +53,16 @@ def cmd_validate(args) -> int:
     return 1 if violations else 0
 
 
+def _usage_fault(args) -> str | None:
+    """Why a solve or export-lp command line names no model to make, if it does."""
+    if args.variant == "C" and args.no_connection_constraints:
+        return "the composition model cannot drop the connection constraints"
+    if getattr(args, "plot", None) and (args.lp or args.variant == "C"):
+        return ("--plot draws the integer rotations of a hypergraph variant, so it "
+                "takes neither --lp nor --variant C")
+    return None
+
+
 def cmd_build(args) -> int:
     instance = _load_instance(args)
     graph = analysis.build_variant(instance, args.variant, args.closure)
@@ -60,11 +71,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.plot and (args.lp or args.variant == "C"):
-        print("rollstock solve: error: --plot draws the integer rotations of a "
-              "hypergraph variant, so it takes neither --lp nor --variant C",
-              file=sys.stderr)
-        return 2
     instance = _load_instance(args)
     graph = analysis.build_variant(instance, args.variant, args.closure)
     opts = ModelOptions(connection_constraints=not args.no_connection_constraints)
@@ -309,6 +315,9 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    if args.fn in (cmd_solve, cmd_export_lp) and (fault := _usage_fault(args)):
+        print(f"rollstock {args.command}: error: {fault}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except RollstockError as e:

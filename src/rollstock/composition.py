@@ -1,15 +1,15 @@
-"""Composition model graph, derived from the full depot hypergraph.
+"""Composition model graph, built straight from the instance.
 
-The contraction merges all event nodes of a trip side that differ only in
-(position, unit type) into one node per (trip event, composition). Trip
-hyperarcs and 1-to-1 changes become single arcs, split/join changes become
-two-arc hyperarcs meeting in a common node, and all depot arcs are dropped.
-What remains of the depots is cut data: per depot node, which surviving
-arcs pull how many units out of or into the inventory up to that point in
-time, read off the depot ledger (:mod:`rollstock.ledger`) in one sweep
-over its time-sorted events. The surviving arcs are ``Hyperarc``s of kind
-``TripArc`` or ``CompositionArc`` and keep the ids of the hyperarcs they
-came from, so solutions transfer between the two models by name.
+C has one node per (trip event, composition). Its trip and change arcs come
+from the rules that build HD (:func:`rollstock.hypergraph.service_arcs` and
+:func:`~rollstock.hypergraph.change_arc`), with HD's ids, costs and tags:
+trip arcs and 1-to-1 changes are single arcs, split/join changes two-arc
+hyperarcs meeting in a common node. In place of HD's depot arcs, C keeps
+cut data: per depot node, which arcs pull how many units out of or into the
+inventory up to that point in time, read off the depot ledger
+(:mod:`rollstock.ledger`) in one sweep over its time-sorted events. The
+arcs are ``Hyperarc``s of kind ``TripArc`` or ``CompositionArc``; sharing
+HD's ids, solutions transfer between the two models by name.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import VariantMismatch
-from .hypergraph import Hyperarc, Hypergraph
+from .hypergraph import Hyperarc, Hypergraph, change_arc, connection_changes, service_arcs
 from .instance import Instance
 from .ledger import IN, OUT, Ledger, arc_pulls
 
 
 class CompNode(NamedTuple):
-    """One (trip event, composition) point of the contracted graph."""
+    """One (trip event, composition) point of the composition graph."""
 
     trip: str
     side: str  # dep | arr
@@ -95,54 +95,28 @@ class CompositionGraph:
         return "\n".join(lines) + "\n"
 
 
+def compose(instance: Instance, changes: dict | None = None) -> CompositionGraph:
+    """The composition model graph of an instance; ``changes``, from
+    ``connection_changes``, saves enumerating them again."""
+    def node(trip: str, side: str, _position, _unit_type, comp: str) -> CompNode:
+        return CompNode(trip, side, comp)
+
+    arcs, trip_index = service_arcs(instance, node, composition=True)
+    changes = changes or connection_changes(instance)
+    arcs += (change_arc(instance, c, ch, node, composition=True)
+             for c in instance.connections for ch in changes[c.id])
+    conn_index = {c.id: [ch.key for ch in changes[c.id]] for c in instance.connections}
+    nodes = sorted({v for a in arcs for arc in a.base_arcs for v in arc})
+    return CompositionGraph(instance, nodes, arcs, trip_index, conn_index,
+                            *_build_cut_data(instance, arcs))
+
+
 def contract(g_hd: Hypergraph) -> CompositionGraph:
-    """Contract the full depot hypergraph into the composition model graph."""
+    """The composition model graph of an HD graph's instance. It reads only
+    ``g_hd.instance``: :func:`compose` builds C from the arc rules HD uses."""
     if g_hd.variant != "HD":
         raise VariantMismatch(f"contract expects variant HD, got {g_hd.variant}")
-    instance = g_hd.instance
-    arcs: list[Hyperarc] = []
-    trip_index: dict[str, list[str]] = {t.id: [] for t in instance.trips}
-    conn_index: dict[str, list[str]] = {c.id: [] for c in instance.connections}
-
-    for h in g_hd.hyperarcs:
-        if h.kind == "TripService":
-            t, p = h.tags["trip"], h.tags["comp"]
-            arcs.append(Hyperarc(h.id, "TripArc",
-                                 ((CompNode(t, "dep", p), CompNode(t, "arr", p)),),
-                                 h.cost, 1, dict(h.tags)))
-            trip_index[t].append(h.id)
-        elif h.kind == "ConnectionChange":
-            conn = instance.connection_by_id[h.tags["connection"]]
-            pre_of = dict(zip(conn.predecessors, h.tags["pre"]))
-            post_of = dict(zip(conn.successors, h.tags["post"]))
-            pairs: dict[tuple[CompNode, CompNode], None] = {}
-            for tail, head in h.base_arcs:
-                pairs.setdefault((CompNode(tail.trip, "arr", pre_of[tail.trip]),
-                                  CompNode(head.trip, "dep", post_of[head.trip])))
-            arcs.append(Hyperarc(h.id, "CompositionArc", tuple(sorted(pairs)),
-                                 h.cost, 1, dict(h.tags)))
-            conn_index[conn.id].append(h.id)
-        # depot arcs (Parking, PullIn, PullOut, InventoryDeviation) are dropped
-
-    # parallel contracted arcs must agree on cost (they never arise from the
-    # canonical change enumeration, but the contraction relies on it)
-    by_span: dict[tuple, Hyperarc] = {}
-    for a in arcs:
-        other = by_span.setdefault(tuple(sorted(a.base_arcs)), a)
-        if abs(other.cost - a.cost) > 1e-12:
-            raise AssertionError(
-                f"parallel arcs {a.id} / {other.id} with different costs")
-
-    cuts, ends = _build_cut_data(instance, arcs)
-    return CompositionGraph(
-        instance=instance,
-        nodes=sorted({v for a in arcs for arc in a.base_arcs for v in arc}),
-        hyperarcs=arcs,
-        trip_arcs=trip_index,
-        connection_arcs=conn_index,
-        cuts=cuts,
-        end_inventories=ends,
-    )
+    return compose(g_hd.instance)
 
 
 def _build_cut_data(instance: Instance,

@@ -342,60 +342,75 @@ def _staging_tags(instance: Instance, trip_id: str, comp: Composition) -> dict:
     return tags
 
 
+def service_arcs(instance: Instance, node, full: bool = True,
+                 composition: bool = False) -> tuple[list[Hyperarc], dict[str, list[str]]]:
+    """The trips' service arcs and their ids per trip: one per allowed composition
+    in the full variants and C, one per unit sequence in the small ones.
+    ``node(trip, side, position, unit_type, comp)`` names the event nodes; C's
+    (``composition``) drop the position, so each base arc is taken once."""
+    comps = instance.composition_by_id
+    out: list[Hyperarc] = []
+    index: dict[str, list[str]] = {}
+    for trip in instance.trips:
+        if not trip.allowed_compositions:
+            raise InfeasibleInstance(f"trip {trip.id} allows no composition")
+        groups: dict = {}
+        for pid in trip.allowed_compositions:
+            groups.setdefault(pid if full else comps[pid].units, []).append(pid)
+        index[trip.id] = []
+        for key in (groups if full else sorted(groups)):
+            pids = sorted(groups[key])
+            p = comps[pids[0]]
+            arcs = tuple((node(trip.id, "dep", n, r, p.id), node(trip.id, "arr", n, r, p.id))
+                         for n, r in enumerate(p.units, start=1))
+            tags = {"trip": trip.id, **({"comp": p.id} if full else {"sources": tuple(pids)}),
+                    "seq": p.units, **_staging_tags(instance, trip.id, p)}
+            hid = f"trip.{trip.id}." + (p.id if full else "_".join(p.units))
+            out.append(Hyperarc(hid, "TripArc" if composition else "TripService",
+                                tuple(sorted(set(arcs))) if composition else arcs,
+                                instance.trip_cost(trip, p), 1, tags))
+            index[trip.id].append(hid)
+    return out, index
+
+
+def change_arc(instance: Instance, conn: Connection, change: Change, node,
+               composition: bool = False) -> Hyperarc:
+    """The arc of a change in the full variants and C: each continuing unit
+    moves from an arrival to a departure node, named as in
+    :func:`service_arcs`; C's distinct base arcs are sorted."""
+    pre_of = dict(zip(conn.predecessors, change.pre))
+    post_of = dict(zip(conn.successors, change.post))
+    arcs = tuple((node(tp, "arr", a, r, pre_of[tp]), node(ts, "dep", b, r, post_of[ts]))
+                 for (tp, a, ts, b, r) in change.continuing)
+    tags = {"connection": conn.id, "pre": change.pre, "post": change.post,
+            "uncoupled": change.uncoupled, "coupled": change.coupled,
+            "actions": change.actions, "replace": change.is_replace()}
+    return Hyperarc(change.key, "CompositionArc" if composition else "ConnectionChange",
+                    tuple(sorted(set(arcs))) if composition else arcs,
+                    change.actions * instance.costs.shunting_per_action, 1, tags)
+
+
 def build(instance: Instance, variant: str, changes: dict | None = None) -> Hypergraph:
     """Construct the hypergraph of one model variant; ``changes``, from
     ``connection_changes``, saves enumerating them again."""
     level, transfer, closure = variant_parts(variant)
     comps = instance.composition_by_id
     trips = instance.trip_by_id
-    for t in instance.trips:
-        if not t.allowed_compositions:
-            raise InfeasibleInstance(f"trip {t.id} allows no composition")
-    changes = changes or connection_changes(instance)
-
     full = level == "H"
-    hyperarcs: list[Hyperarc] = []
-    trip_index: dict[str, list[str]] = {t.id: [] for t in instance.trips}
     conn_index: dict[str, list[str]] = {c.id: [] for c in instance.connections}
 
     @functools.cache  # one object per node, so equal lookups match by identity
     def ev(trip_id: str, side: str, pos: int, r: str, comp_id: str) -> EventNode:
         return EventNode(trip_id, side, pos, r, comp_id if full else "")
 
-    # trip service hyperarcs: one per allowed composition in the full
-    # variants, one per distinct unit sequence in the small ones
-    for t in instance.trips:
-        groups: dict = {}
-        for pid in t.allowed_compositions:
-            groups.setdefault(pid if full else comps[pid].units, []).append(pid)
-        for key in (groups if full else sorted(groups)):
-            pids = sorted(groups[key])
-            p = comps[pids[0]]
-            arcs = tuple((ev(t.id, "dep", n, r, p.id), ev(t.id, "arr", n, r, p.id))
-                         for n, r in enumerate(p.units, start=1))
-            tags = {"trip": t.id, **({"comp": p.id} if full else {"sources": tuple(pids)}),
-                    "seq": p.units, **_staging_tags(instance, t.id, p)}
-            hid = f"trip.{t.id}." + (p.id if full else "_".join(p.units))
-            hyperarcs.append(Hyperarc(hid, "TripService", arcs,
-                                      instance.trip_cost(t, p), 1, tags))
-            trip_index[t.id].append(hid)
-
-    # connection change hyperarcs --------------------------------------------
+    # trip service hyperarcs, then connection change hyperarcs --------------
+    hyperarcs, trip_index = service_arcs(instance, ev, full)
+    changes = changes or connection_changes(instance)
     shunt_rate = instance.costs.shunting_per_action
     for conn in instance.connections:
         if full:
-            for change in changes[conn.id]:
-                pre_of = dict(zip(conn.predecessors, change.pre))
-                post_of = dict(zip(conn.successors, change.post))
-                arcs = tuple(
-                    (ev(tp, "arr", a, r, pre_of[tp]), ev(ts, "dep", b, r, post_of[ts]))
-                    for (tp, a, ts, b, r) in change.continuing)
-                tags = {"connection": conn.id, "pre": change.pre, "post": change.post,
-                        "uncoupled": change.uncoupled, "coupled": change.coupled,
-                        "actions": change.actions, "replace": change.is_replace()}
-                hyperarcs.append(Hyperarc(change.key, "ConnectionChange", arcs,
-                                          change.actions * shunt_rate, 1, tags))
-                conn_index[conn.id].append(change.key)
+            hyperarcs += (change_arc(instance, conn, ch, ev) for ch in changes[conn.id])
+            conn_index[conn.id] = [ch.key for ch in changes[conn.id]]
         else:
             merged: dict[tuple, list[Change]] = {}
             for change in changes[conn.id]:

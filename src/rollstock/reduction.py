@@ -23,10 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .composition import contract
+# perfbench/tracing.py wraps reduction.build and .contract, so the names stay here
+from .composition import compose, contract  # noqa: F401
 from .errors import LimitExceeded, MalformedInstance
 from .formulation import assemble
-from .hypergraph import build
+from .hypergraph import build  # noqa: F401
 from .instance import (
     Composition,
     Connection,
@@ -253,7 +254,7 @@ def verify_reduction(f: Cnf3, node_limit: int = 400000) -> ReductionVerdict:
     bad = validate(inst)
     if bad:
         raise AssertionError(f"reduction produced an invalid instance: {bad[:3]}")
-    model = assemble(contract(build(inst, "HD")))
+    model = assemble(compose(inst))
     sol = solve_ip(model, node_limit=node_limit)
     if sol.status == "NodeLimit" and sol.objective is None:
         raise LimitExceeded(f"node limit {node_limit} reached with no incumbent")

@@ -276,7 +276,7 @@ class TestCompare:
         monkeypatch.setattr(analysis, "solve_lp", counting_solve_lp)
         rep = analysis.compare(two_trip, closure=True)
         assert not any(r.error for r in rep.rows)
-        # C contracts the HD graph that the HD row solved
+        # C builds no hypergraph; HD is built for the HD row
         assert built == ["hD", "hAbar", "HD", "HAbar"]
         assert lp_calls == []
         # under the closure, hA and HA share the graphs of hAbar and HAbar
@@ -306,18 +306,23 @@ class TestCompare:
                     by[plain].n_rows) == (bar.lp_value, bar.ip_value,
                                           bar.breakdown, bar.n_rows)
 
-    def test_composition_alone_builds_hd_once(self, two_trip, monkeypatch):
+    def test_composition_builds_no_hypergraph(self, two_trip, monkeypatch):
+        # C comes from the instance: neither its row in compare, nor
+        # build_variant, nor the reduction check builds an HD graph
+        from rollstock import hypergraph
+        from rollstock.reduction import Cnf3, verify_reduction
+
         built = []
-        real_build = analysis.build
-
-        def counting_build(instance, name, *args):
-            built.append(name)
-            return real_build(instance, name, *args)
-
-        monkeypatch.setattr(analysis, "build", counting_build)
+        monkeypatch.setattr(hypergraph.Hypergraph, "__post_init__",
+                            lambda graph: built.append(graph.variant))
         rep = analysis.compare(two_trip, variants=("C",))
         assert not rep.rows[0].error and rep.rows[0].ip_status == "Optimal"
-        assert built == ["HD"]
+        assert analysis.build_variant(two_trip, "C").hyperarcs
+        verdict = verify_reduction(Cnf3(1, ((1, 1, 1),)))
+        assert verdict.agrees and verdict.feasible
+        assert built == []
+        assert analysis.build_variant(two_trip, "HD").variant == "HD"
+        assert built == ["HD"]  # the spy sees a graph that is built
 
     @pytest.mark.parametrize("closure", [False, True])
     def test_enumerates_each_connections_changes_once(self, monkeypatch,

@@ -144,6 +144,20 @@ class TestCommands:
         assert "error: --plot" in err and "Traceback" not in err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("command", [["solve"], ["export-lp", "--out", "x.lp"]],
+                             ids=lambda c: c[0])
+    def test_composition_without_connection_constraints_is_usage_error(
+            self, capsys, tmp_path, monkeypatch, command):
+        # refused before the instance is read: a missing file would exit 1
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _capture(capsys, [*command, "--instance", "missing.json",
+                                           "--variant", "C",
+                                           "--no-connection-constraints"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"rollstock {command[0]}: error: the composition model "
+                              "cannot drop the connection constraints")
+        assert "Traceback" not in err and not (tmp_path / "x.lp").exists()
+
     def test_compare_without_connection_constraints_judges_nothing(self, capsys):
         code, out, _ = _capture(capsys, [
             "compare", "--canonical", "FlowConstraintGap",
@@ -310,12 +324,14 @@ class TestProjectGolden:
 
 
 class TestBuildGolden:
-    """``rollstock build`` of the direct-arc variants: TwoTrip declares no
-    direct arc, so its HA graph holds only the inventory pull arcs."""
+    """``rollstock build`` of the direct-arc variants and of C: TwoTrip
+    declares no direct arc, so its HA graph holds only the inventory pull
+    arcs."""
 
     @pytest.mark.parametrize("name,variant,golden", [
         ("TwoTrip", "HA", "twotrip_HA"), ("TwoTrip", "HAbar", "twotrip_HAbar"),
-        ("Situation2", "HAbar", "situation2_HAbar")])
+        ("Situation2", "HAbar", "situation2_HAbar"), ("TwoTrip", "C", "twotrip_C"),
+        ("Situation2", "C", "situation2_C")])
     def test_build_matches_golden(self, capsys, name, variant, golden):
         code, out, _ = _capture(capsys, ["build", "--canonical", name, "--variant", variant])
         assert code == 0

@@ -15,7 +15,8 @@ linprog = pytest.importorskip("scipy.optimize").linprog
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from rollstock.analysis import SEVEN_VARIANTS, build_variant  # noqa: E402
-from rollstock.composition import contract  # noqa: E402
+from rollstock.composition import (  # noqa: E402
+    CompNode, CompositionGraph, _build_cut_data, contract)
 from rollstock.errors import RollstockError  # noqa: E402
 from rollstock.formulation import (  # noqa: E402
     MilpModel, Row, Variable, assemble, parse_lp, write_lp)
@@ -23,6 +24,7 @@ from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
 from rollstock.instance import canonical, dumps, loads, validate  # noqa: E402
 from rollstock.ledger import walk  # noqa: E402
+from rollstock.reduction import Cnf3, reduce_3sat  # noqa: E402
 from rollstock.solver import (  # noqa: E402
     ArrayForm, dual_residual, enumerate_oracle, feasibility_residual, model_arrays, solve_ip,
     solve_lp)
@@ -475,3 +477,64 @@ def test_walk_yields_the_product_leaves_whose_connections_all_have_an_option(
         if all(options.values()):
             product.append(leaf(chosen, options))
     assert sorted(walked) == sorted(product)
+
+
+def _contract_hd(g_hd):
+    """The composition graph as contracting the HD graph made it: HD's trip
+    and change hyperarcs on one node per (trip event, composition), each
+    change's distinct node pairs sorted, and the depot arcs dropped."""
+    instance = g_hd.instance
+    arcs = []
+    trip_index = {t.id: [] for t in instance.trips}
+    conn_index = {c.id: [] for c in instance.connections}
+    for h in g_hd.hyperarcs:
+        if h.kind == "TripService":
+            t, p = h.tags["trip"], h.tags["comp"]
+            arcs.append(h._replace(kind="TripArc", base_arcs=(
+                (CompNode(t, "dep", p), CompNode(t, "arr", p)),), tags=dict(h.tags)))
+            trip_index[t].append(h.id)
+        elif h.kind == "ConnectionChange":
+            conn = instance.connection_by_id[h.tags["connection"]]
+            pre_of = dict(zip(conn.predecessors, h.tags["pre"]))
+            post_of = dict(zip(conn.successors, h.tags["post"]))
+            pairs = {}
+            for tail, head in h.base_arcs:
+                pairs.setdefault((CompNode(tail.trip, "arr", pre_of[tail.trip]),
+                                  CompNode(head.trip, "dep", post_of[head.trip])))
+            arcs.append(h._replace(kind="CompositionArc", base_arcs=tuple(sorted(pairs)),
+                                   tags=dict(h.tags)))
+            conn_index[conn.id].append(h.id)
+    cuts, ends = _build_cut_data(instance, arcs)
+    return CompositionGraph(instance, sorted({v for a in arcs for arc in a.base_arcs
+                                              for v in arc}),
+                            arcs, trip_index, conn_index, cuts, ends)
+
+
+@st.composite
+def _composition_instances(draw):
+    """Genbench instances, splits and joins included, and 3SAT reductions."""
+    if draw(st.booleans()):
+        return generate(GenConfig(
+            seed=draw(st.integers(1, 10_000)), lines=draw(st.integers(1, 3)),
+            trips_per_line=draw(st.integers(1, 4)), unit_types=draw(st.integers(1, 2)),
+            stations=draw(st.integers(2, 4)),
+            split_join_fraction=draw(st.sampled_from([0.0, 0.3, 1.0]))))
+    n_vars = draw(st.integers(1, 3))
+    literal = st.integers(1, n_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.tuples(literal, literal, literal), min_size=1, max_size=4))
+    return reduce_3sat(Cnf3(n_vars, clauses))[0]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(inst=_composition_instances())
+def test_the_composition_graph_equals_the_contracted_hd_graph(inst):
+    # C built from the instance is the HD graph contracted, field for field
+    # and in arc order
+    want = _contract_hd(build(inst, "HD"))
+    for got in (build_variant(inst, "C"), contract(build(inst, "HD"))):
+        assert [tuple(a) for a in got.hyperarcs] == [tuple(a) for a in want.hyperarcs]
+        assert got.nodes == want.nodes
+        assert all(type(v) is CompNode for v in got.nodes)
+        assert (got.cuts, got.end_inventories) == (want.cuts, want.end_inventories)
+        assert (got.trip_arcs, got.connection_arcs) == (want.trip_arcs, want.connection_arcs)
+        assert got.instance is inst
