@@ -88,7 +88,8 @@ class ComparisonReport:
 def _park_levels(x: dict, ledger: Ledger, g_hd: Hypergraph) -> dict:
     """Complete an HD flow ``x`` with its parking arcs: each segment of a
     depot timeline carries the depot's running level after the ledger's
-    moves up to the segment's start."""
+    moves up to the segment's start; a level that rounding leaves below 0
+    (by at most 1e-9) parks nothing."""
     timelines: dict[tuple[str, str], list] = {}
     for h in g_hd.hyperarcs:
         if h.kind == "Parking":
@@ -106,7 +107,7 @@ def _park_levels(x: dict, ledger: Ledger, g_hd: Hypergraph) -> dict:
                 idx += 1
             if level < -1e-9:
                 raise CutViolated(f"depot {key} inventory drops to {level}")
-            if level:
+            if level > 0:
                 x[hid] = x.get(hid, 0) + level
     return x
 

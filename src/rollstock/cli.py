@@ -5,8 +5,9 @@ verify-reduction, gen, export-lp. Exit codes: 0 success, 1 infeasible,
 violations found, a malformed instance (every command but validate refuses
 an instance that validate rejects) or a malformed DIMACS formula, 2 usage
 errors (among them neither or both of --instance and --canonical, an
-out-of-range gen option, solve --plot with --lp or --variant C, and solve
-or export-lp with --variant C --no-connection-constraints); an Undecided
+out-of-range gen option, compare with --variant, which only solve and
+export-lp take, solve --plot with --lp or --variant C, and solve or
+export-lp with --variant C --no-connection-constraints); an Undecided
 theorem relation does not fail. Human-readable output on
 stdout, JSON with --json; --deterministic suppresses timing fields.
 """
@@ -219,8 +220,9 @@ def _add_instance_args(p):
                         help="built-in instance name")
 
 
-def _add_model_args(p):
-    p.add_argument("--variant", default="C", choices=analysis.SEVEN_VARIANTS)
+def _add_model_args(p, variant: bool = True):
+    if variant:  # compare takes --variants or --all instead
+        p.add_argument("--variant", default="C", choices=analysis.SEVEN_VARIANTS)
     p.add_argument("--closure", action="store_true",
                    help="use the closure of direct connection arcs")
     p.add_argument("--no-connection-constraints", action="store_true")
@@ -259,9 +261,11 @@ def make_parser() -> argparse.ArgumentParser:
                    help="write the rotation SVG of an integer hypergraph solution")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("compare", help="solve and relate all variants")
+    # no abbreviations: --variant would read as --variants
+    p = sub.add_parser("compare", help="solve and relate all variants",
+                       allow_abbrev=False)
     _add_instance_args(p)
-    _add_model_args(p)
+    _add_model_args(p, variant=False)
     _add_solve_args(p)
     p.add_argument("--all", action="store_true")
     p.add_argument("--variants", nargs="*", choices=analysis.SEVEN_VARIANTS)

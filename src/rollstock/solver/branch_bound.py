@@ -37,6 +37,25 @@ class _Node:
     start: object = None  # the parent's final basis
 
 
+def _fractional(x, integer, tolerance, exact: bool = False) -> int:
+    """The integer column farthest from an integer, beyond ``tolerance``,
+    or -1; ties go to the lowest index. ``integer`` masks the first
+    ``len(integer)`` entries of ``x``. A float point takes one masked
+    argmax; an exact value with denominator 1 is integral and skipped
+    unmeasured."""
+    if not exact:
+        x = x[:len(integer)]
+        f = np.where(integer, np.abs(x - np.round(x)), 0.0)
+        j = int(f.argmax()) if len(f) else -1
+        return j if j >= 0 and f[j] > tolerance else -1
+    worst, pick = tolerance, -1
+    for i in range(len(integer)):
+        if integer[i] and x[i].denominator != 1 and \
+                (f := abs(x[i] - round(x[i]))) > worst:
+            worst, pick = f, i
+    return pick
+
+
 def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
              exact: bool = False):
     """Branch-and-bound integer optimum of an assembled model.
@@ -76,17 +95,6 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
     stack = [_Node(form.lb, form.ub, root.objective, serial, root)]
     root_bound = root.objective
 
-    def fractional(x, tolerance):
-        """The integer column farthest from an integer, beyond
-        ``tolerance``, or -1; ties go to the lowest index. An exact value
-        with denominator 1 is integral and skipped unmeasured."""
-        worst, pick = tolerance, -1
-        for i in range(n):
-            if int_mask[i] and not (exact and x[i].denominator == 1) and \
-                    (f := abs(x[i] - round(x[i]))) > worst:
-                worst, pick = f, i
-        return pick
-
     while stack:
         if nodes >= node_limit:
             bound = min((nd.bound for nd in stack),
@@ -115,7 +123,7 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
             continue
 
         x = res.x
-        j = fractional(x, 0 if exact else INT_TOL)
+        j = _fractional(x, int_mask, 0 if exact else INT_TOL, exact)
         if j < 0:
             if exact:  # integral to the last digit: keep the LP point
                 point, obj = x, res.objective
@@ -134,7 +142,7 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
             # farthest, measured within the node's bounds so that both
             # children cut the LP point off
             x = np.clip(x, node.lb, node.ub)
-            j = fractional(x, 0)
+            j = _fractional(x, int_mask, 0, exact)
             if j < 0:
                 raise NumericalFailure(f"incumbent residual {resid} exceeds "
                                        "tolerance")

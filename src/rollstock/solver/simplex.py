@@ -12,10 +12,11 @@ its bounds from its own: a column takes those of the columns substituted
 into it. It starts from the slack basis: one artificial column per live
 row, every other column at its lower bound. A warm run, as in a
 branch-and-bound child, starts from an earlier run's layout, fixed values,
-final basis and a copy of its final basis inverse under bounds that only
-tighten; a column the new bounds fix never enters. A postsolve gives the
-substituted columns their values and the dropped rows their duals, so x and
-y are an optimum of the original model in either mode.
+final basis and a copy of that basis's inverse (made by the first run
+that needs it) under bounds that only tighten; a column the new bounds fix
+never enters. A postsolve gives the substituted columns their values and
+the dropped rows their duals, so x and y are an optimum of the original
+model in either mode.
 
 Every run then takes the same two steps, with the artificial columns held
 at zero. Dual pivots (dual steepest edge picks the leaving row, Forrest and
@@ -33,11 +34,13 @@ tie-breaking, and a permanent fall back to Bland's rule once a run of
 degenerate pivots suggests cycling. A run appends its artificial columns
 to the layout's nonzeros, and every product with A runs over them: y'A
 (reduced costs, pivot row), A x (basic values) and B^-1 A_q. B^-1 is kept
-explicitly and refactorized every 256 iterations. In between, a pass works
-in proportion to what its pivot changes (Hall and McKinnon 2005): the eta
-step (one routine for both loops) updates the rows of B^-1 where B^-1 A_q
-is nonzero and their steepest-edge norms, and the dual loop carries its
-reduced costs along the pivot row, d -= (d_q / alpha_rq) alpha_r.
+explicitly and refactorized before every 256th pass. In between, a pass
+works in proportion to what its pivot changes (Hall and McKinnon 2005): the
+eta step (one routine for both loops) updates the rows of B^-1 where
+B^-1 A_q is nonzero and their steepest-edge norms, and the dual loop
+carries its reduced costs along the pivot row, d -= (d_q / alpha_rq)
+alpha_r. An optimum is reported from the loop's B^-1, refined once, and
+refactorized only when it fails a drift test (``_solve_float``).
 
 The rational mode backs the optimal-value *equality* assertions between
 models. It does not pivot over ``Fraction``s: it runs the float simplex on
@@ -76,6 +79,7 @@ BASIC = 2
 
 TOL = 1e-9        # pricing and ratio-test pivots
 TIE = 1e-12       # ratio ties and degenerate steps
+DRIFT = 1e-9      # relative residual of a reported x_B or y that refactorizes
 
 
 @dataclass
@@ -119,9 +123,9 @@ class _Basis:
     are the free columns in order, then the artificial column
     ``sign[i] * e_i`` of each live row. An Infeasible run sets ``row``, the
     dual loop's basis position that no column can repair; an Unbounded run
-    sets ``entering``, the column that improves without a blocking row. An
-    Optimal run keeps ``B_inv``, the inverse of its final refactorization,
-    and a run started from this basis begins from a copy of it."""
+    sets ``entering``, the column that improves without a blocking row.
+    ``B_inv`` is None until a run starts from this basis: the first such run
+    makes it, ``_inverse`` of the basis, and every run begins from a copy."""
 
     layout: _Layout
     sign: np.ndarray
@@ -457,8 +461,8 @@ class _Pivots:
             # the eta step: a row with col[i] == 0 would lose 0 * row
             B_inv = self.B_inv
             row = B_inv[leaving] / col[leaving]
-            touched = np.flatnonzero(col)
-            B_inv[touched] -= col[touched, None] * row
+            touched = col.nonzero()[0]
+            B_inv[touched] -= col[touched][:, None] * row
             B_inv[leaving] = row
             new = B_inv[touched]
             self.norms[touched] = np.einsum("ij,ij->i", new, new)
@@ -517,69 +521,79 @@ def _dual(p: _Pivots, costs) -> int:
     among nonbasic columns that are not fixed and push the leaving value
     toward its bound, the lowest index on ties. d is priced afresh only at
     the start and after a refactorization, else d -= (d_q / alpha_rq) alpha_r.
+    The ±1 directions, the mask of unfixed nonbasic columns and the basic
+    bounds are carried too: a pivot updates the two columns that swap.
     """
     p.start()
     p.d = p.reduced_costs(costs)
+    direction = np.where(p.status == AT_LOWER, 1.0, -1.0)
+    free = (p.status != BASIC) & ~p.fixed
+    lb_B, ub_B = p.lb[p.basis_arr], p.ub[p.basis_arr]
     degenerate_run = 0
     bland = False
     while True:
         p.count()
         bland = bland or _cycling(degenerate_run, p)
-        lb_B, ub_B = p.lb[p.basis_arr], p.ub[p.basis_arr]
-        below = lb_B - p.x_B
-        viol = np.maximum(below, p.x_B - ub_B)
-        bad = viol > TOL
-        if not bad.any():
+        x_B = p.x_B
+        viol = np.maximum(lb_B - x_B, x_B - ub_B)
+        score = viol * viol / p.norms
+        score[viol <= TOL] = 0.0
+        if not len(score) or score[r := int(score.argmax())] == 0:
             return -1
         if bland:
-            r = int(np.flatnonzero(bad)[np.argmin(p.basis_arr[bad])])
-        else:
-            r = int(np.argmax(np.where(bad, viol, 0.0) ** 2 / p.norms))
-        to_lower = below[r] > 0
+            bad = score.nonzero()[0]
+            r = int(bad[p.basis_arr[bad].argmin()])
+        to_lower = x_B[r] < lb_B[r]
 
-        direction = np.where(p.status == AT_LOWER, 1.0, -1.0)
-        # a unit step of nonbasic column j moves x_B[r] by -alpha_rj
-        # * direction_j; ``push`` is that move toward the violated bound
+        # a unit step of nonbasic column j moves x_B[r] by -push_j: up to a
+        # violated lower bound needs push_j < 0, down to an upper one > 0
         alpha = _priced(p.nz, p.B_inv[r], len(p.lb))  # the pivot row
-        push = alpha * direction * (-1.0 if to_lower else 1.0)
-        eligible = np.flatnonzero((push > TOL) & (p.status != BASIC) & ~p.fixed)
-        if eligible.size == 0:
+        push = alpha * direction
+        eligible = (((push < -TOL) if to_lower else (push > TOL)) & free).nonzero()[0]
+        if not len(eligible):
             return r
         ratios = np.maximum(p.d[eligible] * direction[eligible], 0.0) \
-            / push[eligible]
+            / np.abs(push[eligible])
         r_min = float(ratios.min())
-        entering = int(eligible[np.argmax(ratios <= r_min + TIE)])
+        entering = int(eligible[(ratios <= r_min + TIE).argmax()])
 
         degenerate_run = degenerate_run + 1 if r_min <= TIE else 0
         col = p.column(entering)
-        bound = lb_B[r] if to_lower else ub_B[r]
-        if p.pivot(entering, col, (p.x_B[r] - bound) / col[r], r,
+        leaving, bound = p.basis[r], lb_B[r] if to_lower else ub_B[r]
+        if p.pivot(entering, col, (x_B[r] - bound) / col[r], r,
                    AT_LOWER if to_lower else AT_UPPER):
             p.d = p.reduced_costs(costs)
         else:
             p.d -= p.d[entering] / alpha[entering] * alpha
             p.d[entering] = 0.0
+        direction[leaving] = 1.0 if to_lower else -1.0
+        free[leaving], free[entering] = not p.fixed[leaving], False
+        lb_B[r], ub_B[r] = p.lb[entering], p.ub[entering]
 
 
-def _solve_float(c, layout: _Layout, bounds, start=None):
+def _solve_float(c, lb, ub, layout: _Layout, bounds, start=None):
     """The float run on ``layout`` under ``bounds``, from ``start``'s basis
     or else from the slack basis: one artificial column per live row, every
     other column at its lower bound. Each free column takes the floats of
     its exact bounds and its folded cost; the artificial columns are held at
     zero. The dual loop runs first (on the costs clipped at zero from the
     slack basis, whose duals are zero), then one primal pass on the true
-    costs. An optimum gets the layout's fixed values as floats and the
-    postsolved substituted values and duals.
+    costs. An optimum takes x_B and y = c_B B^-1 from the loop's B^-1,
+    refined once, x_B += B^-1 (b - A x) and y += (c_B - (yA)_B) B^-1, or
+    from a refactorization if either residual fails the drift test (beyond
+    ``DRIFT`` (1 + max |b_i| or |c_B|)); it gets the layout's fixed values
+    as floats, the postsolved substituted values and duals, and x clipped
+    to ``lb`` and ``ub``.
     """
     free_cols, live_rows = layout.free_cols, layout.live_rows
     m, n = len(live_rows), len(free_cols)
     b_r = np.array([float(layout.rhs[i]) for i in live_rows])
-    lb, ub = (np.array([float(v[j]) for j in free_cols] + [0.0] * m)
-              for v in bounds)
+    lb_r, ub_r = (np.array([float(v[j]) for j in free_cols] + [0.0] * m)
+                  for v in bounds)
     cost = _costs(layout, c.tolist())
     costs = np.array([cost[j] for j in free_cols] + [0.0] * m)
     if start is None:
-        sign = np.where(b_r - _times(layout.nz, lb, m) >= 0, 1.0, -1.0)
+        sign = np.where(b_r - _times(layout.nz, lb_r, m) >= 0, 1.0, -1.0)
         basis = list(range(n, n + m))
         status = np.full(n + m, AT_LOWER, dtype=int)
         status[n:] = BASIC
@@ -597,9 +611,11 @@ def _solve_float(c, layout: _Layout, bounds, start=None):
     iterations = 0
     x_r = y_r = np.zeros(0)
     if n:
+        if start is not None and start.B_inv is None:
+            start.B_inv = _inverse(nz, basis, n + m)
         # the artificial diagonal is its own inverse
         B_inv = np.diag(sign) if start is None else start.B_inv.copy()
-        p = _Pivots(nz, b_r, lb, ub, basis, status, B_inv, 5000 + 60 * (m + n))
+        p = _Pivots(nz, b_r, lb_r, ub_r, basis, status, B_inv, 5000 + 60 * (m + n))
         run.row = _dual(p, dual_costs)
         iterations = p.iters
         if run.row >= 0:
@@ -610,11 +626,17 @@ def _solve_float(c, layout: _Layout, bounds, start=None):
         if state == "Unbounded":
             return SimplexResult("Unbounded", iterations=iterations,
                                  basis=run)
-        p.refactor()  # wash out eta-update drift before reporting
-        run.B_inv = p.B_inv
-        x_r = _nonbasic_values(lb, ub, status)
-        x_r[basis] = p.x_B
-        y_r = costs[basis] @ p.B_inv
+        c_B, x_r = costs[basis], _nonbasic_values(lb_r, ub_r, status)
+        x_r[basis], y_r = p.x_B, c_B @ p.B_inv
+        r_x = b_r - _times(nz, x_r, m)
+        r_y = c_B - _priced(nz, y_r, n + m)[basis]
+        if any(np.abs(r).max(initial=0.0) > DRIFT * (1 + np.abs(v).max(initial=0.0))
+               for r, v in ((r_x, b_r), (r_y, c_B))):
+            p.refactor()
+            x_r[basis], y_r = p.x_B, c_B @ p.B_inv
+        else:
+            x_r[basis] += p.B_inv @ r_x
+            y_r += r_y @ p.B_inv
 
     x = np.empty(len(c))
     x[list(layout.fixed)] = [float(v) for v in layout.fixed.values()]
@@ -623,6 +645,7 @@ def _solve_float(c, layout: _Layout, bounds, start=None):
     y[live_rows] = y_r
     x, y = map(np.array, _postsolve(layout, cost, x.tolist(), y.tolist(),
                                     bounds, False))
+    np.clip(x, lb, ub, out=x)
     obj = sum((c[j] * x[j] for j in range(len(c))), 0.0)
     return SimplexResult("Optimal", objective=obj, x=x, y=y,
                          iterations=iterations, basis=run)
@@ -711,7 +734,7 @@ def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
     basis that run ends on, over the presolve's exact reduced problem. One
     elimination of that basis serves every system the certificate solves."""
     try:
-        approx = _solve_float(c, layout, bounds, start)
+        approx = _solve_float(c, lb, ub, layout, bounds, start)
     except NumericalFailure as e:
         raise NumericalFailure(f"certificate: float run failed: {e}") from e
     run = approx.basis
@@ -832,4 +855,4 @@ def solve_arrays(c, nz, b, lb, ub, exact: bool = False,
         return SimplexResult("Infeasible")
     if exact:
         return _certify(c, lb, ub, layout, bounds, start)
-    return _solve_float(c, layout, bounds, start)
+    return _solve_float(c, lb, ub, layout, bounds, start)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rollstock import analysis
@@ -11,7 +12,7 @@ from rollstock.formulation import ModelOptions, assemble
 from rollstock.genbench import GenConfig, generate
 from rollstock.hypergraph import assert_conserving, build, flow_cost
 from rollstock.instance import canonical_instances
-from rollstock.solver import solve_ip, solve_lp
+from rollstock.solver import model_arrays, solve_ip, solve_lp
 
 
 def _ip(inst, variant, cc=True):
@@ -84,6 +85,39 @@ class TestMaps:
         bad = {"trip.t1.r1": 1.0, "trip.t2.rr": 1.0, "chg.c1.r1.rr": 1.0}
         with pytest.raises(CutViolated):
             analysis.extend_C_to_HD(cg, bad, g_hd)
+
+
+def _map_case(name):
+    """A map case: a canonical, a sweep-shape genbench instance, or a 2x3
+    genbench instance with every connection split or joined."""
+    if name in canonical_instances():
+        return canonical_instances()[name]
+    kind, seed = name.split("-")
+    if kind == "sweep":
+        return generate(GenConfig(seed=int(seed), lines=2, trips_per_line=3,
+                                  unit_types=2, n_max=2, stations=3))
+    return generate(GenConfig(seed=int(seed), lines=2, trips_per_line=3,
+                              split_join_fraction=1.0 if kind == "sj" else 0.0))
+
+
+@pytest.mark.parametrize("name", [*sorted(canonical_instances()),
+                                  "sweep-3000", "sweep-3001", "sweep-3002",
+                                  "gen-100", "gen-101", "sj-102", "sj-103"])
+def test_lp_optima_hold_their_bounds_and_map_to_no_negative_flow(name):
+    inst = _map_case(name)
+    g_hd = build(inst, "HD")
+    for variant, closure in (("HAbar", True), ("HA", False), ("C", True)):
+        graph = analysis.build_variant(inst, variant, closure)
+        model = assemble(graph).relaxed()
+        form = model_arrays(model)
+        lp = solve_lp(model)
+        assert lp.status == "Optimal", variant
+        x = np.array([lp.values[v] for v in form.var_ids])
+        n = form.n_structural
+        assert (x >= form.lb[:n]).all() and (x <= form.ub[:n]).all(), variant
+        flow = (analysis.extend_C_to_HD if variant == "C"
+                else analysis.map_HA_to_HD)(graph, lp.values, g_hd)
+        assert min(flow.values()) >= 0, variant
 
 
 class TestReplay:

@@ -114,6 +114,15 @@ class TestCommands:
         assert run(["solve", "--variant", "bogus"]) == 2
         assert run(["definitely-not-a-command"]) == 2
 
+    def test_compare_takes_no_variant(self, capsys):
+        # compare solves --variants or --all; a --variant it would ignore
+        # is refused before anything is solved
+        code, out, err = _capture(capsys, ["compare", "--canonical", "TwoTrip",
+                                           "--variant", "hD"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --variant hD" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("source", [[], ["--canonical", "TwoTrip",
                                              "--instance", "two.json"]],
                              ids=["neither", "both"])

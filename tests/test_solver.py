@@ -467,15 +467,18 @@ class TestLp:
     def test_refactorizes_before_every_256th_pass(self, monkeypatch):
         passes = _record_passes(monkeypatch)
         real = simplex._inverse
-        inverses = []
+        inverses = []  # the loops ended so far, at each inversion
         monkeypatch.setattr(simplex, "_inverse",
-                            lambda *a: inverses.append(1) or real(*a))
+                            lambda *a: inverses.append(len(passes)) or real(*a))
         inst = generate(GenConfig(seed=5, lines=2, trips_per_line=8,
                                   stations=4))
         assert solve_lp(_model(inst, "HD").relaxed()).status == "Optimal"
         assert max(k for _, k in passes) > 256
-        # and once more before reporting; the slack basis needs no inverse
-        assert len(inverses) == sum(k // 256 for _, k in passes) + 1
+        # the slack basis needs no inverse, and the report needs one only
+        # when the drift test fires: after both loops ended
+        drifted = inverses.count(2)
+        assert len(inverses) == sum(k // 256 for _, k in passes) + drifted
+        assert drifted == 0
 
     def test_determinism(self, situation2):
         m = _model(situation2, "HD").relaxed()
@@ -862,17 +865,22 @@ class TestWarmStart:
                 assert (a is None and b is None) or np.array_equal(a, b)
 
     def test_a_child_leaves_its_sibling_start_untouched(self, monkeypatch):
-        # siblings share their parent's basis; each pivots on a copy of its
-        # inverse
+        # siblings share their parent's basis; the first child inverts it,
+        # and each pivots on a copy of that inverse
         real = branch_bound.solve_arrays
-        starts = []
+        starts, kept = [], {}
 
         def recording(c, nz, b, lb, ub, exact=False, start=None):
             if start is None:
                 return real(c, nz, b, lb, ub, exact=exact)
-            before = start.B_inv.copy()
             res = real(c, nz, b, lb, ub, exact=exact, start=start)
-            assert np.array_equal(start.B_inv, before)
+            if id(start) not in kept:  # the inverse exists from now on
+                m, n = len(start.sign), len(start.layout.free_cols)
+                full_A = np.concatenate([
+                    _dense(start.layout.nz, m, n), np.diag(start.sign)], axis=1)
+                kept[id(start)] = simplex._inverse(_nonzeros(full_A),
+                                                   start.basis, n + m)
+            assert np.array_equal(start.B_inv, kept[id(start)])
             starts.append(start)
             return res
 
@@ -967,6 +975,123 @@ class TestWarmStart:
             k = start.layout.free_cols.index(0)
             assert k in start.basis
             assert warm.status == "Optimal" and k not in warm.basis.basis
+
+
+def _spy_inverse(monkeypatch):
+    """Record the basis of every ``_inverse`` call."""
+    real = simplex._inverse
+    bases = []
+    monkeypatch.setattr(simplex, "_inverse", lambda nz, basis, n: (
+        bases.append(list(basis)) or real(nz, basis, n)))
+    return bases
+
+
+class TestReport:
+    @pytest.mark.parametrize("name", [*sorted(canonical_instances()), "ladder-L2"])
+    def test_refined_report_matches_a_fresh_inverse(self, monkeypatch, name):
+        inst = generate(GenConfig(seed=5, lines=2, trips_per_line=8, stations=4)) \
+            if name == "ladder-L2" else canonical_instances()[name]
+        models = [_model(inst, v) for v in VARIANTS7]
+        refined = [_solve_arrays(m, False) for m in models]
+        monkeypatch.setattr(simplex, "DRIFT", -1.0)  # every report refactorizes
+        for model, a in zip(models, refined):
+            b = _solve_arrays(model, False)
+            assert a.status == b.status and a.iterations == b.iterations
+            if a.status != "Optimal":
+                continue
+            assert a.basis.basis == b.basis.basis
+            for u, w in ((a.x, b.x), (a.y, b.y), ([a.objective], [b.objective])):
+                w = np.asarray(w)
+                assert np.abs(np.asarray(u) - w).max() <= \
+                    1e-12 * max(1.0, np.abs(w).max()), model.name
+
+    def test_a_drifted_inverse_is_refactorized(self, monkeypatch):
+        model = _model(canonical_instances()["Situation2"], "HD")
+        monkeypatch.setattr(simplex, "DRIFT", -1.0)
+        fresh = _solve_arrays(model, False)
+        monkeypatch.setattr(simplex, "DRIFT", 1e-9)
+        real = simplex._simplex
+
+        def corrupting(p, costs):  # as if the eta steps had drifted
+            out = real(p, costs)
+            p.B_inv = p.B_inv * (1 + 1e-6)
+            return out
+
+        monkeypatch.setattr(simplex, "_simplex", corrupting)
+        inverted = _spy_inverse(monkeypatch)
+        res = _solve_arrays(model, False)
+        assert res.status == "Optimal" and len(inverted) == 1
+        assert res.objective == fresh.objective
+        assert np.array_equal(res.x, fresh.x) and np.array_equal(res.y, fresh.y)
+
+    def test_compare_at_the_root_inverts_nothing(self, monkeypatch):
+        from rollstock import analysis
+
+        real = analysis.solve_ip
+        ips = []
+        monkeypatch.setattr(analysis, "solve_ip", lambda *a, **k: (
+            ips.append(real(*a, **k)) or ips[-1]))
+        passes = _record_passes(monkeypatch)
+        inverted = _spy_inverse(monkeypatch)
+        inst = generate(GenConfig(seed=3000, lines=2, trips_per_line=3,
+                                  unit_types=2, n_max=2, stations=3))
+        rep = analysis.compare(inst)
+        assert not any(r.error for r in rep.rows)
+        assert len(ips) == 5 and all(ip.nodes == 1 for ip in ips)
+        assert max(k for _, k in passes) < 256
+        assert inverted == []
+
+    @pytest.mark.parametrize("build", [
+        _unsat_c_model, lambda: _branching_genbench(3, "hD"),
+        lambda: _branching_genbench(20, "hD")], ids=["unsat-2v4c", "genbench-3-hD",
+                                                     "genbench-20-hD"])
+    def test_each_parent_basis_is_inverted_once(self, monkeypatch, build):
+        real = branch_bound.solve_arrays
+        parents = {}
+
+        def recording(c, nz, b, lb, ub, exact=False, start=None):
+            if start is not None:
+                parents[id(start)] = start
+            return real(c, nz, b, lb, ub, exact=exact, start=start)
+
+        monkeypatch.setattr(branch_bound, "solve_arrays", recording)
+        passes = _record_passes(monkeypatch)
+        inverted = _spy_inverse(monkeypatch)
+        ip = solve_ip(build())
+        assert ip.nodes > 1 and max(k for _, k in passes) < 256
+        assert sorted(inverted) == sorted(s.basis for s in parents.values())
+
+
+class TestFractional:
+    @staticmethod
+    def _loop(x, integer, tolerance):
+        worst, pick = tolerance, -1
+        for i in range(len(integer)):
+            if integer[i] and (f := abs(x[i] - round(x[i]))) > worst:
+                worst, pick = f, i
+        return pick
+
+    def test_vectorized_pick_matches_the_loop(self):
+        # ties (0.25 and 0.75, two equal fractions), exact integers and
+        # half-integers, with slack entries past the mask
+        rng = np.random.default_rng(11)
+        fractions = np.array([0.0, 0.0, 0.5, 0.25, 0.75, 0.3, 1e-7, 1 - 1e-7])
+        picked = collections.Counter()
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            x = np.r_[rng.integers(-4, 5, n) + rng.choice(fractions, n),
+                      rng.random(2) + 0.5]
+            integer = rng.random(n) < 0.7
+            exact = np.array([Fraction(v) for v in x], dtype=object)
+            for tol in (0.0, branch_bound.INT_TOL, 0.5):
+                expect = self._loop(x, integer, tol)
+                assert branch_bound._fractional(x, integer, tol) == expect
+                assert branch_bound._fractional(exact, integer, tol, True) == expect
+                picked[expect >= 0] += 1
+        assert picked[True] and picked[False]
+        # a model without structural columns has nothing to branch on
+        assert branch_bound._fractional(np.zeros(0), np.zeros(0, bool), 0.0) == -1
+        assert solve_ip(MilpModel("empty", [], [])).status == "Optimal"
 
 
 class TestOracle:
