@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .composition import CompositionGraph, compose
-from .errors import CutViolated, LimitExceeded
+from .errors import CutViolated, LimitExceeded, RollstockError
 from .formulation import ModelOptions, assemble
 from .hypergraph import (EventNode, Hypergraph, build, change_index, change_key,
                          connection_changes, decompose_paths)
@@ -299,17 +299,12 @@ def cost_breakdown(instance: Instance, graph, values: dict,
 # ---------------------------------------------------------------------------
 
 def build_variant(instance: Instance, variant: str, closure: bool = True,
-                  graphs: dict | None = None, changes: dict | None = None):
+                  changes: dict | None = None):
     """Graph of a variant, 'C' built with no HD graph. A caller that builds
-    several variants of one instance passes one ``graphs`` dict, which gets
-    each graph by name as it is first built, and ``changes`` from
+    several variants of one instance passes ``changes`` from
     ``connection_changes``."""
     name = _closed(variant, closure)
-    graphs = {} if graphs is None else graphs
-    if name not in graphs:
-        graphs[name] = (compose(instance, changes) if name == "C"
-                        else build(instance, name, changes))
-    return graphs[name]
+    return compose(instance, changes) if name == "C" else build(instance, name, changes)
 
 
 def _closed(variant: str, closure: bool) -> str:
@@ -319,9 +314,8 @@ def _closed(variant: str, closure: bool) -> str:
 
 
 def _lp_value(sol):
-    """Objective of an LP answer; +inf if infeasible, -inf if unbounded."""
-    return sol.objective if sol.status == "Optimal" else (
-        INFEASIBLE if sol.status == "Infeasible" else -INFEASIBLE)
+    """Objective of an LP answer; +inf if infeasible."""
+    return sol.objective if sol.status == "Optimal" else INFEASIBLE
 
 
 def _proven(value, sol):
@@ -475,12 +469,14 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
     solution of an ``hAbar``/``HAbar`` row under it); explicit ones always
     use the closure. The theorem relations are judged only on models that
     keep their connection constraints: C cannot drop them, and without them
-    the full models move units through the depot for free.
+    the full models move units through the depot for free. A package error
+    (``RollstockError``) in a row is reported in that row's ``error`` and
+    the next row goes on; any other exception propagates.
     """
     rows = []
     values_lp: dict[str, object] = {}
     values_ip: dict[str, object] = {}
-    graphs, solved, changes = {}, {}, None  # kept for this call only
+    solved, changes = {}, None  # kept for this call only
     for variant in variants:
         row = VariantResult(variant=variant)
         started = _time.perf_counter()
@@ -489,7 +485,7 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
             changes = changes or connection_changes(instance)  # fails per row, as build does
             key = _closed(variant, use_closure)
             if key not in solved:
-                graph = build_variant(instance, variant, use_closure, graphs, changes)
+                graph = build_variant(instance, variant, use_closure, changes)
                 model = assemble(graph, ModelOptions(connection_constraints
                                                      or variant == "C"))
                 solved[key] = graph, model, solve_ip(model, tol=tol, exact=exact,
@@ -514,7 +510,7 @@ def compare(instance: Instance, variants=ALL_VARIANTS, closure: bool = True,
                 if isinstance(graph, Hypergraph) and graph.level == "h":
                     ok, reason = replay_in_full(instance, graph, ip_sol.values)
                     row.replay_ok, row.replay_reason = ok, reason
-        except Exception as e:  # report per-variant failures, keep going
+        except RollstockError as e:  # report per-variant failures, keep going
             row.error = f"{type(e).__name__}: {e}"
         row.seconds = _time.perf_counter() - started if with_timings else 0.0
         rows.append(row)

@@ -1,9 +1,9 @@
 """Embedded LP/MILP solving for assembled models.
 
 ``solve_lp`` runs the bounded simplex, one exact presolve, dual pivots
-from the slack basis, one primal pass and the dual postsolve (in floats,
-or with a rational certificate of the final basis in exact mode), the one
-path for every LP; ``solve_ip`` wraps it in branch and bound, whose
+from the slack basis, a sign check of the optimum's reduced costs and the
+dual postsolve (in floats, or with a rational certificate of the final
+basis in exact mode), the one path for every LP; ``solve_ip`` wraps it in branch and bound, whose
 children start from their parent's basis and layout by dual simplex, and
 keeps the root node's answer as the LP relaxation's; ``enumerate_oracle``
 computes ground-truth integer optima on tiny instances by exhaustive
@@ -29,7 +29,7 @@ __all__ = [
 
 @dataclass
 class LpSolution:
-    status: str                       # Optimal | Infeasible | Unbounded
+    status: str                       # Optimal | Infeasible
     objective: object = None
     values: dict[str, object] = field(default_factory=dict)
     duals: dict[str, object] = field(default_factory=dict)
@@ -46,7 +46,7 @@ class IpSolution:
     simplex passes over every node LP, the root's included.
     """
 
-    status: str                       # Optimal | Infeasible | Unbounded | NodeLimit
+    status: str                       # Optimal | Infeasible | NodeLimit
     objective: object = None
     values: dict[str, object] = field(default_factory=dict)
     bound: object = None              # best proven lower bound

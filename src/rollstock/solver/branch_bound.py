@@ -2,8 +2,8 @@
 
 Depth-first search with most-fractional branching (ties to the lowest
 variable index) and a best-bound reordering of the open stack every 1000
-nodes. Unbounded integer parking variables branch like any other integer
-variable via floor/ceil bound splits. The root LP is presolved once, by
+nodes. Integer parking variables without an upper bound branch like any
+other integer variable via floor/ceil bound splits. The root LP is presolved once, by
 the simplex's exact presolve, and solved by dual simplex from the slack
 basis; children start from the parent's basis by the same dual simplex,
 since they differ from it in one bound, and inherit the root's layout and
@@ -116,9 +116,6 @@ def solve_ip(model: MilpModel, tol: float = 1e-7, node_limit: int = 200000,
             iterations += res.iterations
         if res.status == "Infeasible":
             continue
-        if res.status == "Unbounded":
-            return IpSolution("Unbounded", nodes=nodes, root=root_lp,
-                              iterations=iterations)
         if incumbent_obj is not None and res.objective >= incumbent_obj - prune_tol:
             continue
 

@@ -18,26 +18,29 @@ never enters. A postsolve gives the substituted columns their values and
 the dropped rows their duals, so x and y are an optimum of the original
 model in either mode.
 
-Every run then takes the same two steps, with the artificial columns held
-at zero. Dual pivots (dual steepest edge picks the leaving row, Forrest and
-Goldfarb 1992; the smallest ratio |d_j / alpha_rj| enters) restore primal
-feasibility, or stop on a row that no column can repair, which proves
-infeasibility. One primal pass then optimises with the true costs. The
-dual pivots need a dual-feasible start: a warm basis is optimal for the
-same costs, and the slack basis has zero duals, so a cold run prices them
-at the costs clipped at zero (cost modification; Koberstein and Suhl
-2007). Without a negative cost, as in every model built from a valid
-instance, those are the true costs and the primal pass only confirms.
+Every run then pivots in one loop, the dual simplex, with the artificial
+columns held at zero: dual steepest edge picks the leaving row (Forrest and
+Goldfarb 1992) and the smallest ratio |d_j / alpha_rj| enters, until every
+basic value is within its bounds or a row that no column can repair proves
+infeasibility. The loop needs a dual-feasible start. A warm basis is
+optimal for the same costs. A cold run starts from the slack basis, whose
+duals are zero, with every other column at the bound its cost pushes
+toward: its lower bound for a cost >= 0, its upper bound otherwise
+(Koberstein 2005, ch. 4; Maros 2003). ``solve_arrays`` refuses a column
+with a negative cost and no upper bound, so that start exists and the
+objective is bounded below: no LP is unbounded. Every model built from a
+valid instance has nonnegative costs. An optimum's reduced costs are priced
+once more from the reported duals, and a column on the wrong side raises
+``NumericalFailure``.
 
-Pivoting is deterministic: Dantzig pricing in the primal loop, lowest-index
-tie-breaking, and a permanent fall back to Bland's rule once a run of
-degenerate pivots suggests cycling. A run appends its artificial columns
-to the layout's nonzeros, and every product with A runs over them: y'A
-(reduced costs, pivot row), A x (basic values) and B^-1 A_q. B^-1 is kept
-explicitly and refactorized before every 256th pass. In between, a pass
-works in proportion to what its pivot changes (Hall and McKinnon 2005): the
-eta step (one routine for both loops) updates the rows of B^-1 where
-B^-1 A_q is nonzero and their steepest-edge norms, and the dual loop
+Pivoting is deterministic: lowest-index tie-breaking, and a permanent fall
+back to Bland's rule once a run of degenerate pivots suggests cycling. A
+run appends its artificial columns to the layout's nonzeros, and every
+product with A runs over them: y'A (reduced costs, pivot row), A x (basic
+values) and B^-1 A_q. B^-1 is kept explicitly and refactorized before
+every 256th pass. In between, a pass works in proportion to what its pivot
+changes (Hall and McKinnon 2005): the eta step updates the rows of B^-1
+where B^-1 A_q is nonzero and their steepest-edge norms, and the loop
 carries its reduced costs along the pivot row, d -= (d_q / alpha_rq)
 alpha_r. An optimum is reported from the loop's B^-1, refined once, and
 refactorized only when it fails a drift test (``_solve_float``).
@@ -48,14 +51,12 @@ the presolve's layout and then certifies the basis that run ends on (the
 approach of QSopt_ex, Applegate, Cook, Dash and Espinoza 2007), over the
 reduced problem built from the presolve's exact data. One sparse rational
 elimination of the basis solves B x_B = b - N x_N and then B'y = c_B for an
-optimum, B'u = e_r for an infeasibility or B w = A_e for an unboundedness.
-An optimum needs its primal bounds and, after the postsolve, the
-reduced-cost sign of every column of the original model; an infeasibility
-needs the dual loop's row r, whose basic value u.b - sum_j (u.A_j) x_j
-cannot reach its bounds for any nonbasic x_j within theirs; an
-unboundedness needs a feasible basis and an improving column that no basic
-variable blocks. A basis that fails, or a float run that fails, raises
-``NumericalFailure`` naming the check. The certificate computes in Python
+optimum or B'u = e_r for an infeasibility. An optimum needs its primal
+bounds and, after the postsolve, the reduced-cost sign of every column of
+the original model; an infeasibility needs the dual loop's row r, whose
+basic value u.b - sum_j (u.A_j) x_j cannot reach its bounds for any
+nonbasic x_j within theirs. A basis that fails, or a float run that fails,
+raises ``NumericalFailure`` naming the check. The certificate computes in Python
 ints wherever a value is integral, as model data mostly is; a ``Fraction``
 appears only where an exact quotient is not an integer, and in the answer.
 """
@@ -84,7 +85,7 @@ DRIFT = 1e-9      # relative residual of a reported x_B or y that refactorizes
 
 @dataclass
 class SimplexResult:
-    status: str                 # Optimal | Infeasible | Unbounded
+    status: str                 # Optimal | Infeasible
     objective: object = None
     x: object = None            # values per column of A
     y: object = None            # duals per row
@@ -122,16 +123,14 @@ class _Basis:
     """Where the float run stopped, over its layout: the reduced columns
     are the free columns in order, then the artificial column
     ``sign[i] * e_i`` of each live row. An Infeasible run sets ``row``, the
-    dual loop's basis position that no column can repair; an Unbounded run
-    sets ``entering``, the column that improves without a blocking row.
-    ``B_inv`` is None until a run starts from this basis: the first such run
-    makes it, ``_inverse`` of the basis, and every run begins from a copy."""
+    dual loop's basis position that no column can repair. ``B_inv`` is
+    None until a run starts from this basis: the first such run makes it,
+    ``_inverse`` of the basis, and every run begins from a copy."""
 
     layout: _Layout
     sign: np.ndarray
     basis: list[int]
     status: np.ndarray
-    entering: int = -1
     row: int = -1
     B_inv: np.ndarray | None = None
 
@@ -351,52 +350,12 @@ def _nonbasic_values(lb, ub, status):
     return np.where(status == BASIC, 0.0, np.where(status == AT_UPPER, ub, lb))
 
 
-def _pick_entering(status, d, fixed, bland: bool) -> int:
-    viol = np.zeros(len(d))
-    low = (status == AT_LOWER) & ~fixed
-    up = (status == AT_UPPER) & ~fixed
-    viol[low] = -d[low]
-    viol[up] = d[up]
-    if bland:
-        ok = viol > TOL
-        return int(np.argmax(ok)) if ok.any() else -1
-    j = int(np.argmax(viol))
-    return j if viol[j] > TOL else -1
-
-
-def _ratio_test(lb, ub, basis_arr, x_B, col, direction, cap):
-    """(t, leaving_row, leave_to); leaving_row -1 means a bound flip."""
-    w = col * direction
-    lb_b = lb[basis_arr]
-    ub_b = ub[basis_arr]
-
-    dec = w > TOL
-    inc = (w < -TOL) & (ub_b != INF)
-    rows = np.concatenate([np.flatnonzero(dec), np.flatnonzero(inc)])
-    if rows.size == 0:
-        return cap, -1, AT_LOWER
-    bounds = np.concatenate([np.zeros(int(dec.sum()), dtype=int),
-                             np.ones(int(inc.sum()), dtype=int)])
-    ratios = np.concatenate([
-        (x_B[dec] - lb_b[dec]) / w[dec],
-        (ub_b[inc] - x_B[inc]) / (-w[inc]),
-    ])
-    np.clip(ratios, 0.0, None, out=ratios)
-    r_min = float(ratios.min())
-    if r_min >= cap - TIE:
-        return cap, -1, AT_LOWER  # the entering bound binds first: flip
-    close = ratios <= r_min + TIE
-    cand = np.flatnonzero(close)
-    pick = cand[int(np.argmin(basis_arr[rows[cand]]))]
-    return r_min, int(rows[pick]), (AT_LOWER if bounds[pick] == 0 else AT_UPPER)
-
-
 class _Pivots:
-    """A basis of the reduced problem as the pivot loops move it: B^-1, its
+    """A basis of the reduced problem as the pivot loop moves it: B^-1, its
     squared row ``norms``, the basic values ``x_B`` and the column statuses,
     over ``nz``, the nonzeros of A as in ``_Layout``. ``basis`` and ``status``
     are the caller's and are updated in place; ``d`` holds the reduced costs
-    that the dual loop carries."""
+    that the loop carries."""
 
     def __init__(self, nz, b, lb, ub, basis: list[int], status: np.ndarray,
                  B_inv, max_iter: int):
@@ -441,31 +400,25 @@ class _Pivots:
 
     def pivot(self, entering: int, col, delta, leaving: int,
               leave_to: int) -> bool:
-        """Move the nonbasic column ``entering`` by ``delta``; ``col`` is
-        B^-1 A_entering. With ``leaving`` -1 the column flips to its other
-        bound; otherwise it takes the basis position ``leaving``, whose
-        column goes to ``leave_to``. Refactorizes before every 256th pass,
-        and returns whether it did."""
+        """Move the nonbasic column ``entering`` by ``delta`` into the basis
+        position ``leaving``, whose column goes to ``leave_to``; ``col`` is
+        B^-1 A_entering. Refactorizes before every 256th pass, and returns
+        whether it did."""
         status = self.status
         x_B = self.x_B - col * delta
-        if leaving < 0:
-            status[entering] = AT_LOWER if status[entering] == AT_UPPER \
-                else AT_UPPER
-        else:
-            x_B[leaving] = (self.lb[entering] if status[entering] == AT_LOWER
-                            else self.ub[entering]) + delta
-            status[self.basis[leaving]] = leave_to
-            status[entering] = BASIC
-            self.basis[leaving] = entering
-            self.basis_arr[leaving] = entering
-            # the eta step: a row with col[i] == 0 would lose 0 * row
-            B_inv = self.B_inv
-            row = B_inv[leaving] / col[leaving]
-            touched = col.nonzero()[0]
-            B_inv[touched] -= col[touched][:, None] * row
-            B_inv[leaving] = row
-            new = B_inv[touched]
-            self.norms[touched] = np.einsum("ij,ij->i", new, new)
+        x_B[leaving] = (self.lb[entering] if status[entering] == AT_LOWER
+                        else self.ub[entering]) + delta
+        status[self.basis[leaving]] = leave_to
+        status[entering] = BASIC
+        self.basis[leaving] = entering
+        self.basis_arr[leaving] = entering
+        # the eta step: a row with col[i] == 0 would lose 0 * row
+        row = self.B_inv[leaving] / col[leaving]
+        touched = col.nonzero()[0]
+        new = self.B_inv[touched] - col[touched][:, None] * row
+        new[touched.searchsorted(leaving)] = row
+        self.B_inv[touched] = new
+        self.norms[touched] = np.einsum("ij,ij->i", new, new)
         self.x_B = x_B
         if (self.iters + 1) % 256 == 0:
             self.refactor()
@@ -475,36 +428,6 @@ class _Pivots:
 
 def _cycling(degenerate_run: int, p: _Pivots) -> bool:
     return degenerate_run > 40 + 2 * (len(p.b) + len(p.lb))
-
-
-def _simplex(p: _Pivots, costs):
-    """Primal iterations from a primal-feasible basis.
-
-    Returns (state, entering); ``entering`` is the improving column of an
-    Unbounded state.
-    """
-    p.start()
-    degenerate_run = 0
-    bland = False
-    while True:
-        p.count()
-        bland = bland or _cycling(degenerate_run, p)
-        entering = _pick_entering(p.status, p.reduced_costs(costs), p.fixed,
-                                  bland)
-        if entering < 0:
-            return "Optimal", -1
-
-        direction = 1 if p.status[entering] == AT_LOWER else -1
-        col = p.column(entering)
-        lo, up = p.lb[entering], p.ub[entering]
-        cap = up - lo if up != INF else INF
-        t, leaving, leave_to = _ratio_test(p.lb, p.ub, p.basis_arr, p.x_B, col,
-                                           direction, cap)
-        if t == INF:
-            return "Unbounded", entering
-
-        degenerate_run = degenerate_run + 1 if t <= TIE else 0
-        p.pivot(entering, col, direction * t, leaving, leave_to)
 
 
 def _dual(p: _Pivots, costs) -> int:
@@ -574,16 +497,18 @@ def _dual(p: _Pivots, costs) -> int:
 def _solve_float(c, lb, ub, layout: _Layout, bounds, start=None):
     """The float run on ``layout`` under ``bounds``, from ``start``'s basis
     or else from the slack basis: one artificial column per live row, every
-    other column at its lower bound. Each free column takes the floats of
-    its exact bounds and its folded cost; the artificial columns are held at
-    zero. The dual loop runs first (on the costs clipped at zero from the
-    slack basis, whose duals are zero), then one primal pass on the true
-    costs. An optimum takes x_B and y = c_B B^-1 from the loop's B^-1,
-    refined once, x_B += B^-1 (b - A x) and y += (c_B - (yA)_B) B^-1, or
-    from a refactorization if either residual fails the drift test (beyond
-    ``DRIFT`` (1 + max |b_i| or |c_B|)); it gets the layout's fixed values
-    as floats, the postsolved substituted values and duals, and x clipped
-    to ``lb`` and ``ub``.
+    other column at the bound its cost pushes toward. Each free column takes
+    the floats of its exact bounds and its folded cost; the artificial
+    columns are held at zero. The dual loop runs once. An optimum takes x_B
+    = B^-1 (b - N x_N) and y = c_B B^-1 from the loop's B^-1, refined once,
+    x_B += B^-1 (b - A x) and y += (c_B - (yA)_B) B^-1, or from a
+    refactorization if either residual fails the drift test (beyond
+    ``DRIFT`` (1 + max |b_i| or |c_B|)). Its reduced costs c - yA are then
+    priced once: a nonbasic column that is not fixed and has d_j < -TOL at
+    its lower bound or d_j > TOL at its upper one raises
+    ``NumericalFailure``. It gets the layout's fixed values as floats, the
+    postsolved substituted values and duals, and x clipped to ``lb`` and
+    ``ub``.
     """
     free_cols, live_rows = layout.free_cols, layout.live_rows
     m, n = len(live_rows), len(free_cols)
@@ -593,16 +518,15 @@ def _solve_float(c, lb, ub, layout: _Layout, bounds, start=None):
     cost = _costs(layout, c.tolist())
     costs = np.array([cost[j] for j in free_cols] + [0.0] * m)
     if start is None:
-        sign = np.where(b_r - _times(layout.nz, lb_r, m) >= 0, 1.0, -1.0)
-        basis = list(range(n, n + m))
-        status = np.full(n + m, AT_LOWER, dtype=int)
+        # the slack basis has zero duals, so it is dual feasible with each
+        # column at the bound its cost pushes toward, finite by solve_arrays
+        status = np.where(costs < 0, AT_UPPER, AT_LOWER)
         status[n:] = BASIC
-        # the slack basis has zero duals, so it is dual feasible for the
-        # costs clipped at zero; the primal pass restores the true costs
-        dual_costs = np.maximum(costs, 0.0)
+        x_N = _nonbasic_values(lb_r, ub_r, status)
+        sign = np.where(b_r - _times(layout.nz, x_N, m) >= 0, 1.0, -1.0)
+        basis = list(range(n, n + m))
     else:
         sign, basis, status = start.sign, list(start.basis), start.status.copy()
-        dual_costs = costs
 
     k = np.arange(m)  # the artificial column sign[k] e_k is column n + k
     nz = [np.concatenate(v) for v in zip(layout.nz, (n + k, k, sign))]
@@ -616,18 +540,13 @@ def _solve_float(c, lb, ub, layout: _Layout, bounds, start=None):
         # the artificial diagonal is its own inverse
         B_inv = np.diag(sign) if start is None else start.B_inv.copy()
         p = _Pivots(nz, b_r, lb_r, ub_r, basis, status, B_inv, 5000 + 60 * (m + n))
-        run.row = _dual(p, dual_costs)
+        run.row = _dual(p, costs)
         iterations = p.iters
         if run.row >= 0:
             return SimplexResult("Infeasible", iterations=iterations,
                                  basis=run)
-        state, run.entering = _simplex(p, costs)
-        iterations += p.iters
-        if state == "Unbounded":
-            return SimplexResult("Unbounded", iterations=iterations,
-                                 basis=run)
         c_B, x_r = costs[basis], _nonbasic_values(lb_r, ub_r, status)
-        x_r[basis], y_r = p.x_B, c_B @ p.B_inv
+        x_r[basis], y_r = p.B_inv @ (b_r - _times(nz, x_r, m)), c_B @ p.B_inv
         r_x = b_r - _times(nz, x_r, m)
         r_y = c_B - _priced(nz, y_r, n + m)[basis]
         if any(np.abs(r).max(initial=0.0) > DRIFT * (1 + np.abs(v).max(initial=0.0))
@@ -637,6 +556,14 @@ def _solve_float(c, lb, ub, layout: _Layout, bounds, start=None):
         else:
             x_r[basis] += p.B_inv @ r_x
             y_r += r_y @ p.B_inv
+        d = costs - _priced(nz, y_r, n + m)
+        wrong = np.where(status == AT_LOWER, d < -TOL, d > TOL) & \
+            (status != BASIC) & (lb_r != ub_r)
+        if wrong.any():
+            j = int(wrong.argmax())
+            raise NumericalFailure(f"reduced cost {d[j]:.3g} of column "
+                                   f"{free_cols[j]} has the wrong sign at "
+                                   "the optimum")
 
     x = np.empty(len(c))
     x[list(layout.fixed)] = [float(v) for v in layout.fixed.values()]
@@ -796,20 +723,6 @@ def _certify(c, lb, ub, layout: _Layout, bounds, start) -> SimplexResult:
             raise NumericalFailure(f"certificate: basic column {j} = "
                                    f"{x_r[j]} is outside its bounds")
 
-    if approx.status == "Unbounded":
-        e, a_e = run.entering, dict(column[run.entering])
-        w = _solve(factor, [a_e.get(k, 0) for k in range(m)], transposed=True)
-        direction = 1 if status[e] == AT_LOWER else -1
-        gain = costs[e] - sum(costs[j] * w[pos] for pos, j in enumerate(basis))
-        blocked = up[e] != INF or any(
-            w[pos] * direction > 0 or (w[pos] * direction < 0 and up[j] != INF)
-            for pos, j in enumerate(basis))
-        if gain * direction >= 0 or blocked:
-            raise NumericalFailure(f"certificate: column {e} is no unbounded "
-                                   "ray")
-        return SimplexResult("Unbounded", iterations=approx.iterations,
-                             basis=run)
-
     # y from B'y = c_B, the dropped rows' duals from the postsolve, and the
     # reduced cost of every column of the original model of the right sign
     y_r = _solve(factor, [costs[j] for j in basis])
@@ -836,12 +749,13 @@ def solve_arrays(c, nz, b, lb, ub, exact: bool = False,
                  start: _Basis | None = None) -> SimplexResult:
     """Bounded simplex on A's nonzeros.
 
-    ``nz`` is as ``ArrayForm.nz``; bounds may use ``float('inf')`` for no upper bound.
-    A cold run presolves, then reaches the answer by dual pivots from the
-    slack basis and one primal pass; a row the dual pivots cannot repair
-    makes it Infeasible. With ``start``, the ``basis`` of an earlier result
-    on the same data under bounds that contain these, the run keeps that
-    result's layout and fixed values and starts from its basis. With
+    ``nz`` is as ``ArrayForm.nz``; bounds may use ``float('inf')`` for no
+    upper bound, and a column with a negative cost needs one: otherwise
+    ``NumericalFailure`` names it. A cold run presolves, then reaches the
+    answer by dual pivots from the slack basis; a row the dual pivots cannot
+    repair makes it Infeasible. With ``start``, the ``basis`` of an earlier
+    result on the same data under bounds that contain these, the run keeps
+    that result's layout and fixed values and starts from its basis. With
     ``exact`` the float run's basis is certified in rational arithmetic and
     the answer is exact: a ``Fraction`` objective, and x and y as object
     arrays of ``Fraction``s. ``iterations`` counts the float run's pivot
@@ -849,6 +763,15 @@ def solve_arrays(c, nz, b, lb, ub, exact: bool = False,
     ``NumericalFailure``; there is no rational pivoting.
     """
     c, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, b, lb, ub))
+    # Every column is bounded on the side its cost pushes toward, and the
+    # presolve's folds keep that for the folded costs: x_k = t - x_j gives
+    # j the finite upper bound t - lo_k, and under x_k = x_j + t the cost
+    # c_j + c_k is negative only if c_j or c_k is, whose column has a
+    # finite upper bound that j takes. So the cold start in _solve_float
+    # exists, the objective is bounded below, and no LP is unbounded.
+    if (ray := np.flatnonzero((c < 0) & (ub == INF))).size:
+        raise NumericalFailure(f"column {ray[0]} has a negative cost and no "
+                               "upper bound")
     layout = _presolve(nz, b, lb, ub) if start is None else start.layout
     bounds = layout and _bounds(layout, lb, ub)
     if bounds is None:

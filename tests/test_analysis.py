@@ -379,6 +379,16 @@ class TestCompare:
         assert counts == {c.id: 1 for c in inst.connections}
         assert len(counts) >= 3
 
+    def test_a_bug_in_one_row_propagates(self, two_trip, monkeypatch):
+        # a row reports package errors only: anything else is a bug, and
+        # compare lets it out rather than filing it under the row
+        def broken(*args, **kwargs):
+            raise KeyError("no such arc")
+
+        monkeypatch.setattr(analysis, "cost_breakdown", broken)
+        with pytest.raises(KeyError, match="no such arc"):
+            analysis.compare(two_trip)
+
 
 class TestSvg:
     def test_rotation_diagram(self, two_trip):

@@ -19,7 +19,7 @@ from rollstock.composition import (  # noqa: E402
     CompNode, CompositionGraph, _build_cut_data, contract)
 from rollstock.errors import RollstockError  # noqa: E402
 from rollstock.formulation import (  # noqa: E402
-    MilpModel, Row, Variable, assemble, parse_lp, write_lp)
+    MilpModel, ModelOptions, Row, Variable, assemble, parse_lp, write_lp)
 from rollstock.genbench import GenConfig, generate  # noqa: E402
 from rollstock.hypergraph import build  # noqa: E402
 from rollstock.instance import canonical, dumps, loads, validate  # noqa: E402
@@ -371,14 +371,28 @@ def _oracle_configs(draw):
 def test_ip_equals_the_oracle_on_every_variant(cfg):
     inst = generate(cfg)
     assert len(inst.trips) <= 8
-    graphs: dict = {}
     for variant in SEVEN_VARIANTS:
-        ip = solve_ip(assemble(build_variant(inst, variant, closure=False,
-                                             graphs=graphs)))
+        ip = solve_ip(assemble(build_variant(inst, variant, closure=False)))
         orc = enumerate_oracle(inst, variant)
         assert ip.status == orc.status, variant
         if ip.status == "Optimal":
             assert ip.objective == pytest.approx(orc.objective, rel=0, abs=1e-6), variant
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(cfg=_oracle_configs(), closure=st.booleans(), cc=st.booleans())
+def test_no_model_of_a_valid_instance_is_refused(cfg, closure, cc):
+    # every column a model builds is bounded on the side its cost pushes
+    # toward, so the pivot loop's cold start exists and every LP solves
+    inst = generate(cfg)
+    assert validate(inst) == []
+    for variant in SEVEN_VARIANTS:
+        model = assemble(build_variant(inst, variant, closure=closure),
+                         ModelOptions(cc or variant == "C"))
+        form = model_arrays(model)
+        assert np.isfinite(form.lb).all(), variant
+        assert not ((form.c < 0) & np.isinf(form.ub)).any(), variant
+        assert solve_lp(model).status in ("Optimal", "Infeasible"), variant
 
 
 def _record_arrays(variables, rows):

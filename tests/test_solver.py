@@ -342,8 +342,8 @@ class TestLp:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_negative_cost_runs_phase_one(self, exact, monkeypatch):
-        # the dual loop reaches a feasible basis on the clipped costs, and
-        # the primal pass optimises the true ones
+        # x starts at its upper bound, where its cost pushes it, and the
+        # dual loop alone reaches the optimum
         m = MilpModel("neg", [Variable("x", 0.0, 2.0, False, -1.0),
                               Variable("y", 0.0, None, False, 0.5)],
                       [Row("r", (("x", 1.0), ("y", -1.0)), "<=", 1.0)])
@@ -351,21 +351,27 @@ class TestLp:
         sol = solve_lp(m, exact=exact)
         assert sol.status == "Optimal" and sol.objective == -1.5
         assert sol.values["x"] == 2 and sol.values["y"] == 1
-        assert [loop for loop, _ in passes] == ["_dual", "_simplex"]
+        assert [loop for loop, _ in passes] == ["_dual"]
 
-    def test_cold_dual_loop_sees_no_negative_cost(self, monkeypatch):
-        # the slack basis is dual feasible only for nonnegative costs; a
-        # warm child's basis is optimal for the true costs and keeps them
+    def test_cold_start_puts_negative_costs_at_their_upper_bounds(
+            self, monkeypatch):
+        # the slack basis has zero duals, so x and y start where their
+        # negative costs push them and the slack at its lower bound; every
+        # loop prices the true costs, and a warm child starts from its
+        # parent's basis
         real = simplex._dual
         seen = []
         monkeypatch.setattr(simplex, "_dual", lambda p, costs: (
-            seen.append(float(costs.min())) or real(p, costs)))
+            seen.append((p.status.tolist(), float(costs.min())))
+            or real(p, costs)))
         m = MilpModel("fix", [Variable("x", 0.0, 1.0, True, -1.0),
                               Variable("y", 0.0, 1.0, True, -2.0)],
                       [Row("r", (("x", 1.0), ("y", 1.0)), "<=", 1.5)])
         ip = solve_ip(m)
         assert ip.status == "Optimal" and ip.objective == pytest.approx(-2.0)
-        assert ip.nodes == 3 and seen[0] == 0.0 and seen[1:] == [-2.0, -2.0]
+        assert ip.nodes == 3 and [c for _, c in seen] == [-2.0] * 3
+        assert seen[0][0] == [AT_UPPER, AT_UPPER, AT_LOWER, BASIC]
+        assert all(BASIC in status[:3] for status, _ in seen[1:])
 
     @pytest.mark.parametrize("name", sorted(canonical_instances()))
     @pytest.mark.parametrize("variant", ["HD", "C", "hAbar"])
@@ -385,22 +391,25 @@ class TestLp:
                                        exact=exact)
             assert res.status == "Optimal"
             assert float(res.objective) == pytest.approx(ref.fun, rel=1e-6)
-        # and a negative cost on every unbounded column is a ray
+        # a negative cost on an unbounded column is refused, naming the
+        # first such column, before any run
         c = np.where(bounded, form.c, -1.0)
+        j = int(np.flatnonzero(~bounded)[0])
         for exact in (False, True):
-            assert simplex.solve_arrays(c, form.nz, form.b, form.lb, form.ub,
-                                        exact=exact).status == "Unbounded"
+            with pytest.raises(NumericalFailure, match=f"^column {j} has a "
+                               "negative cost and no upper bound$"):
+                simplex.solve_arrays(c, form.nz, form.b, form.lb, form.ub,
+                                     exact=exact)
 
     @pytest.mark.parametrize("name", sorted(canonical_instances()))
     def test_dual_root_ends_optimal(self, monkeypatch, name):
-        # the dual loop from the slack basis reaches the optimum, so the
-        # primal pass after it only confirms
+        # the dual loop from the slack basis reaches the optimum alone
         inst = canonical_instances()[name]
         passes = _record_passes(monkeypatch)
         for variant in VARIANTS7:
             passes.clear()
             assert solve_lp(_model(inst, variant).relaxed()).status == "Optimal"
-            assert passes[0][0] == "_dual" and passes[1:] == [("_simplex", 1)]
+            assert [loop for loop, _ in passes] == ["_dual"]
 
     def test_dual_leaves_on_the_steepest_edge(self):
         # B^-1 = diag(4, 1): row 0 violates its bound by 3 and row 1 by 2,
@@ -427,9 +436,29 @@ class TestLp:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_unbounded_negative_cost_parking(self, exact):
+        # no dual-feasible start exists: refused in both modes, and not as a
+        # failed certificate
         m = MilpModel("ray", [Variable("p", 0.0, None, False, -1.0)],
                       [Row("r", (("p", 1.0),), ">=", 0.0)])
-        assert solve_lp(m, exact=exact).status == "Unbounded"
+        with pytest.raises(NumericalFailure, match="^column 0 has a negative "
+                           "cost and no upper bound$"):
+            solve_lp(m, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sign_check_names_a_dual_infeasible_column(self, exact):
+        # a warm start that is primal feasible but leaves x at its lower
+        # bound with reduced cost -1: the loop stops at once, and the report
+        # names x
+        form = model_arrays(MilpModel("handed", *_X_LE_1))
+        root = simplex.solve_arrays(form.c, form.nz, form.b, form.lb, form.ub)
+        assert root.status == "Optimal" and root.objective == -1
+        handed = dataclasses.replace(root.basis, basis=[1], status=np.array(
+            [AT_LOWER, BASIC, AT_LOWER]), B_inv=None)
+        prefix = "certificate: float run failed: " if exact else ""
+        with pytest.raises(NumericalFailure, match=f"^{prefix}reduced cost -1 "
+                           "of column 0 has the wrong sign at the optimum$"):
+            simplex.solve_arrays(form.c, form.nz, form.b, form.lb, form.ub,
+                                 exact=exact, start=handed)
 
     def test_dead_row_below_float_tolerance(self):
         # x is fixed, so the row is dead; its right-hand side is below any
@@ -475,8 +504,8 @@ class TestLp:
         assert solve_lp(_model(inst, "HD").relaxed()).status == "Optimal"
         assert max(k for _, k in passes) > 256
         # the slack basis needs no inverse, and the report needs one only
-        # when the drift test fires: after both loops ended
-        drifted = inverses.count(2)
+        # when the drift test fires: after the loop ended
+        drifted = inverses.count(1)
         assert len(inverses) == sum(k // 256 for _, k in passes) + drifted
         assert drifted == 0
 
@@ -489,14 +518,12 @@ class TestLp:
 class TestBland:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_blands_rule_from_the_first_pass_matches_scipy(self, monkeypatch, seed):
-        # as if every run of degenerate passes were cycling, so both loops
-        # follow Bland's rule from their first pass; the -c-1 costs of the
-        # bounded columns make the primal loop pivot too
-        monkeypatch.setattr(simplex, "_cycling", lambda run, p: True)
-        real = simplex._pick_entering
-        picks = []
-        monkeypatch.setattr(simplex, "_pick_entering", lambda status, d, fixed, bland: (
-            picks.append(bland) or real(status, d, fixed, bland)))
+        # as if every run of degenerate passes were cycling, so the loop
+        # follows Bland's rule from its first pass; the -c-1 costs of the
+        # bounded columns start them at their upper bounds
+        asked = []
+        monkeypatch.setattr(simplex, "_cycling", lambda run, p: (
+            asked.append(run) or True))
         passes = _record_passes(monkeypatch)
         inst = generate(GenConfig(seed=seed, trips_per_line=3))
         for variant in ("HD", "C", "hAbar"):
@@ -510,8 +537,8 @@ class TestBland:
                 assert ref.status == 0 and res.status == "Optimal"
                 assert float(res.objective) == pytest.approx(ref.fun, rel=1e-6,
                                                              abs=1e-6)
-        assert picks and all(picks)
-        assert {loop for loop, n in passes if n > 1} == {"_dual", "_simplex"}
+        assert len(asked) == len(passes) and set(asked) == {0}  # at pass 1
+        assert {loop for loop, n in passes if n > 1} == {"_dual"}
 
 
 class TestIp:
@@ -686,41 +713,39 @@ def _record_children(monkeypatch):
 
 
 def _record_passes(monkeypatch):
-    """Record (loop, passes) of every primal (``_simplex``) and dual
-    (``_dual``) loop, in the order they end."""
+    """Record (loop, passes) of every run of the pivot loop (``_dual``), in
+    the order they end."""
     passes = []
+    real = simplex._dual
 
-    def recording(real, name):
-        def loop(p, costs):
-            out = real(p, costs)
-            passes.append((name, p.iters))
-            return out
-        return loop
+    def loop(p, costs):
+        out = real(p, costs)
+        passes.append(("_dual", p.iters))
+        return out
 
-    for name in ("_simplex", "_dual"):
-        monkeypatch.setattr(simplex, name,
-                            recording(getattr(simplex, name), name))
+    monkeypatch.setattr(simplex, "_dual", loop)
     return passes
 
 
 def _check_every_pivot(monkeypatch):
-    """Check every pivot of the dual (``_dual``) and the primal
-    (``_simplex``) loop against dense recomputation: B^-1 against the dense
-    rank-one update, bit for bit; the kept row norms against B^-1, bit for
-    bit; and, in the dual loop, the carried reduced costs against freshly
-    priced ones on the nonbasic columns that are not fixed, and bit for bit
-    at the start of the loop and after a refactorization. Fresh pricing
-    over the nonzeros stays within 1e-9 of the dense c - (c_B B^-1) A,
-    which sums in another order. Returns the loop of each checked pivot, in
-    order."""
+    """Check every pivot of the pivot loop (``_dual``) against dense
+    recomputation: B^-1 against the dense rank-one update, bit for bit; the
+    kept row norms against B^-1, bit for bit; and the carried reduced costs
+    against freshly priced ones on the nonbasic columns that are not fixed,
+    and bit for bit at the start of the loop and after a refactorization.
+    Fresh pricing over the nonzeros stays within 1e-9 of the dense
+    c - (c_B B^-1) A, which sums in another order. Returns the loop of each
+    checked pivot, in order."""
     running = []  # (loop, costs, dense A) of each loop as it starts
     priced = [True]  # d was priced afresh and not carried since
-    for name in ("_dual", "_simplex"):
-        def loop(p, costs, real=getattr(simplex, name), name=name):
-            running.append((name, costs, _dense(p.nz, len(p.b), len(p.lb))))
-            priced[0] = True
-            return real(p, costs)
-        monkeypatch.setattr(simplex, name, loop)
+    real = simplex._dual
+
+    def loop(p, costs):
+        running.append(("_dual", costs, _dense(p.nz, len(p.b), len(p.lb))))
+        priced[0] = True
+        return real(p, costs)
+
+    monkeypatch.setattr(simplex, "_dual", loop)
 
     def norms_match(p):
         return np.array_equal(p.norms,
@@ -732,21 +757,19 @@ def _check_every_pivot(monkeypatch):
     def pivot(p, entering, col, delta, leaving, leave_to):
         name, costs, A = running[-1]
         assert norms_match(p)
-        if name == "_dual":
-            fresh = p.reduced_costs(costs)
-            np.testing.assert_allclose(
-                fresh, costs - (costs[p.basis] @ p.B_inv) @ A, rtol=1e-9,
-                atol=1e-9)
-            free = (p.status != BASIC) & ~p.fixed
-            np.testing.assert_allclose(p.d[free], fresh[free], rtol=1e-9,
-                                       atol=1e-9)
-            assert np.array_equal(p.d, fresh) or not priced[0]
+        fresh = p.reduced_costs(costs)
+        np.testing.assert_allclose(
+            fresh, costs - (costs[p.basis] @ p.B_inv) @ A, rtol=1e-9,
+            atol=1e-9)
+        free = (p.status != BASIC) & ~p.fixed
+        np.testing.assert_allclose(p.d[free], fresh[free], rtol=1e-9,
+                                   atol=1e-9)
+        assert np.array_equal(p.d, fresh) or not priced[0]
         dense = p.B_inv.copy()
-        if leaving >= 0:
-            dense[leaving, :] /= col[leaving]
-            factor = col.copy()
-            factor[leaving] = 0.0
-            dense -= np.outer(factor, dense[leaving, :])
+        dense[leaving, :] /= col[leaving]
+        factor = col.copy()
+        factor[leaving] = 0.0
+        dense -= np.outer(factor, dense[leaving, :])
         refactored = priced[0] = real_pivot(p, entering, col, delta, leaving,
                                             leave_to)
         if not refactored:
@@ -769,15 +792,19 @@ class TestSparsePass:
         assert checked.count("_dual") > 256
 
     def test_primal_pivots_match_dense_recomputation(self, monkeypatch):
-        # every bounded column pays -c-1, so the primal pass pivots
+        # every bounded column pays -c-1, so the cold start puts them at
+        # their upper bounds, and columns enter from there
         form = model_arrays(_model(generate(GenConfig(seed=3)), "HD")
                             .relaxed())
         bounded = np.isfinite(form.ub)
         c = np.where(bounded, -form.c - 1.0, form.c)
         checked = _check_every_pivot(monkeypatch)
+        check, from_upper = simplex._Pivots.pivot, []
+        monkeypatch.setattr(simplex._Pivots, "pivot", lambda p, e, *a: (
+            from_upper.append(p.status[e] == AT_UPPER) or check(p, e, *a)))
         assert simplex.solve_arrays(c, form.nz, form.b, form.lb,
                                     form.ub).status == "Optimal"
-        assert "_dual" in checked and "_simplex" in checked
+        assert set(checked) == {"_dual"} and any(from_upper)
 
     def test_children_pivots_match_dense_recomputation(self, monkeypatch):
         # the children's dual loops start from a copy of the parent's inverse
@@ -820,8 +847,8 @@ class TestWarmStart:
         assert ip.iterations < ip.root.iterations * ip.nodes
 
     def test_dual_loop_keeps_dual_feasibility(self, monkeypatch):
-        # so the primal pass after it only confirms the optimum, at the
-        # root as at every child
+        # so every optimum, at the root as at every child, passes the
+        # report's sign check with no other loop run
         passes = _record_passes(monkeypatch)
         children = 0
         for seed, variant in itertools.product((3, 20, 35, 39), ("hD", "HD")):
@@ -831,8 +858,7 @@ class TestWarmStart:
             if children >= 10:
                 break
         assert children >= 10
-        primal = [k for loop, k in passes if loop == "_simplex"]
-        assert len(primal) > 1 and set(primal) == {1}
+        assert len(passes) > children and {loop for loop, _ in passes} == {"_dual"}
 
     def test_parent_inverse_gives_the_fresh_inverse_run(self, monkeypatch):
         # the parent's final inverse is _inverse of the same columns, so a
@@ -1010,14 +1036,14 @@ class TestReport:
         monkeypatch.setattr(simplex, "DRIFT", -1.0)
         fresh = _solve_arrays(model, False)
         monkeypatch.setattr(simplex, "DRIFT", 1e-9)
-        real = simplex._simplex
+        real = simplex._dual
 
         def corrupting(p, costs):  # as if the eta steps had drifted
             out = real(p, costs)
             p.B_inv = p.B_inv * (1 + 1e-6)
             return out
 
-        monkeypatch.setattr(simplex, "_simplex", corrupting)
+        monkeypatch.setattr(simplex, "_dual", corrupting)
         inverted = _spy_inverse(monkeypatch)
         res = _solve_arrays(model, False)
         assert res.status == "Optimal" and len(inverted) == 1
@@ -1267,10 +1293,9 @@ class TestRationalSolve:
             assert simplex._factor(_transpose(rows)) is None
 
     def test_one_elimination_per_certificate(self, monkeypatch, two_trip):
-        # an Optimal root, the unsatisfiable reduction's children that the
-        # dual loop's row proves Infeasible, and an Unbounded LP: each
-        # certificate eliminates its basis once and solves every system
-        # from that
+        # an Optimal root and the unsatisfiable reduction's children that
+        # the dual loop's row proves Infeasible: each certificate eliminates
+        # its basis once and solves every system from that
         factors, certified = [], []
         real_factor, real_certify = simplex._factor, simplex._certify
 
@@ -1285,18 +1310,14 @@ class TestRationalSolve:
 
         monkeypatch.setattr(simplex, "_factor", factor)
         monkeypatch.setattr(simplex, "_certify", certify)
-        ray = MilpModel("ray", [Variable("p", 0.0, None, False, -1.0)],
-                        [Row("r", (("p", 1.0),), ">=", 0.0)])
         assert _solve_arrays(_model(two_trip, "HD").relaxed(),
                              exact=True).status == "Optimal"
         assert solve_ip(_unsat_c_model(), exact=True).status == "Infeasible"
-        assert solve_lp(ray, exact=True).status == "Unbounded"
         assert factors == [1] * len(certified)
         seen = collections.Counter(
             (res.status, res.basis.row >= 0) for res in certified)
         assert seen[("Optimal", False)] >= 2
         assert seen[("Infeasible", True)] >= 2
-        assert seen[("Unbounded", False)] == 1
 
     def test_division_keeps_ints_where_integral(self):
         assert simplex._div(6, -1) == -6 and type(simplex._div(6, -1)) is int
@@ -1342,7 +1363,7 @@ def _hand_basis(monkeypatch, edit, status=None):
     monkeypatch.setattr(simplex, "_solve_float", edited)
 
 
-_X_LE_1 = ([Variable("x", 0.0, None, False, -1.0)],
+_X_LE_1 = ([Variable("x", 0.0, 5.0, False, -1.0)],
            [Row("r", (("x", 1.0),), "<=", 1.0)])       # optimum -1 at x = 1
 _X_GE_3 = ([Variable("x", 0.0, 5.0, False, 1.0)],
            [Row("r", (("x", 1.0),), ">=", 3.0)])       # optimum 3 at x = 3
@@ -1365,23 +1386,17 @@ class TestCertificate:
          "reduced cost -1 of column 0 has the wrong sign"),
         (_X_GE_3, "Optimal", [1], [AT_LOWER, BASIC, AT_LOWER],
          "basic column 1 = -3 is outside its bounds"),
-        (_X_LE_1, "Optimal", [1], [AT_UPPER, BASIC, AT_LOWER],
+        (_P_GE_0, "Optimal", [1], [AT_UPPER, BASIC, AT_LOWER],
          "column 0 rests at an infinite bound"),
         (_TWIN_ROWS, "Optimal", [0, 1], [BASIC, BASIC, AT_LOWER, AT_LOWER],
          "singular basis"),
-        (_X_LE_1, "Unbounded", [1], [AT_LOWER, BASIC, AT_LOWER],
-         "column 0 is no unbounded ray"),
-        (_P_GE_0, "Unbounded", [1], [AT_LOWER, BASIC, AT_LOWER],
-         "column 0 is no unbounded ray"),
-    ], ids=["non-optimal", "infeasible", "at-infinity", "singular",
-            "blocked-ray", "ascending-ray"])
+    ], ids=["non-optimal", "infeasible", "at-infinity", "singular"])
     def test_wrong_basis_names_the_failed_check(self, monkeypatch, model,
                                                 state, basis, status, failure):
         m = MilpModel("handed", *model)
         assert solve_lp(m, exact=True).status == "Optimal"
 
         def hand(run):
-            run.entering = 0
             run.basis[:] = basis
             run.status[:] = status
 
