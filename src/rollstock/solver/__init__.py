@@ -108,7 +108,9 @@ def _lp_solution(form: ArrayForm, res: SimplexResult, tol: float,
     """The ``LpSolution`` of a simplex result on a model's array form.
 
     In float mode an optimum must satisfy the model's rows and bounds to
-    ``max(tol, 1e-7)``; otherwise ``NumericalFailure`` names the residual.
+    ``max(tol, 1e-7)``, and its duals must price every column to the right
+    sign (``dual_residual``) to ``max(tol, 1e-7) (1 + max |c_j|)``;
+    otherwise ``NumericalFailure`` names the residual.
     """
     if res.status != "Optimal":
         return LpSolution(res.status, iterations=res.iterations)
@@ -118,6 +120,9 @@ def _lp_solution(form: ArrayForm, res: SimplexResult, tol: float,
     resid = feasibility_residual(form, res.x)
     if not resid <= max(tol, 1e-7):
         raise NumericalFailure(f"LP residual {resid} exceeds tolerance")
+    resid = _dual_residual(form, res.x, res.y)
+    if not resid <= max(tol, 1e-7) * (1 + np.abs(form.c).max(initial=0.0)):
+        raise NumericalFailure(f"LP dual residual {resid} exceeds tolerance")
     return LpSolution("Optimal", float(res.objective),
                       dict(zip(form.var_ids, res.x.tolist())),
                       dict(zip(form.row_ids, res.y.tolist())), res.iterations)
@@ -163,9 +168,16 @@ def dual_residual(form: ArrayForm | MilpModel, sol: LpSolution) -> float:
     cost c - A'y of a column at its lower bound alone must not be negative,
     at its upper bound alone not positive, and off both bounds zero."""
     form, x = _structural(form, sol.values)
+    return _dual_residual(form, x, np.array(
+        [float(sol.duals.get(rid, 0)) for rid in form.row_ids]))
+
+
+def _dual_residual(form: ArrayForm, x, y) -> float:
+    """``dual_residual`` of the point x (structural columns first) and the
+    duals y, as arrays."""
     n = form.n_structural
-    d = form.c[:n] - _priced(form.nz, np.array(
-        [float(sol.duals.get(rid, 0)) for rid in form.row_ids]), len(form.c))[:n]
+    x = x[:n]
+    d = form.c[:n] - _priced(form.nz, y, len(form.c))[:n]
     lower = np.abs(x - form.lb[:n]) <= 1e-6
     upper = np.abs(x - form.ub[:n]) <= 1e-6
     return float(np.max(np.where(lower, np.where(upper, 0.0, -d),

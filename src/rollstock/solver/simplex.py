@@ -37,13 +37,14 @@ Pivoting is deterministic: lowest-index tie-breaking, and a permanent fall
 back to Bland's rule once a run of degenerate pivots suggests cycling. A
 run appends its artificial columns to the layout's nonzeros, and every
 product with A runs over them: y'A (reduced costs, pivot row), A x (basic
-values) and B^-1 A_q. B^-1 is kept explicitly and refactorized before
-every 256th pass. In between, a pass works in proportion to what its pivot
-changes (Hall and McKinnon 2005): the eta step updates the rows of B^-1
-where B^-1 A_q is nonzero and their steepest-edge norms, and the loop
-carries its reduced costs along the pivot row, d -= (d_q / alpha_rq)
-alpha_r. An optimum is reported from the loop's B^-1, refined once, and
-refactorized only when it fails a drift test (``_solve_float``).
+values) and B^-1 A_q. B^-1 is kept explicitly, and a pass works in
+proportion to what its pivot changes (Hall and McKinnon 2005): the eta
+step updates the rows of B^-1 where B^-1 A_q is nonzero and their
+steepest-edge norms, and the loop carries its reduced costs along the
+pivot row, d -= (d_q / alpha_rq) alpha_r. B^-1 is refactorized only where
+the loop ends, Optimal or Infeasible, on values that fail a drift test,
+and the loop then resumes from the same basis (``_solve_float``). An
+optimum is reported from the last B^-1, refined once.
 
 The rational mode backs the optimal-value *equality* assertions between
 models. It does not pivot over ``Fraction``s: it runs the float simplex on
@@ -80,7 +81,7 @@ BASIC = 2
 
 TOL = 1e-9        # pricing and ratio-test pivots
 TIE = 1e-12       # ratio ties and degenerate steps
-DRIFT = 1e-9      # relative residual of a reported x_B or y that refactorizes
+DRIFT = 1e-9      # relative residual of x_B or y at a loop's end that refactorizes
 
 
 @dataclass
@@ -89,7 +90,7 @@ class SimplexResult:
     objective: object = None
     x: object = None            # values per column of A
     y: object = None            # duals per row
-    iterations: int = 0
+    iterations: int = 0         # passes of the float run, resumed loops too
     basis: _Basis | None = None  # where the float run stopped
 
 
@@ -355,38 +356,31 @@ class _Pivots:
     squared row ``norms``, the basic values ``x_B`` and the column statuses,
     over ``nz``, the nonzeros of A as in ``_Layout``. ``basis`` and ``status``
     are the caller's and are updated in place; ``d`` holds the reduced costs
-    that the loop carries."""
+    that the loop carries, and ``iters`` the passes of every loop run on it.
+    Pivots change B^-1 by eta steps only; the caller refactorizes it."""
 
     def __init__(self, nz, b, lb, ub, basis: list[int], status: np.ndarray,
                  B_inv, max_iter: int):
         self.nz, self.b, self.lb, self.ub = nz, b, lb, ub
         self.basis, self.status, self.B_inv = basis, status, B_inv
-        self.max_iter = max_iter
+        self.max_iter, self.iters = max_iter, 0
+        self.fixed = lb == ub
         # ``at[j]:at[j + 1]`` are the nonzeros of column j
         self.at = np.searchsorted(nz[0], np.arange(len(lb) + 1))
 
     def start(self):
         """Begin a loop: norms and basic values from B^-1 and the bounds."""
-        self._derive()
-        self.fixed = self.lb == self.ub
-        self.iters = 0
-
-    def count(self):
-        """One more pass of the loop."""
-        if self.iters >= self.max_iter:
-            raise NumericalFailure(
-                f"simplex iteration limit {self.max_iter} reached")
-        self.iters += 1
-
-    def refactor(self):
-        self.B_inv = _inverse(self.nz, self.basis, len(self.lb))
-        self._derive()
-
-    def _derive(self):
         self.norms = np.einsum("ij,ij->i", self.B_inv, self.B_inv)
         x_N = _nonbasic_values(self.lb, self.ub, self.status)
         self.x_B = self.B_inv @ (self.b - _times(self.nz, x_N, len(self.b)))
         self.basis_arr = np.array(self.basis, dtype=int)
+
+    def count(self):
+        """One more pass of a loop."""
+        if self.iters >= self.max_iter:
+            raise NumericalFailure(
+                f"simplex iteration limit {self.max_iter} reached")
+        self.iters += 1
 
     def reduced_costs(self, costs):
         """c - (c_B B^-1) A, priced afresh."""
@@ -398,12 +392,10 @@ class _Pivots:
         span = slice(self.at[j], self.at[j + 1])
         return self.B_inv[:, rows[span]] @ vals[span]
 
-    def pivot(self, entering: int, col, delta, leaving: int,
-              leave_to: int) -> bool:
+    def pivot(self, entering: int, col, delta, leaving: int, leave_to: int):
         """Move the nonbasic column ``entering`` by ``delta`` into the basis
         position ``leaving``, whose column goes to ``leave_to``; ``col`` is
-        B^-1 A_entering. Refactorizes before every 256th pass, and returns
-        whether it did."""
+        B^-1 A_entering, and B^-1 takes one eta step."""
         status = self.status
         x_B = self.x_B - col * delta
         x_B[leaving] = (self.lb[entering] if status[entering] == AT_LOWER
@@ -420,10 +412,6 @@ class _Pivots:
         self.B_inv[touched] = new
         self.norms[touched] = np.einsum("ij,ij->i", new, new)
         self.x_B = x_B
-        if (self.iters + 1) % 256 == 0:
-            self.refactor()
-            return True
-        return False
 
 
 def _cycling(degenerate_run: int, p: _Pivots) -> bool:
@@ -442,8 +430,8 @@ def _dual(p: _Pivots, costs) -> int:
     suggests cycling: the violated position with the lowest basic column,
     as Bland's rule). The entering column has the smallest |d_j / alpha_rj|
     among nonbasic columns that are not fixed and push the leaving value
-    toward its bound, the lowest index on ties. d is priced afresh only at
-    the start and after a refactorization, else d -= (d_q / alpha_rq) alpha_r.
+    toward its bound, the lowest index on ties. d is priced afresh when the
+    loop starts and carried after, d -= (d_q / alpha_rq) alpha_r.
     The ±1 directions, the mask of unfixed nonbasic columns and the basic
     bounds are carried too: a pivot updates the two columns that swap.
     """
@@ -483,12 +471,10 @@ def _dual(p: _Pivots, costs) -> int:
         degenerate_run = degenerate_run + 1 if r_min <= TIE else 0
         col = p.column(entering)
         leaving, bound = p.basis[r], lb_B[r] if to_lower else ub_B[r]
-        if p.pivot(entering, col, (x_B[r] - bound) / col[r], r,
-                   AT_LOWER if to_lower else AT_UPPER):
-            p.d = p.reduced_costs(costs)
-        else:
-            p.d -= p.d[entering] / alpha[entering] * alpha
-            p.d[entering] = 0.0
+        p.pivot(entering, col, (x_B[r] - bound) / col[r], r,
+                AT_LOWER if to_lower else AT_UPPER)
+        p.d -= p.d[entering] / alpha[entering] * alpha
+        p.d[entering] = 0.0
         direction[leaving] = 1.0 if to_lower else -1.0
         free[leaving], free[entering] = not p.fixed[leaving], False
         lb_B[r], ub_B[r] = p.lb[entering], p.ub[entering]
@@ -499,12 +485,14 @@ def _solve_float(c, lb, ub, layout: _Layout, bounds, start=None):
     or else from the slack basis: one artificial column per live row, every
     other column at the bound its cost pushes toward. Each free column takes
     the floats of its exact bounds and its folded cost; the artificial
-    columns are held at zero. The dual loop runs once. An optimum takes x_B
-    = B^-1 (b - N x_N) and y = c_B B^-1 from the loop's B^-1, refined once,
-    x_B += B^-1 (b - A x) and y += (c_B - (yA)_B) B^-1, or from a
-    refactorization if either residual fails the drift test (beyond
-    ``DRIFT`` (1 + max |b_i| or |c_B|)). Its reduced costs c - yA are then
-    priced once: a nonbasic column that is not fixed and has d_j < -TOL at
+    columns are held at zero. Where the dual loop ends, Optimal or
+    Infeasible, it takes x_B = B^-1 (b - N x_N) and, for an optimum, y =
+    c_B B^-1, and their residuals b - A x and c_B - (yA)_B. If either is
+    beyond ``DRIFT`` (1 + max |b_i| or |c_B|), B^-1 is refactorized and the
+    loop resumes from the same basis; a refactorized B^-1 that no pivot has
+    changed since is trusted. An optimum is then refined once, x_B +=
+    B^-1 (b - A x) and y += (c_B - (yA)_B) B^-1, and its reduced costs c -
+    yA are priced once: a nonbasic column that is not fixed and has d_j < -TOL at
     its lower bound or d_j > TOL at its upper one raises
     ``NumericalFailure``. It gets the layout's fixed values as floats, the
     postsolved substituted values and duals, and x clipped to ``lb`` and
@@ -540,22 +528,29 @@ def _solve_float(c, lb, ub, layout: _Layout, bounds, start=None):
         # the artificial diagonal is its own inverse
         B_inv = np.diag(sign) if start is None else start.B_inv.copy()
         p = _Pivots(nz, b_r, lb_r, ub_r, basis, status, B_inv, 5000 + 60 * (m + n))
-        run.row = _dual(p, costs)
+        refactored = -1  # p.iters when B^-1 was last refactorized
+        while True:
+            run.row = _dual(p, costs)
+            x_r = _nonbasic_values(lb_r, ub_r, status)
+            x_r[basis] = p.B_inv @ (b_r - _times(nz, x_r, m))
+            checks = [(b_r - _times(nz, x_r, m), b_r)]
+            if run.row < 0:
+                c_B = costs[basis]
+                y_r = c_B @ p.B_inv
+                checks.append((c_B - _priced(nz, y_r, n + m)[basis], c_B))
+            # one pass since the refactorization: no pivot, so B^-1 is trusted
+            if p.iters == refactored + 1 or not any(
+                    np.abs(r).max(initial=0.0) > DRIFT * (1 + np.abs(v).max(initial=0.0))
+                    for r, v in checks):
+                break
+            p.B_inv, refactored = _inverse(nz, basis, n + m), p.iters
         iterations = p.iters
         if run.row >= 0:
             return SimplexResult("Infeasible", iterations=iterations,
                                  basis=run)
-        c_B, x_r = costs[basis], _nonbasic_values(lb_r, ub_r, status)
-        x_r[basis], y_r = p.B_inv @ (b_r - _times(nz, x_r, m)), c_B @ p.B_inv
-        r_x = b_r - _times(nz, x_r, m)
-        r_y = c_B - _priced(nz, y_r, n + m)[basis]
-        if any(np.abs(r).max(initial=0.0) > DRIFT * (1 + np.abs(v).max(initial=0.0))
-               for r, v in ((r_x, b_r), (r_y, c_B))):
-            p.refactor()
-            x_r[basis], y_r = p.x_B, c_B @ p.B_inv
-        else:
-            x_r[basis] += p.B_inv @ r_x
-            y_r += r_y @ p.B_inv
+        (r_x, _), (r_y, _) = checks
+        x_r[basis] += p.B_inv @ r_x
+        y_r += r_y @ p.B_inv
         d = costs - _priced(nz, y_r, n + m)
         wrong = np.where(status == AT_LOWER, d < -TOL, d > TOL) & \
             (status != BASIC) & (lb_r != ub_r)

@@ -460,6 +460,23 @@ class TestLp:
             simplex.solve_arrays(form.c, form.nz, form.b, form.lb, form.ub,
                                  exact=exact, start=handed)
 
+    @pytest.mark.parametrize("field,residual", [("x", "LP residual"),
+                                                ("y", "LP dual residual")])
+    def test_a_perturbed_report_is_refused(self, monkeypatch, field, residual):
+        # x = 1 moved to 2 leaves its row; y = -1 moved to 0 prices x,
+        # between its bounds, at -1
+        real = simplex._solve_float
+
+        def perturbed(*args):
+            res = real(*args)
+            getattr(res, field)[0] += 1.0
+            return res
+
+        monkeypatch.setattr(simplex, "_solve_float", perturbed)
+        with pytest.raises(NumericalFailure,
+                           match=f"^{residual} 1.0 exceeds tolerance$"):
+            solve_lp(MilpModel("handed", *_X_LE_1))
+
     def test_dead_row_below_float_tolerance(self):
         # x is fixed, so the row is dead; its right-hand side is below any
         # float tolerance but not zero, and the presolve that both modes
@@ -493,21 +510,17 @@ class TestLp:
         assert float(sol.objective) == pytest.approx(12.0)
         assert sol.iterations == solve_lp(m).iterations > 1
 
-    def test_refactorizes_before_every_256th_pass(self, monkeypatch):
+    @pytest.mark.parametrize("lines,variant", [(2, "HD"), (4, "HAbar")])
+    def test_a_cold_root_inverts_no_basis(self, monkeypatch, lines, variant):
+        # the slack basis needs no inverse, and hundreds of eta steps leave
+        # B^-1 within the drift test where the loop ends
         passes = _record_passes(monkeypatch)
-        real = simplex._inverse
-        inverses = []  # the loops ended so far, at each inversion
-        monkeypatch.setattr(simplex, "_inverse",
-                            lambda *a: inverses.append(len(passes)) or real(*a))
-        inst = generate(GenConfig(seed=5, lines=2, trips_per_line=8,
+        inverted = _spy_inverse(monkeypatch)
+        inst = generate(GenConfig(seed=5, lines=lines, trips_per_line=8,
                                   stations=4))
-        assert solve_lp(_model(inst, "HD").relaxed()).status == "Optimal"
-        assert max(k for _, k in passes) > 256
-        # the slack basis needs no inverse, and the report needs one only
-        # when the drift test fires: after the loop ended
-        drifted = inverses.count(1)
-        assert len(inverses) == sum(k // 256 for _, k in passes) + drifted
-        assert drifted == 0
+        assert solve_lp(_model(inst, variant).relaxed()).status == "Optimal"
+        assert len(passes) == 1 and passes[0][1] > 256
+        assert inverted == []
 
     def test_determinism(self, situation2):
         m = _model(situation2, "HD").relaxed()
@@ -732,7 +745,7 @@ def _check_every_pivot(monkeypatch):
     recomputation: B^-1 against the dense rank-one update, bit for bit; the
     kept row norms against B^-1, bit for bit; and the carried reduced costs
     against freshly priced ones on the nonbasic columns that are not fixed,
-    and bit for bit at the start of the loop and after a refactorization.
+    and bit for bit at the start of each loop.
     Fresh pricing over the nonzeros stays within 1e-9 of the dense
     c - (c_B B^-1) A, which sums in another order. Returns the loop of each
     checked pivot, in order."""
@@ -770,13 +783,11 @@ def _check_every_pivot(monkeypatch):
         factor = col.copy()
         factor[leaving] = 0.0
         dense -= np.outer(factor, dense[leaving, :])
-        refactored = priced[0] = real_pivot(p, entering, col, delta, leaving,
-                                            leave_to)
-        if not refactored:
-            assert np.array_equal(p.B_inv, dense)
+        real_pivot(p, entering, col, delta, leaving, leave_to)
+        priced[0] = False
+        assert np.array_equal(p.B_inv, dense)
         assert norms_match(p)
         checked.append(name)
-        return refactored
 
     monkeypatch.setattr(simplex._Pivots, "pivot", pivot)
     return checked
@@ -788,7 +799,6 @@ class TestSparsePass:
         inst = generate(GenConfig(seed=5, lines=2, trips_per_line=8,
                                   stations=4))
         assert solve_lp(_model(inst, "HD").relaxed()).status == "Optimal"
-        # past the refactorization before pass 256, which recomputes d
         assert checked.count("_dual") > 256
 
     def test_primal_pivots_match_dense_recomputation(self, monkeypatch):
@@ -1003,6 +1013,22 @@ class TestWarmStart:
             assert warm.status == "Optimal" and k not in warm.basis.basis
 
 
+def _corrupt_first_loop(monkeypatch):
+    """Scale B^-1 by 1 + 1e-6 where the first pivot loop (``_dual``) ends, as
+    if its eta steps had drifted. Returns what each loop returned."""
+    real = simplex._dual
+    loops = []
+
+    def corrupting(p, costs):
+        loops.append(real(p, costs))
+        if len(loops) == 1:
+            p.B_inv = p.B_inv * (1 + 1e-6)
+        return loops[-1]
+
+    monkeypatch.setattr(simplex, "_dual", corrupting)
+    return loops
+
+
 def _spy_inverse(monkeypatch):
     """Record the basis of every ``_inverse`` call."""
     real = simplex._inverse
@@ -1019,10 +1045,11 @@ class TestReport:
             if name == "ladder-L2" else canonical_instances()[name]
         models = [_model(inst, v) for v in VARIANTS7]
         refined = [_solve_arrays(m, False) for m in models]
-        monkeypatch.setattr(simplex, "DRIFT", -1.0)  # every report refactorizes
+        # every loop's end refactorizes, and the resumed loop's one pass counts
+        monkeypatch.setattr(simplex, "DRIFT", -1.0)
         for model, a in zip(models, refined):
             b = _solve_arrays(model, False)
-            assert a.status == b.status and a.iterations == b.iterations
+            assert a.status == b.status and a.iterations + 1 == b.iterations
             if a.status != "Optimal":
                 continue
             assert a.basis.basis == b.basis.basis
@@ -1036,19 +1063,49 @@ class TestReport:
         monkeypatch.setattr(simplex, "DRIFT", -1.0)
         fresh = _solve_arrays(model, False)
         monkeypatch.setattr(simplex, "DRIFT", 1e-9)
-        real = simplex._dual
-
-        def corrupting(p, costs):  # as if the eta steps had drifted
-            out = real(p, costs)
-            p.B_inv = p.B_inv * (1 + 1e-6)
-            return out
-
-        monkeypatch.setattr(simplex, "_dual", corrupting)
+        loops = _corrupt_first_loop(monkeypatch)
         inverted = _spy_inverse(monkeypatch)
         res = _solve_arrays(model, False)
-        assert res.status == "Optimal" and len(inverted) == 1
+        assert res.status == "Optimal" and len(inverted) == 1 and len(loops) == 2
         assert res.objective == fresh.objective
+        assert res.iterations == fresh.iterations
         assert np.array_equal(res.x, fresh.x) and np.array_equal(res.y, fresh.y)
+
+    def test_a_drifted_infeasible_exit_is_refactorized(self, monkeypatch):
+        # the drift test guards an Infeasible end too: a child whose inverse
+        # has drifted by then inverts its basis once and stays Infeasible
+        children = _record_children(monkeypatch)
+        solve_ip(_unsat_c_model())
+        start, lb, ub, warm, _ = next(
+            child for child in children if child[3].status == "Infeasible")
+        form = model_arrays(_unsat_c_model())
+        loops = _corrupt_first_loop(monkeypatch)
+        inverted = _spy_inverse(monkeypatch)
+        res = simplex.solve_arrays(form.c, form.nz, form.b, lb, ub, start=start)
+        assert res.status == "Infeasible" and inverted == [warm.basis.basis]
+        assert loops == [warm.basis.row] * 2
+        assert res.basis.row == warm.basis.row
+        assert res.iterations == warm.iterations + 1
+
+    def test_an_inverse_drifted_mid_loop_is_refactorized(self, monkeypatch):
+        # B^-1 scaled by 1 + 1e-6 at the fifth pivot drifts the loop's end;
+        # the loop resumes from a fresh inverse and ends at the clean optimum
+        model = _model(canonical_instances()["Situation2"], "HD")
+        clean = _solve_arrays(model, False)
+        real_pivot = simplex._Pivots.pivot
+
+        def pivot(p, *args):
+            real_pivot(p, *args)
+            if p.iters == 5:
+                p.B_inv *= 1 + 1e-6
+
+        monkeypatch.setattr(simplex._Pivots, "pivot", pivot)
+        passes = _record_passes(monkeypatch)
+        inverted = _spy_inverse(monkeypatch)
+        res = _solve_arrays(model, False)
+        assert clean.iterations > 5 and len(passes) == 2 and len(inverted) == 1
+        assert res.status == "Optimal"
+        assert abs(res.objective - clean.objective) <= 1e-9 * abs(clean.objective)
 
     def test_compare_at_the_root_inverts_nothing(self, monkeypatch):
         from rollstock import analysis
@@ -1057,14 +1114,12 @@ class TestReport:
         ips = []
         monkeypatch.setattr(analysis, "solve_ip", lambda *a, **k: (
             ips.append(real(*a, **k)) or ips[-1]))
-        passes = _record_passes(monkeypatch)
         inverted = _spy_inverse(monkeypatch)
         inst = generate(GenConfig(seed=3000, lines=2, trips_per_line=3,
                                   unit_types=2, n_max=2, stations=3))
         rep = analysis.compare(inst)
         assert not any(r.error for r in rep.rows)
         assert len(ips) == 5 and all(ip.nodes == 1 for ip in ips)
-        assert max(k for _, k in passes) < 256
         assert inverted == []
 
     @pytest.mark.parametrize("build", [
@@ -1081,10 +1136,9 @@ class TestReport:
             return real(c, nz, b, lb, ub, exact=exact, start=start)
 
         monkeypatch.setattr(branch_bound, "solve_arrays", recording)
-        passes = _record_passes(monkeypatch)
         inverted = _spy_inverse(monkeypatch)
         ip = solve_ip(build())
-        assert ip.nodes > 1 and max(k for _, k in passes) < 256
+        assert ip.nodes > 1
         assert sorted(inverted) == sorted(s.basis for s in parents.values())
 
 
